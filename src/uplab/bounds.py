@@ -316,71 +316,54 @@ def cf_bound(f: Signal, fhat: Signal, search: CfSearch | None = None) -> BoundVa
     """Best lower bound for the signal-adapted constant over the finite search grids.
 
     Any witness gives a valid lower bound for the true constant, so enlarging
-    the grids can only increase the result.  Ties keep the first witness in
-    the deterministic lexicographic scan order.
+    the grids can only increase the result.  The quotient of `cf_quotient`
+    factors as
+
+        ||f||_2^4 * A(w_bar, q1, alpha1) * B(t_bar, q2, alpha2),
+        A = ||fhat||_q1^e1 / (K(d,a1,q1) ||fhat||_q1^2 Mw^e1),
+        B = ||f||_q2^e2 / (K(d,a2,q2) ||f||_q2^2 Mt^e2),
+
+    with both factors positive, so its maximum is max A times max B and each
+    factor is scanned on its own grid.  Ties keep the first maximiser in the
+    lexicographic scan order (t_bar, w_bar, q1, alpha1, q2, alpha2) of the
+    full witness grid: that is the first maximiser of A in (w_bar, q1,
+    alpha1) order together with the first maximiser of B in (t_bar, q2,
+    alpha2) order.  Witnesses whose moment norm vanishes are skipped.
     """
     if f.domain != TIME or fhat.domain != FREQUENCY:
         raise ValueError("expected a time signal and its frequency transform")
     search = search or CfSearch()
     d = 1
-    tc = energy_centroid(f)
-    wc = energy_centroid(fhat)
     t_axis, w_axis = f.grid.times, f.grid.freqs
-    t_centers = [tc] + np.linspace(t_axis[0] / 2.0, t_axis[-1] / 2.0, search.center_count).tolist()
-    w_centers = [wc] + np.linspace(w_axis[0] / 2.0, w_axis[-1] / 2.0, search.center_count).tolist()
-
-    norm2 = norm_lq(f, 2.0)
-    nf = {q: norm_lq(f, q) for q in search.qs}
-    nfh = {q: norm_lq(fhat, q) for q in search.qs}
-    kconst = {}
-    mt = {}
-    mw = {}
+    t_centers = [energy_centroid(f)] + np.linspace(t_axis[0] / 2.0, t_axis[-1] / 2.0, search.center_count).tolist()
+    w_centers = [energy_centroid(fhat)] + np.linspace(w_axis[0] / 2.0, w_axis[-1] / 2.0, search.center_count).tolist()
+    # (q, alpha, e, K) in scan order, shared by both factors
+    table = []
     for q in search.qs:
-        for a in search.alphas(q, d):
-            kconst[(q, a)] = price_k(d, a, q)
-            for c in t_centers:
-                mt[(c, q, a)] = weighted_moment_norm(f, c, a, q)
-            for c in w_centers:
-                mw[(c, q, a)] = weighted_moment_norm(fhat, c, a, q)
+        qp = conjugate_exponent(q)
+        table += [(q, a, 2.0 * d / (a * qp), price_k(d, a, q)) for a in search.alphas(q, d)]
 
-    best = None
-    best_witness = None
-    for tb in t_centers:
-        for wb in w_centers:
-            for q1 in search.qs:
-                e1_base = conjugate_exponent(q1)
-                for a1 in search.alphas(q1, d):
-                    e1 = 2.0 * d / (a1 * e1_base)
-                    m1 = mw[(wb, q1, a1)]
-                    if m1 == 0.0:
-                        continue
-                    part1 = nfh[q1] ** e1 / (kconst[(q1, a1)] * nfh[q1] ** 2 * m1**e1)
-                    for q2 in search.qs:
-                        e2_base = conjugate_exponent(q2)
-                        for a2 in search.alphas(q2, d):
-                            e2 = 2.0 * d / (a2 * e2_base)
-                            m2 = mt[(tb, q2, a2)]
-                            if m2 == 0.0:
-                                continue
-                            val = (
-                                norm2**4
-                                * part1
-                                * nf[q2] ** e2
-                                / (kconst[(q2, a2)] * nf[q2] ** 2 * m2**e2)
-                            )
-                            if best is None or val > best:
-                                best = val
-                                best_witness = {
-                                    "t_bar": tb,
-                                    "w_bar": wb,
-                                    "q1": q1,
-                                    "alpha1": a1,
-                                    "q2": q2,
-                                    "alpha2": a2,
-                                }
+    best_w, (wb, q1, a1) = _best_factor(fhat, w_centers, table)
+    best_t, (tb, q2, a2) = _best_factor(f, t_centers, table)
+    witness = {"t_bar": tb, "w_bar": wb, "q1": q1, "alpha1": a1, "q2": q2, "alpha2": a2}
+    return BoundValue(float(norm_lq(f, 2.0) ** 4 * best_w * best_t), witness, attained=True)
+
+
+def _best_factor(g: Signal, centers: list, table: list) -> tuple[float, tuple]:
+    """First maximiser over (center, q, alpha) of ||g||_q^e / (K ||g||_q^2 M^e)."""
+    norms = {q: norm_lq(g, q) for q in {row[0] for row in table}}
+    best, arg = None, None
+    for c in centers:
+        for q, a, e, k in table:
+            m = weighted_moment_norm(g, c, a, q)
+            if m == 0.0:
+                continue
+            val = norms[q] ** e / (k * norms[q] ** 2 * m**e)
+            if best is None or val > best:
+                best, arg = val, (c, q, a)
     if best is None:
         raise ValueError("search grids admitted no feasible witness")
-    return BoundValue(float(best), best_witness, attained=True)
+    return best, arg
 
 
 def separate_measure_bounds(

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FREQUENCY, TIME, Grid, Signal, frozen_array, norm_lq, signal_from_samples
+from .core import FREQUENCY, TIME, Grid, Signal, _quadrature_lq, frozen_array, norm_lq
 
 _AXES = (TIME, FREQUENCY)
 
@@ -94,12 +94,17 @@ def mask_to_json(mask: MaskSet, path=None) -> str:
 
 
 def mask_from_json(grid: Grid, source) -> MaskSet:
-    """Read a mask from a JSON string, dict, or file path."""
+    """Read a mask from a dict, a JSON string, or a file path.
+
+    A string whose first non-blank character is '{' is parsed as JSON; any
+    other string or path-like is read as a file.
+    """
     if isinstance(source, dict):
         payload = source
+    elif isinstance(source, str) and source.lstrip().startswith("{"):
+        payload = json.loads(source)
     else:
-        text = Path(source).read_text() if Path(str(source)).exists() else str(source)
-        payload = json.loads(text)
+        payload = json.loads(Path(source).read_text())
     return mask_from_intervals(grid, payload["axis"], payload["intervals"])
 
 
@@ -169,9 +174,10 @@ def weighted_moment_norm(f: Signal, center: float, alpha: float, q: float) -> fl
     alpha = float(alpha)
     if not alpha > 0:
         raise ValueError(f"moment exponent must be positive, got {alpha!r}")
-    weight = np.abs(f.axis - float(center)) ** alpha
-    weighted = signal_from_samples(f.grid, weight * f.samples, f.domain)
-    return norm_lq(weighted, q)
+    weighted = np.abs(f.axis - float(center))
+    weighted **= alpha
+    weighted *= np.abs(f.samples)
+    return _quadrature_lq(weighted, f.spacing, q)
 
 
 def std_dev(f: Signal, center: float | None = None) -> float:

@@ -20,6 +20,7 @@ value.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,11 +56,15 @@ class Grid:
 
     @property
     def times(self) -> np.ndarray:
-        return (np.arange(self.n) - self.n // 2) * self.dx
+        return self._centered_indices() * self.dx
 
     @property
     def freqs(self) -> np.ndarray:
-        return (np.arange(self.n) - self.n // 2) * self.dw
+        return self._centered_indices() * self.dw
+
+    def _centered_indices(self) -> np.ndarray:
+        # j - n/2 as exact floats, without an int64 pass
+        return np.arange(-(self.n // 2), self.n - self.n // 2, dtype=np.float64)
 
     def axis(self, domain: str) -> np.ndarray:
         _check_domain(domain)
@@ -152,17 +157,23 @@ def fourier(f: Signal, direction: str = "forward") -> Signal:
 
 def norm_lq(f: Signal, q: float) -> float:
     """Quadrature L^q norm, (spacing * sum |f|^q)^(1/q); sample max at q = inf."""
+    return _quadrature_lq(np.abs(f.samples), f.spacing, q)
+
+
+def _quadrature_lq(mags: np.ndarray, spacing: float, q: float) -> float:
+    """(spacing * sum mags^q)^(1/q) of nonnegative magnitudes; their max at q = inf."""
     q = float(q)
     if not (q >= 1.0):
         raise ValueError(f"norm order must satisfy q >= 1, got {q!r}")
-    mags = np.abs(f.samples)
-    if np.isinf(q):
+    if math.isinf(q):
         return float(mags.max()) if mags.size else 0.0
     peak = float(mags.max())
     if peak == 0.0:
         return 0.0
     # scale by the peak so large q cannot overflow
-    return peak * float((f.spacing * np.sum((mags / peak) ** q)) ** (1.0 / q))
+    scaled = mags / peak
+    scaled **= q
+    return peak * float((spacing * scaled.sum()) ** (1.0 / q))
 
 
 def inner(f: Signal, g: Signal) -> complex:
@@ -207,7 +218,7 @@ def read_signal_csv(path) -> Signal:
     domain = match.group(3) or TIME
     grid = make_grid(n, dx)
     values = np.zeros(n, dtype=np.complex128)
-    seen = 0
+    seen = np.zeros(n, dtype=bool)
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#") or line.startswith("index"):
@@ -218,8 +229,10 @@ def read_signal_csv(path) -> Signal:
         j = int(parts[0])
         if not 0 <= j < n:
             raise ValueError(f"{path}: row index {j} out of range for n={n}")
+        if seen[j]:
+            raise ValueError(f"{path}: duplicate row index {j}")
         values[j] = float(parts[2]) + 1j * float(parts[3])
-        seen += 1
-    if seen != n:
-        raise ValueError(f"{path}: expected {n} rows, found {seen}")
+        seen[j] = True
+    if not seen.all():
+        raise ValueError(f"{path}: expected {n} rows, found {int(seen.sum())}")
     return signal_from_samples(grid, values, domain)

@@ -2,10 +2,12 @@
 
 Oracles: closed forms for the special constants (2 pi, pi^2, Stirling-free
 gamma identities), a dense-grid maximization replacing the golden-section
-search, exact Gaussian moments, and hand-derived special cases of the
-measure bounds.
+search, exact Gaussian moments, hand-derived special cases of the
+measure bounds, and a brute-force scan of cf_quotient over the full witness
+grid in place of the factored cf_bound search.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -13,15 +15,20 @@ import pytest
 from scipy.special import erf
 
 from uplab import (
+    FREQUENCY,
     BoundParams,
+    CfSearch,
     TIME,
+    bounds,
     alpha_k_profile,
     cf_bound,
     cf_quotient,
     conjugate_exponent,
     delta_bound,
     ds_bound,
+    energy_centroid,
     fourier,
+    generate_signal,
     heisenberg_floor,
     improved_bound,
     lieb_constant,
@@ -203,6 +210,85 @@ class TestSignalAdaptedBounds:
         assert best.attained
         assert best.value >= 1 / math.pi - 1e-12
         assert cf_quotient(f, fhat, best.witness) == pytest.approx(best.value, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "kind, params, n",
+        [
+            ("gaussian", {"lam": 1.0}, 64),
+            ("indicator", {"lo": -1.0, "hi": 1.0}, 128),
+            ("chirp", {"rate": 2.0}, 128),
+            ("random_bandlimited", {"seed": 3, "band": 2.0}, 96),
+        ],
+    )
+    def test_search_matches_brute_force_over_the_witness_grid(self, kind, params, n):
+        grid = make_grid(n, 1 / 8)
+        f = generate_signal(kind, params, grid)
+        self._assert_matches_brute_force(f)
+
+    def test_vanishing_moment_witnesses_are_skipped(self):
+        # a unit spike has a zero time moment about its own centroid, so the
+        # brute force and the search must both pass over that centre
+        grid = make_grid(64, 1 / 8)
+        samples = np.zeros(grid.n)
+        samples[40] = 1.0
+        f = signal_from_samples(grid, samples)
+        assert weighted_moment_norm(f, energy_centroid(f), 1.0, 2.0) == 0.0
+        witness = self._assert_matches_brute_force(f)
+        assert witness["t_bar"] != energy_centroid(f)
+
+    def test_ties_keep_the_first_witness_in_scan_order(self, monkeypatch):
+        # With unit norms and constants the quotient is Mw^-e1 * Mt^-e2, and
+        # (q, alpha) = (2, 1) and (inf, 2) share e = 1.  Halving the moment at
+        # (first centre, inf, 2) and at (second centre, 2, 1) gives two exact
+        # maximisers on each axis; the scan meets the first centre first.
+        grid = make_grid(64, 1 / 8)
+        f = generate_signal("gaussian", {}, grid)
+        fhat = fourier(f)
+        first = {TIME: energy_centroid(f), FREQUENCY: energy_centroid(fhat)}
+        second = {TIME: grid.times[0] / 2, FREQUENCY: grid.freqs[0] / 2}
+
+        def moment(g, center, alpha, q):
+            at_first = center == first[g.domain] and (q, alpha) == (math.inf, 2.0)
+            at_second = center == second[g.domain] and (q, alpha) == (2.0, 1.0)
+            return 0.5 if at_first or at_second else 1.0
+
+        monkeypatch.setattr(bounds, "weighted_moment_norm", moment)
+        monkeypatch.setattr(bounds, "norm_lq", lambda g, q: 1.0)
+        monkeypatch.setattr(bounds, "price_k", lambda d, alpha, q: 1.0)
+        witness = self._assert_matches_brute_force(f)
+        assert witness == {
+            "t_bar": first[TIME],
+            "w_bar": first[FREQUENCY],
+            "q1": math.inf,
+            "alpha1": 2.0,
+            "q2": math.inf,
+            "alpha2": 2.0,
+        }
+
+    @staticmethod
+    def _assert_matches_brute_force(f):
+        search = CfSearch(qs=(1.5, 2.0, math.inf), alpha_count=2, center_count=2)
+        fhat = fourier(f)
+
+        def centers(g):
+            axis = g.axis
+            return [energy_centroid(g)] + np.linspace(axis[0] / 2, axis[-1] / 2, search.center_count).tolist()
+
+        pairs = [(q, a) for q in search.qs for a in search.alphas(q)]
+        best, best_witness = None, None
+        # full-grid scan order t_bar, w_bar, (q1, alpha1), (q2, alpha2); strict > keeps the first maximiser
+        for tb, wb, (q1, a1), (q2, a2) in itertools.product(centers(f), centers(fhat), pairs, pairs):
+            witness = {"t_bar": tb, "w_bar": wb, "q1": q1, "alpha1": a1, "q2": q2, "alpha2": a2}
+            try:
+                val = cf_quotient(f, fhat, witness)
+            except ValueError:
+                continue
+            if best is None or val > best:
+                best, best_witness = val, witness
+        got = cf_bound(f, fhat, search)
+        assert got.witness == best_witness
+        assert got.value == pytest.approx(best, rel=1e-14)
+        return got.witness
 
     def test_separate_bounds_multiply_to_the_product_form(self):
         grid = make_grid(256, 1 / 16)

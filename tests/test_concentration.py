@@ -6,6 +6,7 @@ closed-form moments of the standard Gaussian.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -75,6 +76,25 @@ class TestMasks:
         back = mask_from_json(grid, path)
         assert back.axis == TIME
         np.testing.assert_array_equal(back.flags, mask.flags)
+
+    def test_long_json_string_is_parsed_not_probed_as_a_path(self):
+        # ~5000 characters is past any file-name length limit
+        grid = make_grid(4096, 1 / 16)
+        intervals = [[a, a + 1] for a in range(0, 4096, 8)]
+        text = json.dumps({"axis": TIME, "intervals": intervals})
+        assert len(text) > 5000
+        mask = mask_from_json(grid, "  \n" + text)
+        assert mask.intervals() == [tuple(pair) for pair in intervals]
+
+    def test_json_string_and_path_give_the_same_mask(self, tmp_path):
+        grid = make_grid(16, 0.5)
+        mask = mask_from_intervals(grid, FREQUENCY, [(1, 4)])
+        path = tmp_path / "mask.json"
+        text = mask_to_json(mask, path)
+        from_text = mask_from_json(grid, text)
+        from_path = mask_from_json(grid, str(path))
+        np.testing.assert_array_equal(from_text.flags, from_path.flags)
+        assert from_text.axis == from_path.axis == FREQUENCY
 
     def test_out_of_range_interval_rejected(self):
         grid = make_grid(16, 0.5)
@@ -211,6 +231,27 @@ class TestMoments:
         # E t^4 = 3 sigma^4 -> sqrt(3)/(4 pi)
         want = math.sqrt(3.0) / (4 * math.pi)
         assert weighted_moment_norm(f, 0.0, 2.0, 2.0) == pytest.approx(want, rel=1e-6)
+
+
+    @pytest.mark.parametrize("q", [1.0, 1.5, 3.0, math.inf])
+    @pytest.mark.parametrize("alpha", [0.7, 2.5])
+    def test_moment_matches_direct_quadrature_for_a_complex_chirp(self, q, alpha):
+        grid = make_grid(128, 1 / 8)
+        t = grid.times
+        f = signal_from_samples(grid, 2**0.25 * np.exp(-np.pi * t**2) * np.exp(1j * np.pi * 2.0 * t**2))
+        for g, center in ((f, 0.3 * grid.dx + 0.017), (fourier(f), -0.41 * grid.dw - 0.05)):
+            weighted = np.abs(g.axis - center) ** alpha * np.abs(g.samples)
+            if math.isinf(q):
+                want = weighted.max()
+            else:
+                want = (g.spacing * np.sum(weighted**q)) ** (1 / q)
+            assert weighted_moment_norm(g, center, alpha, q) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("q", [1.0, 2.0, math.inf])
+    def test_moment_of_the_zero_signal_is_zero(self, q):
+        grid = make_grid(16, 0.5)
+        f = signal_from_samples(grid, np.zeros(grid.n))
+        assert weighted_moment_norm(f, 0.3, 1.5, q) == 0.0
 
 
 class TestSupport:

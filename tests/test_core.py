@@ -224,3 +224,17 @@ class TestSignalCsv:
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(ValueError):
             read_signal_csv(path)
+
+    def test_duplicate_row_index_rejected(self, tmp_path):
+        # a repeated index would overwrite the earlier row and leave its
+        # intended slot at zero, so the reader must refuse it
+        grid = make_grid(8, 0.5)
+        f = noise_signal(grid, 12)
+        path = tmp_path / "dup.csv"
+        write_signal_csv(f, path)
+        lines = path.read_text().splitlines()
+        row3 = lines[2 + 3]
+        lines[2 + 5] = "3," + row3.split(",", 1)[1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="duplicate row index 3"):
+            read_signal_csv(path)
