@@ -87,7 +87,6 @@ from .operators import (
     apply_freq_symbol,
     apply_op,
     apply_time_symbol,
-    dft_matrix,
     export_operator_csv,
     gaussian_smoothed_indicator,
     linear_op,

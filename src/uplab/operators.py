@@ -63,10 +63,26 @@ def adjoint_op(op: LinearOp) -> LinearOp:
     return linear_op(op.grid, op.matrix.conj().T, f"adjoint({op.provenance})")
 
 
-def dft_matrix(grid: Grid) -> np.ndarray:
-    """U[k, m] = dx * exp(-2*pi*i*t_m*w_k); U @ f gives the forward transform."""
-    phase = np.exp(-2j * np.pi * np.outer(grid.freqs, grid.times))
-    return grid.dx * phase
+def _lags(n: int) -> np.ndarray:
+    # table[a, b] = (a - b) mod n, the cyclic lag between samples a and b
+    m = np.arange(n)
+    return (m[:, None] - m[None, :]) % n
+
+
+def _alternating(n: int) -> np.ndarray:
+    # (-1)^d for d = 0..n-1; consistent with d mod n because n is even
+    return np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+
+
+def _freq_multiplier(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Matrix of F^-1 diag(values) F on time samples, from one inverse FFT.
+
+    The conjugated multiplier is circulant on this grid: entry (m, m') is
+    (-1)^d * ifft(values)[d] with d = (m - m') mod n, since dx * dw = 1/n and
+    the centred frequencies contribute the alternating sign.
+    """
+    column = _alternating(grid.n) * np.fft.ifft(values)
+    return column[_lags(grid.n)]
 
 
 def project_time(mask: MaskSet) -> LinearOp:
@@ -81,9 +97,7 @@ def project_freq(mask: MaskSet) -> LinearOp:
     if mask.axis != FREQUENCY:
         raise ValueError("frequency projection requires a frequency-axis mask")
     grid = mask.grid
-    u = dft_matrix(grid)
-    q = (grid.dw / grid.dx) * (u.conj().T @ (mask.flags[:, None] * u))
-    return linear_op(grid, q, "frequency-projection")
+    return linear_op(grid, _freq_multiplier(grid, mask.flags.astype(np.float64)), "frequency-projection")
 
 
 @dataclass(frozen=True)
@@ -159,9 +173,7 @@ def smoothed_concentration_ops(
     sym1 = gaussian_smoothed_indicator(mask_t, lam1)
     sym2 = gaussian_smoothed_indicator(mask_w, lam2)
     l1 = linear_op(grid, np.diag(sym1.values.astype(np.complex128)), f"time-concentration-smoother(lam={lam1})")
-    u = dft_matrix(grid)
-    m2 = (grid.dw / grid.dx) * (u.conj().T @ (sym2.values[:, None] * u))
-    l2 = linear_op(grid, m2, f"frequency-concentration-smoother(lam={lam2})")
+    l2 = linear_op(grid, _freq_multiplier(grid, sym2.values), f"frequency-concentration-smoother(lam={lam2})")
     return l1, l2
 
 
@@ -169,8 +181,13 @@ def localization_operator(symbol: TFMatrix, phi: Signal, psi: Signal) -> LinearO
     """Anti-Wick style operator: analyze with phi, weight by the symbol, rebuild with psi.
 
     Weakly, (L f, g) = sum_cells a * V_phi f * conj(V_psi g) * dx * dw, which
-    the tests verify directly.  Assembly walks the time shifts once, using the
-    row DFT of the symbol, so the cost is n FFTs plus n rank-one updates.
+    the tests verify directly.  With B = n * ifft(a, axis=1) the row DFT of the
+    symbol, the entry at lag d = (m - m') mod n is
+
+        L[m, m'] = dx^2 dw (-1)^d sum_j psi[(m-j+n/2) mod n] conj(phi[(m'-j+n/2) mod n]) B[j, d],
+
+    a cyclic convolution over the time shift j for each lag, so assembly is a
+    few n-by-n FFT passes: O(n^2 log n).
     """
     if phi.domain != TIME or psi.domain != TIME:
         raise ValueError("windows must be time-domain signals")
@@ -178,16 +195,16 @@ def localization_operator(symbol: TFMatrix, phi: Signal, psi: Signal) -> LinearO
         raise ValueError("symbol and windows must share a grid")
     grid = symbol.grid
     n, n2 = grid.n, grid.n // 2
-    lag = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    sign = np.where(lag % 2 == 0, 1.0, -1.0)
-    brows = n * np.fft.ifft(symbol.values, axis=1)
-    m = np.zeros((n, n), dtype=np.complex128)
-    for j in range(n):
-        shifted_psi = np.roll(psi.samples, j - n2)
-        shifted_phi = np.conj(np.roll(phi.samples, j - n2))
-        m += np.outer(shifted_psi, shifted_phi) * (sign * brows[j][lag])
-    m *= grid.dx * grid.dx * grid.dw
-    return linear_op(grid, m, "localization")
+    lag = _lags(n)
+    # window products G[u, d] = psi[(u+n/2) mod n] conj(phi[(u-d+n/2) mod n])
+    conv = np.conj(np.roll(phi.samples, -n2))[lag]
+    conv *= np.roll(psi.samples, -n2)[:, None]
+    conv = np.fft.fft(conv, axis=0)
+    conv *= np.fft.fft(np.fft.ifft(symbol.values, axis=1), axis=0)
+    conv = np.fft.ifft(conv, axis=0)
+    conv *= (n * grid.dx * grid.dx * grid.dw) * _alternating(n)
+    # conv[m, d] sits at column (m - d) mod n, i.e. L[m, m'] = conv[m, (m - m') mod n]
+    return linear_op(grid, np.take_along_axis(conv, lag, axis=1), "localization")
 
 
 def _symbol_on_midpoints(symbol, grid: Grid) -> tuple[Grid, np.ndarray]:
@@ -252,8 +269,12 @@ def weyl_from_localization(symbol: TFMatrix, phi: Signal, psi: Signal) -> Linear
 def operator_norm(op: LinearOp, seed: int = 0, rtol: float = 1e-10, max_iter: int = 10000) -> float:
     """Largest singular value by power iteration on M^H M from a seeded start.
 
-    Converges when the estimate is stable to `rtol` over two consecutive
-    iterations; raises PowerIterationError with the iteration count otherwise.
+    Stops when two consecutive estimates agree to `rtol`; raises
+    PowerIterationError with the iteration count otherwise.  The stopping rule
+    bounds the step between estimates, not the error: each estimate is
+    ||M v|| for a unit v, so it never exceeds the top singular value, but when
+    the top two singular values nearly coincide the iteration creeps upward
+    slowly and can stop well short of it, by more than `rtol`.
     Dense only: intended for n <= 1024.
     """
     if op.grid.n > 1024:
@@ -269,7 +290,7 @@ def operator_norm(op: LinearOp, seed: int = 0, rtol: float = 1e-10, max_iter: in
         sigma = float(np.linalg.norm(u))
         if sigma == 0.0:
             return 0.0
-        v = m.conj().T @ u
+        v = np.conj(np.conj(u) @ m)  # M^H u without an n-by-n conjugate copy
         nv = float(np.linalg.norm(v))
         if nv == 0.0:
             return sigma

@@ -131,9 +131,12 @@ def tf_norm_lp(m: TFMatrix, p: float) -> float:
 
 
 def spectrogram(f: Signal, g: Signal, window) -> TFMatrix:
-    """Two-window spectrogram V_w f * conj(V_w g); real and nonnegative for g = f."""
+    """Two-window spectrogram V_w f * conj(V_w g); real and nonnegative for g = f.
+
+    When g is f the transform is computed once and reused.
+    """
     vf = gabor_transform(f, window)
-    vg = gabor_transform(g, window)
+    vg = vf if g is f else gabor_transform(g, window)
     return tfmatrix_from_values(f.grid, vf.values * np.conj(vg.values))
 
 

@@ -2,8 +2,10 @@
 
 Oracles: the cumulative-distribution form of a smoothed step (error
 function), direct double-sum evaluations of weak operator identities,
-multiplication-operator reductions of the quantized symbol calculus, and
-dense singular value decompositions.
+multiplication-operator reductions of the quantized symbol calculus, dense
+singular value decompositions, and the direct constructions the library no
+longer uses: the rank-one assembly of a localization operator and the
+conjugation of a multiplier by the dense DFT matrix.
 """
 
 import math
@@ -51,6 +53,31 @@ def unit_gaussian(grid, lam=1.0):
     return signal_from_samples(grid, samples)
 
 
+def rank_one_localization(grid, avals, phi, psi):
+    """Sum over time shifts j of the rank-one window products, each weighted
+    entrywise by (-1)^lag times the row DFT of the symbol at that lag."""
+    n, n2 = grid.n, grid.n // 2
+    lag = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    sign = np.where(lag % 2 == 0, 1.0, -1.0)
+    brows = n * np.fft.ifft(avals, axis=1)
+    m = np.zeros((n, n), dtype=np.complex128)
+    for j in range(n):
+        shifted_psi = np.roll(psi.samples, j - n2)
+        shifted_phi = np.conj(np.roll(phi.samples, j - n2))
+        m += np.outer(shifted_psi, shifted_phi) * (sign * brows[j][lag])
+    return m * (grid.dx * grid.dx * grid.dw)
+
+
+def dft_conjugated_multiplier(grid, values):
+    """U^H diag(values) U with the dense DFT matrix U[k, m] = dx exp(-2 pi i t_m w_k)."""
+    u = grid.dx * np.exp(-2j * np.pi * np.outer(grid.freqs, grid.times))
+    return (grid.dw / grid.dx) * (u.conj().T @ (values[:, None] * u))
+
+
+def max_relative_gap(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
 class TestProjections:
     def test_time_projection_is_an_orthogonal_projection(self):
         grid = make_grid(64, 1 / 8)
@@ -68,6 +95,13 @@ class TestProjections:
         masked = signal_from_samples(grid, np.where(mask.flags, spec.samples, 0), FREQUENCY)
         want = fourier(masked, "inverse")
         np.testing.assert_allclose(apply_op(q, f).samples, want.samples, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_frequency_projection_matches_dense_dft_conjugation(self, n):
+        grid = make_grid(n, 8.0 / n)
+        mask = mask_from_axis_window(grid, FREQUENCY, -0.5, 1.5)
+        want = dft_conjugated_multiplier(grid, mask.flags.astype(float))
+        assert max_relative_gap(project_freq(mask).matrix, want) <= 1e-13
 
     def test_projection_product_contracts_strictly(self):
         # Small windows keep the singular values well separated, where the
@@ -143,8 +177,26 @@ class TestSmoothedIndicators:
         np.testing.assert_allclose(apply_op(l1, f).samples, apply_time_symbol(sym1, f).samples, atol=1e-12)
         np.testing.assert_allclose(apply_op(l2, f).samples, apply_freq_symbol(sym2, f).samples, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_frequency_smoother_matches_dense_dft_conjugation(self, n):
+        grid = make_grid(n, 8.0 / n)
+        mask_t = mask_from_axis_window(grid, TIME, -1.0, 1.0)
+        mask_w = mask_from_axis_window(grid, FREQUENCY, -1.0, 1.0)
+        _, l2 = smoothed_concentration_ops(mask_t, mask_w, 2.0, 0.5)
+        want = dft_conjugated_multiplier(grid, gaussian_smoothed_indicator(mask_w, 0.5).values)
+        assert max_relative_gap(l2.matrix, want) <= 1e-13
+
 
 class TestLocalization:
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_matches_rank_one_assembly(self, n):
+        grid = make_grid(n, 4.0 / math.sqrt(n))
+        rng = np.random.default_rng(500 + n)
+        avals = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        phi, psi = noise_signal(grid, rng), noise_signal(grid, rng)
+        op = localization_operator(tfmatrix_from_values(grid, avals), phi, psi)
+        assert max_relative_gap(op.matrix, rank_one_localization(grid, avals, phi, psi)) <= 1e-13
+
     def test_weak_identity_against_direct_sums(self):
         # (L f, g) must equal the cell sum of the symbol against the two
         # windowed transforms, computed here from the transforms directly.
@@ -262,6 +314,20 @@ class TestOperatorNorm:
         op = linear_op(grid, matrix, "dense test matrix")
         top = np.linalg.svd(matrix, compute_uv=False)[0]
         assert abs(operator_norm(op) - top) < 1e-8
+
+    def test_close_top_pair_stays_below_the_top_value(self):
+        # sigma_2 / sigma_1 = 0.99: the estimate creeps up slowly and stops
+        # about 2e-9 short of sigma_1, above rtol, but never overshoots it.
+        grid = make_grid(32, 0.25)
+        rng = np.random.default_rng(8)
+        q1, _ = np.linalg.qr(rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32)))
+        q2, _ = np.linalg.qr(rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32)))
+        sigma = np.concatenate([[2.0, 1.98], np.linspace(1.0, 0.02, 30)])
+        matrix = (q1 * sigma) @ q2.conj().T
+        top = np.linalg.svd(matrix, compute_uv=False)[0]
+        norm = operator_norm(linear_op(grid, matrix, "close top pair"))
+        assert norm <= top * (1 + 1e-12)
+        assert norm >= top * (1 - 1e-7)
 
     def test_zero_operator(self):
         grid = make_grid(8, 0.5)

@@ -27,6 +27,7 @@ from uplab import (
     trig_upsample2,
     wigner,
 )
+from uplab import transforms
 
 
 def noise_signal(grid, seed, normalize=True):
@@ -112,6 +113,22 @@ class TestSpectrogram:
         sp = spectrogram(f, f, gaussian_window(1.0, grid))
         assert np.max(np.abs(sp.values.imag)) < 1e-14
         assert sp.values.real.min() >= -1e-14
+
+    def test_equal_arguments_transform_once(self, monkeypatch):
+        grid = make_grid(64, 1 / 8)
+        f = noise_signal(grid, 7)
+        window = gaussian_window(1.0, grid)
+        vf = gabor_transform(f, window).values
+        calls = []
+
+        def counting(sig, win):
+            calls.append(sig)
+            return gabor_transform(sig, win)
+
+        monkeypatch.setattr(transforms, "gabor_transform", counting)
+        sp = spectrogram(f, f, window)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(sp.values, vf * np.conj(vf))
 
     def test_marginals_integrate_to_the_mass(self):
         grid = make_grid(256, 1 / 16)
