@@ -231,11 +231,14 @@ class Scenario:
     bound_params: dict = field(default_factory=dict)
     checks: tuple = DEFAULT_CHECKS
     tolerances: dict = field(default_factory=dict)
-    seed: int = 0
 
     def __post_init__(self):
         if not self.name:
             raise ScenarioError("scenario needs a nonempty name")
+        try:
+            make_grid(self.grid_n, self.grid_dx)
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"bad grid: {exc}") from exc
         object.__setattr__(self, "checks", tuple(self.checks))
         unknown = [c for c in self.checks if c not in CHECKS]
         if unknown:
@@ -281,14 +284,13 @@ def scenario_to_dict(s: Scenario) -> dict:
         "bound_params": dict(s.bound_params),
         "checks": list(s.checks),
         "tolerances": dict(s.tolerances),
-        "seed": s.seed,
     }
 
 
 def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError(f"scenario must be a JSON object, got {type(data).__name__}")
-    known = {"name", "grid", "signal", "sets", "bound_params", "checks", "tolerances", "seed"}
+    known = {"name", "grid", "signal", "sets", "bound_params", "checks", "tolerances"}
     unknown = set(data) - known
     if unknown:
         raise ScenarioError(f"unknown scenario fields {sorted(unknown)}")
@@ -307,9 +309,10 @@ def scenario_from_dict(data: dict) -> Scenario:
             bound_params=dict(data.get("bound_params", {})),
             checks=tuple(data.get("checks", DEFAULT_CHECKS)),
             tolerances=dict(data.get("tolerances", {})),
-            seed=int(data.get("seed", 0)),
         )
-    except (TypeError, AttributeError) as exc:
+    except ScenarioError:
+        raise
+    except (TypeError, ValueError, AttributeError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
 
 
@@ -386,7 +389,6 @@ class _RunContext:
     mask_w: MaskSet
     eps_t: float
     eps_omega: float
-    heavy_tails: bool
     _cf: bounds.BoundValue | None = None
 
     def cf(self) -> bounds.BoundValue:
@@ -646,7 +648,6 @@ def run_scenario(s: Scenario) -> Report:
         mask_w=mask_w,
         eps_t=eps_t,
         eps_omega=eps_omega,
-        heavy_tails=heavy,
     )
     verdicts = []
     for check_id in dict.fromkeys(s.checks):

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .concentration import MaskSet
-from .core import FREQUENCY, TIME, Grid, Signal, frozen_array, signal_from_samples
+from .core import FREQUENCY, TIME, Grid, Signal, fourier, frozen_array, signal_from_samples
 from .transforms import TFMatrix, tfmatrix_from_values, trig_upsample2, wigner
 
 
@@ -153,8 +153,6 @@ def apply_freq_symbol(sym: SmoothedSymbol, f: Signal) -> Signal:
     """Fourier multiplier: transform, multiply by the smoothed values, invert."""
     if sym.axis != FREQUENCY or f.domain != TIME:
         raise ValueError("frequency symbol application requires a time signal and frequency symbol")
-    from .core import fourier
-
     spec = fourier(f, "forward")
     shaped = signal_from_samples(f.grid, sym.values * spec.samples, FREQUENCY)
     return fourier(shaped, "inverse")

@@ -34,6 +34,8 @@ from .core import (
     TIME,
     Grid,
     Signal,
+    _quadrature_lq,
+    boundary_energy_fraction,
     centered_dft,
     frozen_array,
     signal_from_samples,
@@ -79,8 +81,8 @@ def gaussian_window(lam: float, grid: Grid) -> GaussianWindow:
         raise ValueError(f"window width must be positive and finite, got {lam!r}")
     t = grid.times
     vals = (2.0 * lam) ** 0.25 * np.exp(-np.pi * lam * t * t)
-    e = vals * vals
-    edge = float(e[:3].sum() + e[-3:].sum()) / float(e.sum())
+    signal = signal_from_samples(grid, vals, TIME)
+    edge = boundary_energy_fraction(signal)
     if edge > 1e-6:
         raise ValueError(
             f"window lam={lam} is not contained by the grid (edge energy fraction {edge:.2e})"
@@ -90,7 +92,7 @@ def gaussian_window(lam: float, grid: Grid) -> GaussianWindow:
         raise ValueError(
             f"window lam={lam} is not resolved by the grid ({above_half} samples above half maximum)"
         )
-    return GaussianWindow(lam, signal_from_samples(grid, vals, TIME))
+    return GaussianWindow(lam, signal)
 
 
 def _cyclic_shift_table(n: int) -> np.ndarray:
@@ -120,14 +122,7 @@ def gabor_transform(f: Signal, window) -> TFMatrix:
 
 def tf_norm_lp(m: TFMatrix, p: float) -> float:
     """Quadrature L^p norm on the plane, (dx*dw*sum |m|^p)^(1/p); max at p = inf."""
-    p = float(p)
-    if not (p >= 1.0):
-        raise ValueError(f"norm order must satisfy p >= 1, got {p!r}")
-    mags = np.abs(m.values)
-    peak = float(mags.max())
-    if np.isinf(p) or peak == 0.0:
-        return peak
-    return peak * float((m.cell_weight * np.sum((mags / peak) ** p)) ** (1.0 / p))
+    return _quadrature_lq(np.abs(m.values), m.cell_weight, p)
 
 
 def spectrogram(f: Signal, g: Signal, window) -> TFMatrix:

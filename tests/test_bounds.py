@@ -1,19 +1,25 @@
 """Bound constant and inequality tests.
 
 Oracles: closed forms for the special constants (2 pi, pi^2, Stirling-free
-gamma identities), a dense-grid maximization replacing the golden-section
-search, exact Gaussian moments, hand-derived special cases of the
+gamma identities), a dense-grid maximization, the stationarity condition and
+the small-defect expansion 2d - 2 sqrt(d eps) of the log-supremum in place of
+the Lambert W maximizer, exact Gaussian moments, hand-derived special cases of the
 measure bounds, and a brute-force scan of cf_quotient over the full witness
 grid in place of the factored cf_bound search.
 """
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import erf
 
+import uplab
 from uplab import (
     FREQUENCY,
     BoundParams,
@@ -111,7 +117,8 @@ class TestProductBounds:
         assert b3.value == pytest.approx(math.exp(6), rel=1e-9)
 
     @pytest.mark.parametrize(
-        "eps_t,eps_omega,d", [(0.1, 0.1, 1), (0.05, 0.2, 1), (0.3, 0.3, 2), (0.01, 0.01, 3)]
+        "eps_t,eps_omega,d",
+        [(0.1, 0.1, 1), (0.05, 0.2, 1), (0.3, 0.3, 2), (0.01, 0.01, 3), (1e-4, 0.0, 1), (0.45, 0.5, 2)],
     )
     def test_search_matches_a_dense_grid(self, eps_t, eps_omega, d):
         got = improved_bound(eps_t, eps_omega, d)
@@ -121,6 +128,38 @@ class TestProductBounds:
         assert got.value == pytest.approx(float(np.exp(h.max())), rel=1e-8)
         assert got.attained
         assert got.witness["r"] > 1.0
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_maximizer_is_stationary(self, d):
+        # h'(r) = log(1 - eps) - 2d (log1p(-1/r) + 1/r) vanishes at the maximizer;
+        # both of its terms have the size of log(1 - eps), so the residual is
+        # measured against that
+        for eps in np.concatenate([np.geomspace(1e-10, 0.5, 25), 1 - np.geomspace(1e-12, 0.4, 12)]):
+            eps = float(eps)
+            r = improved_bound(eps, 0.0, d).witness["r"]
+            log1me = math.log1p(-eps)
+            hprime = log1me - 2 * d * (math.log1p(-1 / r) + 1 / r)
+            assert abs(hprime) <= 1e-9 * abs(log1me), (eps, r, hprime)
+
+    def test_tiny_defects_return_promptly_below_the_zero_defect_limit(self):
+        # For small eps the log-supremum is 2d - 2 sqrt(d eps) - eps/3 + ..., so
+        # at eps = 1e-12 the value sits ~2e-6 relative below exp(2d) and the
+        # maximizer r* ~ 1/sqrt(eps/d) is ~1e6.  The calls run in a child process
+        # so that a search which never ends fails by timeout instead of hanging
+        # the suite.
+        cases = [(eps, d) for eps in (1e-12, 1e-16, 5e-324) for d in (1, 3)]
+        code = f"from uplab import improved_bound; print(*(improved_bound(e, 0.0, d).value for e, d in {cases}))"
+        src = str(Path(uplab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30, check=True
+        )
+        values = [float(v) for v in out.stdout.split()]
+        assert len(values) == len(cases)
+        for (eps, d), value in zip(cases, values):
+            assert math.isfinite(value)
+            assert value <= math.exp(2 * d)
+            assert value == pytest.approx(math.exp(2 * d - 2 * math.sqrt(d * eps)), rel=1e-11)
 
     def test_dominates_both_closed_form_slices(self):
         # The supremum over the family beats the r -> 1 limit (1 - s) and the

@@ -74,6 +74,23 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "no scenario file or bundled scenario" in err
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"grid": {"n": 255}},
+            {"grid": {"n": "many"}},
+            {"signal": {"kind": "gaussian", "params": {"lam": "nan"}}},
+        ],
+        ids=["odd-grid", "non-numeric-grid", "non-finite-signal"],
+    )
+    def test_malformed_scenario_is_a_usage_error(self, tmp_path, capsys, fields):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"name": "bad", **fields}))
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
     def test_skips_are_reported_but_not_failures(self, capsys):
         rc = main(["run", "bandlimited-demo"])
         text = capsys.readouterr().out

@@ -116,7 +116,6 @@ class TestScenarioSchema:
             bound_params={"alpha": 2.0},
             checks=("ds-product", "local-energy"),
             tolerances={"ds-product": 1e-8},
-            seed=5,
         )
         assert scenario_from_dict(scenario_to_dict(s)) == s
 
@@ -126,9 +125,10 @@ class TestScenarioSchema:
         save_scenario(s, path)
         assert load_scenario(path) == s
 
-    def test_unknown_field_rejected(self):
+    @pytest.mark.parametrize("field", ["extra", "seed"])
+    def test_unknown_field_rejected(self, field):
         data = scenario_to_dict(Scenario(name="x"))
-        data["extra"] = 1
+        data[field] = 1
         with pytest.raises(ScenarioError):
             scenario_from_dict(data)
 
