@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betaln, gammaln, lambertw
 
-from .concentration import energy_centroid, support_mask, weighted_moment_norm
+from .concentration import _moment_lq, _support, energy_centroid, support_mask, weighted_moment_norm
 from .core import FREQUENCY, TIME, Signal, norm_lq
 from .report import Verdict, make_verdict, skipped_verdict
 
@@ -142,6 +142,8 @@ def improved_bound(eps_t: float, eps_omega: float, d: int = 1) -> BoundValue:
     r log1p(-eps) - 2d (r-1) log1p(-1/r), which stays accurate as r -> inf.
     At eps = 0 the supremum is exp(2d), approached as r -> inf but attained
     by no finite r, which the returned record marks with attained=False.
+    A supremum above the double range (h > 709.78, so d >= 355 for small eps)
+    raises ValueError: an infinite lower bound would be false.
     """
     _check_eps(eps_t, eps_omega)
     if int(d) != d or d < 1:
@@ -150,7 +152,7 @@ def improved_bound(eps_t: float, eps_omega: float, d: int = 1) -> BoundValue:
     if eps > 1.0:
         raise ValueError(f"bound requires eps_t + eps_omega <= 1, got {eps}")
     if eps == 0.0:
-        return BoundValue(math.exp(2.0 * d), {"r": INF}, attained=False)
+        return BoundValue(_bound_exp(2.0 * d, d), {"r": INF}, attained=False)
     if eps == 1.0:
         return BoundValue(0.0, {"r": 1.0}, attained=True)
 
@@ -162,7 +164,14 @@ def improved_bound(eps_t: float, eps_omega: float, d: int = 1) -> BoundValue:
         u = 1.0 + float(lambertw(-math.exp(log1me / (2.0 * d) - 1.0)).real)
     r_star = 1.0 / u
     h = r_star * log1me - 2.0 * d * (r_star - 1.0) * math.log1p(-u)
-    return BoundValue(math.exp(h), {"r": r_star}, attained=True)
+    return BoundValue(_bound_exp(h, d), {"r": r_star}, attained=True)
+
+
+def _bound_exp(h: float, d: int) -> float:
+    try:
+        return math.exp(h)
+    except OverflowError:
+        raise ValueError(f"bound exp({h:.6g}) exceeds the double range at dimension d={d}") from None
 
 
 def price_k1(d: int, alpha: float) -> float:
@@ -326,9 +335,8 @@ def cf_bound(f: Signal, fhat: Signal, search: CfSearch | None = None) -> BoundVa
         raise ValueError("expected a time signal and its frequency transform")
     search = search or CfSearch()
     d = 1
-    t_axis, w_axis = f.grid.times, f.grid.freqs
-    t_centers = [energy_centroid(f)] + np.linspace(t_axis[0] / 2.0, t_axis[-1] / 2.0, search.center_count).tolist()
-    w_centers = [energy_centroid(fhat)] + np.linspace(w_axis[0] / 2.0, w_axis[-1] / 2.0, search.center_count).tolist()
+    t_centers = _scan_centers(f, search.center_count)
+    w_centers = _scan_centers(fhat, search.center_count)
     # (q, alpha, e, K) in scan order, shared by both factors
     table = []
     for q in search.qs:
@@ -341,13 +349,27 @@ def cf_bound(f: Signal, fhat: Signal, search: CfSearch | None = None) -> BoundVa
     return BoundValue(float(norm_lq(f, 2.0) ** 4 * best_w * best_t), witness, attained=True)
 
 
+def _scan_centers(g: Signal, count: int) -> list:
+    """The energy centroid of g, then `count` points across the middle half of its axis."""
+    axis = g.axis
+    return [energy_centroid(g)] + np.linspace(axis[0] / 2.0, axis[-1] / 2.0, count).tolist()
+
+
 def _best_factor(g: Signal, centers: list, table: list) -> tuple[float, tuple]:
-    """First maximiser over (center, q, alpha) of ||g||_q^e / (K ||g||_q^2 M^e)."""
+    """First maximiser over (center, q, alpha) of ||g||_q^e / (K ||g||_q^2 M^e).
+
+    The moment M is the one `weighted_moment_norm` computes.  The axis values
+    and magnitudes at the nonzero samples of g are taken once per scan and the
+    distances to each centre once per centre, so each (q, alpha) row costs one
+    pass over the nonzero samples and no array is longer than n.
+    """
     norms = {q: norm_lq(g, q) for q in {row[0] for row in table}}
+    axis, mags = _support(g)
     best, arg = None, None
     for c in centers:
+        dist = np.abs(axis - float(c))
         for q, a, e, k in table:
-            m = weighted_moment_norm(g, c, a, q)
+            m = _moment_lq(dist, mags, g.spacing, a, q)
             if m == 0.0:
                 continue
             val = norms[q] ** e / (k * norms[q] ** 2 * m**e)

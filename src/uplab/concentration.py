@@ -149,15 +149,20 @@ def minimal_concentration_set(f: Signal, epsilon: float, axis: str | None = None
         raise ValueError("concentration set of the zero signal is undefined")
     order = np.argsort(-e, kind="stable")
     flags = np.zeros(f.grid.n, dtype=bool)
-    budget = epsilon * epsilon * total
-    excluded = total
-    for j in order:
-        if excluded <= budget:
-            break
-        flags[j] = True
-        excluded -= float(e[j])
+    flags[order[: _admitted_count(e, order, total, epsilon * epsilon * total)]] = True
     mask = mask_from_flags(f.grid, axis, flags)
     return ConcentrationResult(concentration_defect(f, mask), mask)
+
+
+def _admitted_count(e: np.ndarray, order: np.ndarray, total: float, budget: float) -> int:
+    """First k whose excluded energy total - e[order[0]] - ... - e[order[k-1]],
+    subtracted one cell at a time in that order, is at most budget; n if none."""
+    excluded = np.empty(e.size)
+    excluded[0] = total
+    np.take(e, order[:-1], out=excluded[1:], mode="clip")  # in range; "clip" skips the buffered copy
+    np.subtract.accumulate(excluded, out=excluded)
+    within = excluded <= budget
+    return int(within.argmax()) if within.any() else e.size
 
 
 def energy_centroid(f: Signal) -> float:
@@ -170,14 +175,33 @@ def energy_centroid(f: Signal) -> float:
 
 
 def weighted_moment_norm(f: Signal, center: float, alpha: float, q: float) -> float:
-    """|| |x - center|^alpha f ||_q on the signal's own axis."""
+    """|| |x - center|^alpha f ||_q on the signal's own axis.
+
+    Samples with f = 0 are skipped: they add exactly 0 to the quadrature sum
+    and to the maximum, so only the order of summation differs from the sum
+    over all n samples.
+    """
     alpha = float(alpha)
     if not alpha > 0:
         raise ValueError(f"moment exponent must be positive, got {alpha!r}")
-    weighted = np.abs(f.axis - float(center))
-    weighted **= alpha
-    weighted *= np.abs(f.samples)
-    return _quadrature_lq(weighted, f.spacing, q)
+    axis, mags = _support(f)
+    return _moment_lq(np.abs(axis - float(center)), mags, f.spacing, alpha, q)
+
+
+def _support(f: Signal) -> tuple[np.ndarray, np.ndarray]:
+    """Axis values and magnitudes at the samples with |f| > 0."""
+    mags = np.abs(f.samples)
+    nonzero = mags > 0
+    if nonzero.all():
+        return f.axis, mags
+    return f.axis[nonzero], mags[nonzero]
+
+
+def _moment_lq(dist: np.ndarray, mags: np.ndarray, spacing: float, alpha: float, q: float) -> float:
+    """|| dist^alpha * mags ||_q by quadrature, dist the distances to the moment centre."""
+    weighted = dist**alpha
+    weighted *= mags
+    return _quadrature_lq(weighted, spacing, q)
 
 
 def std_dev(f: Signal, center: float | None = None) -> float:

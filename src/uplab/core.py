@@ -161,12 +161,17 @@ def norm_lq(f: Signal, q: float) -> float:
 
 
 def _quadrature_lq(mags: np.ndarray, spacing: float, q: float) -> float:
-    """(spacing * sum mags^q)^(1/q) of nonnegative magnitudes; their max at q = inf."""
+    """(spacing * sum mags^q)^(1/q) of nonnegative magnitudes; their max at q = inf.
+
+    An empty array has norm 0 at every q.
+    """
     q = float(q)
     if not (q >= 1.0):
         raise ValueError(f"norm order must satisfy q >= 1, got {q!r}")
+    if mags.size == 0:
+        return 0.0
     if math.isinf(q):
-        return float(mags.max()) if mags.size else 0.0
+        return float(mags.max())
     peak = float(mags.max())
     if peak == 0.0:
         return 0.0

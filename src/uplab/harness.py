@@ -115,8 +115,20 @@ def _require_params(kind: str, params: dict, allowed: dict) -> dict:
 
 
 def generate_signal(kind: str, params: dict, grid: Grid) -> Signal:
-    """Deterministic unit-energy time signal of the named kind."""
-    params = dict(params or {})
+    """Deterministic unit-energy time signal of the named kind.
+
+    A parameter that does not convert to the number the kind needs raises
+    ScenarioError like any other bad value.
+    """
+    try:
+        return _generate_signal(kind, dict(params or {}), grid)
+    except ScenarioError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"bad parameters for signal kind {kind!r}: {exc}") from exc
+
+
+def _generate_signal(kind: str, params: dict, grid: Grid) -> Signal:
     t = grid.times
     if kind == "gaussian":
         p = _require_params(kind, params, {"lam": 1.0})
@@ -129,6 +141,8 @@ def generate_signal(kind: str, params: dict, grid: Grid) -> Signal:
         k = int(p["k"])
         if k < 0 or k != p["k"]:
             raise ScenarioError(f"hermite index must be a nonnegative integer, got {p['k']!r}")
+        if k > 170:
+            raise ScenarioError(f"hermite index {k} is above 170, where 2^k k! overflows a double")
         coeffs = np.zeros(k + 1)
         coeffs[k] = 1.0
         poly = np.polynomial.hermite.hermval(math.sqrt(2.0 * math.pi) * t, coeffs)
@@ -168,7 +182,10 @@ def generate_signal(kind: str, params: dict, grid: Grid) -> Signal:
         p = _require_params(kind, params, {"path": None})
         if not p["path"]:
             raise ScenarioError("csv signal kind requires a 'path' parameter")
-        sig = read_signal_csv(p["path"])
+        try:
+            sig = read_signal_csv(p["path"])
+        except OSError as exc:
+            raise ScenarioError(f"cannot read signal file {p['path']}: {exc}") from exc
         if sig.domain != TIME:
             raise ScenarioError("csv signal must be sampled in the time domain")
         if sig.grid.n != grid.n or not math.isclose(sig.grid.dx, grid.dx, rel_tol=1e-12):
@@ -312,7 +329,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         )
     except ScenarioError:
         raise
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, OverflowError, AttributeError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
 
 

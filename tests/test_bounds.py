@@ -175,6 +175,16 @@ class TestProductBounds:
     def test_total_defect_one_collapses_to_zero(self):
         assert improved_bound(0.5, 0.5).value == 0.0
 
+    @pytest.mark.parametrize("eps_t, d", [(0.0, 355), (0.0, 400), (0.1, 400), (0.45, 400)])
+    def test_supremum_above_the_double_range_is_an_error(self, eps_t, d):
+        # log of the supremum is at most 2d and above 709.78 exp overflows;
+        # an infinite lower bound would be false, so the call must refuse
+        with pytest.raises(ValueError, match=f"d={d}"):
+            improved_bound(eps_t, 0.0, d)
+
+    def test_largest_representable_zero_defect_supremum(self):
+        assert improved_bound(0.0, 0.0, 354).value == pytest.approx(math.exp(708.0), rel=1e-15)
+
     def test_gaussian_minimal_sets_sit_below_the_supremum_bound(self):
         # The tightest concentration sets of the Gaussian at defect 0.1 have a
         # measure product below both the r = 2 member and the supremum, which
@@ -286,12 +296,24 @@ class TestSignalAdaptedBounds:
         first = {TIME: energy_centroid(f), FREQUENCY: energy_centroid(fhat)}
         second = {TIME: grid.times[0] / 2, FREQUENCY: grid.freqs[0] / 2}
 
-        def moment(g, center, alpha, q):
-            at_first = center == first[g.domain] and (q, alpha) == (math.inf, 2.0)
-            at_second = center == second[g.domain] and (q, alpha) == (2.0, 1.0)
+        def landscape(domain, center, alpha, q):
+            at_first = center == first[domain] and (q, alpha) == (math.inf, 2.0)
+            at_second = center == second[domain] and (q, alpha) == (2.0, 1.0)
             return 0.5 if at_first or at_second else 1.0
 
-        monkeypatch.setattr(bounds, "weighted_moment_norm", moment)
+        def moment_from_distances(dist, mags, spacing, alpha, q):
+            # the scan passes |axis - c| on the nonzero samples (fhat has an
+            # exact zero here), so the centre is recovered by exact comparison
+            for domain, g in ((TIME, f), (FREQUENCY, fhat)):
+                axis = g.axis[np.abs(g.samples) > 0]
+                for center in (first[domain], second[domain]):
+                    if np.array_equal(dist, np.abs(axis - center)):
+                        return landscape(domain, center, alpha, q)
+            return 1.0
+
+        # cf_quotient (the brute force) reads weighted_moment_norm, the factor scan _moment_lq
+        monkeypatch.setattr(bounds, "weighted_moment_norm", lambda g, c, a, q: landscape(g.domain, c, a, q))
+        monkeypatch.setattr(bounds, "_moment_lq", moment_from_distances)
         monkeypatch.setattr(bounds, "norm_lq", lambda g, q: 1.0)
         monkeypatch.setattr(bounds, "price_k", lambda d, alpha, q: 1.0)
         witness = self._assert_matches_brute_force(f)

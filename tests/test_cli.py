@@ -25,6 +25,14 @@ class TestBoundsCommand:
         assert main(["bounds", "--eps-t", "0.7", "--eps-omega", "0.5"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eps_t", ["0", "0.1"])
+    def test_dimension_past_the_double_range_is_a_usage_error(self, capsys, eps_t):
+        assert main(["bounds", "--eps-t", eps_t, "--eps-omega", "0", "--dim", "400"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "d=400" in captured.err
+        assert captured.out == ""
+
 
 class TestConstantsCommand:
     def test_simple_constant_as_json(self, capsys):
@@ -79,9 +87,25 @@ class TestRunCommand:
         [
             {"grid": {"n": 255}},
             {"grid": {"n": "many"}},
+            {"grid": {"n": math.inf}},
             {"signal": {"kind": "gaussian", "params": {"lam": "nan"}}},
+            {"signal": {"kind": "gaussian", "params": {"lam": "wide"}}},
+            {"signal": {"kind": "hermite", "params": {"k": "two"}}},
+            {"signal": {"kind": "random_bandlimited", "params": {"seed": "abc"}}},
+            {"signal": {"kind": "hermite", "params": {"k": 171}}},
+            {"signal": {"kind": "csv", "params": {"path": "no-such-signal.csv"}}},
         ],
-        ids=["odd-grid", "non-numeric-grid", "non-finite-signal"],
+        ids=[
+            "odd-grid",
+            "non-numeric-grid",
+            "infinite-grid",
+            "non-finite-signal",
+            "non-numeric-width",
+            "non-numeric-hermite-index",
+            "non-numeric-seed",
+            "hermite-index-past-the-normalisation",
+            "missing-csv-file",
+        ],
     )
     def test_malformed_scenario_is_a_usage_error(self, tmp_path, capsys, fields):
         path = tmp_path / "bad.json"

@@ -1,8 +1,9 @@
 """Mask and concentration tests.
 
 Oracles: the Gaussian tail defect against the complementary error function,
-greedy set selection against exhaustive subset enumeration at small n, and
-closed-form moments of the standard Gaussian.
+greedy set selection against exhaustive subset enumeration at small n and
+against the cell-by-cell admission loop, closed-form moments of the standard
+Gaussian, and moment norms against the quadrature over all n samples.
 """
 
 import itertools
@@ -31,6 +32,7 @@ from uplab import (
     support_mask,
     weighted_moment_norm,
 )
+from uplab.core import _quadrature_lq
 
 
 def unit_gaussian(grid, lam=1.0):
@@ -42,6 +44,23 @@ def noise_signal(grid, seed):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
     return signal_from_samples(grid, v)
+
+
+def greedy_loop_flags(f, epsilon):
+    """Admit cells one at a time, most energetic first (ties by index), until
+    the excluded energy is at most epsilon^2 ||f||^2."""
+    e = np.abs(f.samples) ** 2
+    total = float(e.sum())
+    order = np.argsort(-e, kind="stable")
+    flags = np.zeros(f.grid.n, dtype=bool)
+    budget = epsilon * epsilon * total
+    excluded = total
+    for j in order:
+        if excluded <= budget:
+            break
+        flags[j] = True
+        excluded -= float(e[j])
+    return flags
 
 
 class TestMasks:
@@ -193,6 +212,34 @@ class TestMinimalSet:
         with pytest.raises(ValueError):
             minimal_concentration_set(f, 1.5)
 
+    def test_flags_match_the_admission_loop(self):
+        # ties, exact zeros, magnitudes spread over 1e+-150 and all-equal
+        # cells; the subtraction order is the loop's, so flags agree exactly
+        rng = np.random.default_rng(11)
+        for case in range(160):
+            n = int(rng.choice([4, 6, 16, 64, 130]))
+            kind = case % 4
+            if kind == 0:
+                v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            elif kind == 1:
+                v = rng.integers(0, 3, n).astype(float)
+            elif kind == 2:
+                v = rng.standard_normal(n) * 10.0 ** rng.integers(-150, 151, n)
+                v[rng.random(n) < 0.5] = 0.0
+            else:
+                v = np.full(n, 10.0 ** rng.integers(-150, 151))
+            if not np.any(v):
+                v[0] = 1.0
+            f = signal_from_samples(make_grid(n, 0.5), v)
+            for eps in (0.0, 1e-12, 1e-6, 0.01, 0.1, 0.5, 0.9, 1.0):
+                got = minimal_concentration_set(f, eps).mask.flags
+                np.testing.assert_array_equal(got, greedy_loop_flags(f, eps), err_msg=f"case {case}, eps {eps}")
+
+    def test_zero_epsilon_on_full_support_admits_every_cell(self):
+        grid = make_grid(16, 0.5)
+        f = noise_signal(grid, 6)
+        assert minimal_concentration_set(f, 0.0).mask.count == grid.n
+
 
 class TestMoments:
     def test_gaussian_standard_deviation(self):
@@ -246,6 +293,46 @@ class TestMoments:
             else:
                 want = (g.spacing * np.sum(weighted**q)) ** (1 / q)
             assert weighted_moment_norm(g, center, alpha, q) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, 4.0, math.inf])
+    @pytest.mark.parametrize("alpha", [0.7, 2.5, 8.0])
+    def test_signals_with_exact_zeros_match_the_full_quadrature(self, q, alpha):
+        # The quadrature over all n samples, scaled by the peak as core's is;
+        # exact zeros add exactly 0, so only the summation order may differ.
+        grid = make_grid(1024, 1 / 16)
+        t = grid.times
+        indicator = signal_from_samples(grid, ((t >= -1.0) & (t < 1.0)).astype(float))
+        spike = signal_from_samples(grid, np.eye(1, grid.n, 700)[0])
+        # exp underflows past |t| ~ 15.4: exact zeros and subnormals in the tails
+        gaussian = signal_from_samples(grid, np.exp(-np.pi * t**2))
+        assert 0 < np.count_nonzero(gaussian.samples) < grid.n
+        cases = [
+            (indicator, 0.3),
+            (indicator, t[0]),  # centre on a zero sample
+            (spike, -1.7),
+            (gaussian, 0.11),
+            (gaussian, t[3]),
+            (fourier(indicator), 0.05),
+        ]
+        for g, center in cases:
+            weighted = np.abs(g.axis - center) ** alpha * np.abs(g.samples)
+            peak = weighted.max()
+            if math.isinf(q):
+                want = peak
+            else:
+                want = peak * (g.spacing * np.sum((weighted / peak) ** q)) ** (1 / q)
+            assert weighted_moment_norm(g, center, alpha, q) == pytest.approx(want, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 4.0, math.inf])
+    @pytest.mark.parametrize("alpha", [0.7, 2.5, 8.0])
+    def test_full_support_is_the_full_array_formula_bit_for_bit(self, q, alpha):
+        grid = make_grid(128, 1 / 8)
+        for g, center in ((noise_signal(grid, 9), 0.37), (fourier(noise_signal(grid, 10)), -0.21)):
+            assert np.all(g.samples != 0)
+            weighted = np.abs(g.axis - center)
+            weighted **= alpha
+            weighted *= np.abs(g.samples)
+            assert weighted_moment_norm(g, center, alpha, q) == _quadrature_lq(weighted, g.spacing, q)
 
     @pytest.mark.parametrize("q", [1.0, 2.0, math.inf])
     def test_moment_of_the_zero_signal_is_zero(self, q):

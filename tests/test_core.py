@@ -25,6 +25,7 @@ from uplab import (
     signal_from_samples,
     write_signal_csv,
 )
+from uplab.core import _quadrature_lq
 
 
 def noise_signal(grid, seed):
@@ -173,6 +174,15 @@ class TestNorms:
         f = noise_signal(grid, 8)
         with pytest.raises(ValueError):
             norm_lq(f, 0.5)
+
+    @pytest.mark.parametrize("q", [1.0, 2.0, 3.5, math.inf])
+    def test_empty_magnitudes_have_zero_norm(self, q):
+        # the moment norm of the zero signal sums over no samples
+        assert _quadrature_lq(np.empty(0), 0.5, q) == 0.0
+
+    def test_empty_magnitudes_still_reject_exponents_below_one(self):
+        with pytest.raises(ValueError):
+            _quadrature_lq(np.empty(0), 0.5, 0.5)
 
 
 class TestBoundaryEnergy:

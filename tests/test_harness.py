@@ -1,10 +1,14 @@
 """Scenario schema, signal generation, and check-runner tests."""
 
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from uplab import (
     DEFAULT_CHECKS,
@@ -30,6 +34,8 @@ from uplab import (
     write_signal_csv,
     write_verdicts_csv,
 )
+from uplab.cli import main
+from uplab.harness import CHECKS, SIGNAL_KINDS
 
 
 GRID = make_grid(256, 1 / 16)
@@ -280,3 +286,102 @@ class TestSignalValidation:
     def test_zero_band_rejected(self):
         with pytest.raises(ScenarioError):
             generate_signal("random_bandlimited", {"seed": 0, "band": -1.0}, GRID)
+
+
+# Values a scenario file may carry where a number belongs.
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.sampled_from([float("nan"), float("inf"), -1.0, 0.0, 1.5, 7, 10**400]),
+)
+_VALID_PARAMS = {
+    "gaussian": {"lam": st.floats(0.1, 10.0)},
+    "hermite": {"k": st.integers(0, 6)},
+    "chirp": {"rate": st.floats(-5.0, 5.0)},
+    "indicator": {"lo": st.floats(-3.0, 0.0), "hi": st.floats(0.0, 3.0)},
+    "modulated_gaussian": {"lam": st.floats(0.1, 10.0), "omega0": st.floats(-3.0, 3.0)},
+    "random_bandlimited": {"seed": st.integers(0, 2**32), "band": st.floats(0.05, 4.0)},
+    # names of files in the data_dir fixture, resolved in _resolve_csv_path
+    "csv": {"path": st.sampled_from(["signal-64.csv", "garbage.csv", "missing.csv", ""])},
+}
+_STATUSES = {"pass", "fail", "skipped"}
+_ONE_IN_EIGHT = st.sampled_from((False,) * 7 + (True,))
+
+
+@st.composite
+def scenario_dicts(draw):
+    """Scenario dicts with n <= 64 over every signal kind, malformed values mixed in."""
+
+    def value(valid):
+        # one value in eight is malformed, so most dicts still reach the checks
+        return draw(_JUNK) if draw(_ONE_IN_EIGHT) else draw(valid)
+
+    kind = value(st.sampled_from(SIGNAL_KINDS))
+    known = _VALID_PARAMS.get(kind, {}) if isinstance(kind, str) else {}
+    params = {key: value(valid) for key, valid in known.items() if draw(st.booleans())}
+    if draw(_ONE_IN_EIGHT):
+        params["width"] = 1.0
+    window = st.tuples(st.floats(-4.0, 0.0), st.floats(0.0, 4.0)).map(list)
+    mode = value(st.sampled_from(["auto", "explicit"]))
+    if mode == "explicit":
+        sets = {
+            "mode": mode,
+            "time": [value(window) for _ in range(draw(st.integers(1, 2)))],
+            "frequency": [value(window) for _ in range(draw(st.integers(1, 2)))],
+        }
+    else:
+        sets = {"mode": mode, "eps_t": value(st.floats(0.0, 1.0)), "eps_omega": value(st.floats(0.0, 1.0))}
+    data = {
+        "name": value(st.just("generated")),
+        "grid": {"n": value(st.sampled_from([4, 8, 16, 32, 64])), "dx": value(st.floats(1 / 16, 1 / 2))},
+        "signal": {"kind": kind, "params": params},
+        "sets": sets,
+    }
+    if draw(st.booleans()):
+        data["checks"] = draw(st.lists(st.sampled_from(sorted(CHECKS)), max_size=len(CHECKS), unique=True))
+    if draw(_ONE_IN_EIGHT):
+        data["tolerances"] = {draw(st.sampled_from(sorted(CHECKS))): value(st.floats(1e-9, 1e-3))}
+    return data
+
+
+@pytest.fixture(scope="module")
+def data_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("scenario-data")
+    write_signal_csv(generate_signal("gaussian", {}, make_grid(64, 1 / 8)), root / "signal-64.csv")
+    (root / "garbage.csv").write_text("not a signal\n")
+    return root
+
+
+def _resolve_csv_path(data, root):
+    params = data["signal"]["params"]
+    if data["signal"]["kind"] == "csv" and isinstance(params.get("path"), str) and params["path"]:
+        params["path"] = str(root / params["path"])
+    return data
+
+
+class TestScenarioProperties:
+    @given(data=scenario_dicts())
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_run_rejects_the_scenario_or_reports_valid_statuses(self, data_dir, data):
+        data = _resolve_csv_path(data, data_dir)
+        try:
+            scenario = scenario_from_dict(data)
+            report = run_scenario(scenario)
+        except ScenarioError:
+            return
+        assert [v.check_id for v in report.verdicts] == sorted(dict.fromkeys(scenario.checks))
+        assert {v.status for v in report.verdicts} <= _STATUSES
+
+    @given(data=scenario_dicts())
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_cli_exit_code_is_0_1_or_2(self, data_dir, data):
+        path = data_dir / "scenario.json"
+        path.write_text(json.dumps(_resolve_csv_path(data, data_dir)))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["run", str(path)])
+        assert rc in (0, 1, 2)
+        if rc == 2:
+            assert err.getvalue().startswith("error: ")
