@@ -40,9 +40,6 @@ from .concentration import (
     energy_centroid,
     mask_from_axis_window,
     mask_from_flags,
-    mask_from_intervals,
-    mask_from_json,
-    mask_to_json,
     minimal_concentration_set,
     std_dev,
     support_mask,
@@ -83,18 +80,12 @@ from .operators import (
     LinearOp,
     PowerIterationError,
     SmoothedSymbol,
-    adjoint_op,
     apply_freq_symbol,
-    apply_op,
     apply_time_symbol,
-    export_operator_csv,
     gaussian_smoothed_indicator,
     linear_op,
     localization_operator,
     operator_norm,
-    project_freq,
-    project_time,
-    read_operator_csv,
     smoothed_concentration_ops,
     weyl_from_localization,
     weyl_operator,
@@ -112,7 +103,6 @@ from .report import (
 from .transforms import (
     GaussianWindow,
     TFMatrix,
-    export_tfmatrix_csv,
     gabor_transform,
     gaussian_window,
     marginals,

@@ -13,9 +13,7 @@ when defect(f, U) <= eps.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -43,21 +41,6 @@ class MaskSet:
     def complement(self) -> "MaskSet":
         return MaskSet(self.grid, self.axis, frozen_array(~self.flags, dtype=bool))
 
-    def intervals(self) -> list[tuple[int, int]]:
-        """Maximal runs of flagged cells as half-open index pairs [a, b)."""
-        runs = []
-        flags = self.flags
-        j = 0
-        while j < len(flags):
-            if flags[j]:
-                a = j
-                while j < len(flags) and flags[j]:
-                    j += 1
-                runs.append((a, j))
-            else:
-                j += 1
-        return runs
-
 
 def mask_from_flags(grid: Grid, axis: str, flags) -> MaskSet:
     if axis not in _AXES:
@@ -68,44 +51,11 @@ def mask_from_flags(grid: Grid, axis: str, flags) -> MaskSet:
     return MaskSet(grid, axis, arr)
 
 
-def mask_from_intervals(grid: Grid, axis: str, intervals) -> MaskSet:
-    """Build a mask from half-open index ranges [a, b)."""
-    flags = np.zeros(grid.n, dtype=bool)
-    for pair in intervals:
-        a, b = int(pair[0]), int(pair[1])
-        if not (0 <= a <= b <= grid.n):
-            raise ValueError(f"interval [{a}, {b}) out of range for n={grid.n}")
-        flags[a:b] = True
-    return mask_from_flags(grid, axis, flags)
-
-
 def mask_from_axis_window(grid: Grid, axis: str, lo: float, hi: float) -> MaskSet:
-    """Flag the cells whose axis value lies in [lo, hi]."""
+    """Flag the cells whose axis value lies in the closed window [lo, hi]
+    (both ends included, unlike the half-open [lo, hi) scenario windows)."""
     values = grid.axis(axis)
     return mask_from_flags(grid, axis, (values >= lo) & (values <= hi))
-
-
-def mask_to_json(mask: MaskSet, path=None) -> str:
-    payload = {"axis": mask.axis, "intervals": [[a, b] for a, b in mask.intervals()]}
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if path is not None:
-        Path(path).write_text(text + "\n")
-    return text
-
-
-def mask_from_json(grid: Grid, source) -> MaskSet:
-    """Read a mask from a dict, a JSON string, or a file path.
-
-    A string whose first non-blank character is '{' is parsed as JSON; any
-    other string or path-like is read as a file.
-    """
-    if isinstance(source, dict):
-        payload = source
-    elif isinstance(source, str) and source.lstrip().startswith("{"):
-        payload = json.loads(source)
-    else:
-        payload = json.loads(Path(source).read_text())
-    return mask_from_intervals(grid, payload["axis"], payload["intervals"])
 
 
 @dataclass(frozen=True)

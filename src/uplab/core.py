@@ -193,12 +193,18 @@ def energy(f: Signal) -> float:
 
 
 def boundary_energy_fraction(f: Signal, cells: int = 3) -> float:
-    """Fraction of total energy sitting within `cells` samples of either edge."""
+    """Fraction of total energy within min(cells, n // 2) samples of either edge."""
     e = np.abs(f.samples) ** 2
     total = float(e.sum())
     if total == 0.0:
         return 0.0
-    return float((e[:cells].sum() + e[-cells:].sum()) / total)
+    return _edge_mass(e, cells) / total
+
+
+def _edge_mass(weights: np.ndarray, cells: int) -> float:
+    """Sum of nonnegative weights over the first and last min(cells, n // 2) entries."""
+    k = min(cells, weights.size // 2)
+    return float(weights[:k].sum() + weights[weights.size - k :].sum())
 
 
 _HEADER_RE = re.compile(r"#\s*n=(\d+)\s+dx=([0-9eE.+-]+)(?:\s+domain=(\w+))?")

@@ -271,7 +271,7 @@ class Scenario:
         elif mode == "explicit":
             for key in ("time", "frequency"):
                 windows = self.sets.get(key)
-                if not windows or not all(len(w) == 2 and w[0] < w[1] for w in windows):
+                if not windows or not all(len(w) == 2 and float(w[0]) < float(w[1]) for w in windows):
                     raise ScenarioError(f"explicit sets need nonempty {key} windows [lo, hi)")
         else:
             raise ScenarioError(f"sets mode must be 'auto' or 'explicit', got {mode!r}")
@@ -316,9 +316,12 @@ def scenario_from_dict(data: dict) -> Scenario:
     grid = data.get("grid", {})
     signal = data.get("signal", {})
     try:
+        n = grid.get("n", 256)
+        if int(n) != n:
+            raise ScenarioError(f"grid.n must be an integer, got {n!r}")
         return Scenario(
             name=data["name"],
-            grid_n=int(grid.get("n", 256)),
+            grid_n=int(n),
             grid_dx=float(grid.get("dx", 1.0 / 16.0)),
             signal_kind=signal.get("kind", "gaussian"),
             signal_params=dict(signal.get("params", {})),

@@ -1,4 +1,4 @@
-"""Dense linear operators: projections, smoothed concentration, localization, Weyl.
+"""Dense linear operators: smoothed concentration, localization, Weyl.
 
 Operators are materialized as n-by-n complex matrices acting on time-domain
 sample vectors, g = M f.  With uniform quadrature weights the operator norm
@@ -20,14 +20,12 @@ operator picture for contained data.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .concentration import MaskSet
-from .core import FREQUENCY, TIME, Grid, Signal, fourier, frozen_array, signal_from_samples
+from .core import FREQUENCY, TIME, Grid, Signal, _edge_mass, fourier, frozen_array, signal_from_samples
 from .transforms import TFMatrix, tfmatrix_from_values, trig_upsample2, wigner
 
 
@@ -51,18 +49,6 @@ def linear_op(grid: Grid, matrix, provenance: str) -> LinearOp:
     return LinearOp(grid, arr, provenance)
 
 
-def apply_op(op: LinearOp, f: Signal) -> Signal:
-    if f.grid != op.grid:
-        raise ValueError("operator and signal grids differ")
-    if f.domain != TIME:
-        raise ValueError("operators act on time-domain signals")
-    return signal_from_samples(op.grid, op.matrix @ f.samples, TIME)
-
-
-def adjoint_op(op: LinearOp) -> LinearOp:
-    return linear_op(op.grid, op.matrix.conj().T, f"adjoint({op.provenance})")
-
-
 def _lags(n: int) -> np.ndarray:
     # table[a, b] = (a - b) mod n, the cyclic lag between samples a and b
     m = np.arange(n)
@@ -83,21 +69,6 @@ def _freq_multiplier(grid: Grid, values: np.ndarray) -> np.ndarray:
     """
     column = _alternating(grid.n) * np.fft.ifft(values)
     return column[_lags(grid.n)]
-
-
-def project_time(mask: MaskSet) -> LinearOp:
-    """Multiplication by the indicator of a time mask; an orthogonal projection."""
-    if mask.axis != TIME:
-        raise ValueError("time projection requires a time-axis mask")
-    return linear_op(mask.grid, np.diag(mask.flags.astype(np.complex128)), "time-projection")
-
-
-def project_freq(mask: MaskSet) -> LinearOp:
-    """Conjugated indicator F^-1 chi F for a frequency mask; an orthogonal projection."""
-    if mask.axis != FREQUENCY:
-        raise ValueError("frequency projection requires a frequency-axis mask")
-    grid = mask.grid
-    return linear_op(grid, _freq_multiplier(grid, mask.flags.astype(np.float64)), "frequency-projection")
 
 
 @dataclass(frozen=True)
@@ -131,7 +102,7 @@ def gaussian_smoothed_indicator(mask: MaskSet, lam: float) -> SmoothedSymbol:
     x = grid.axis(mask.axis)
     kernel = np.sqrt(mu) * np.exp(-np.pi * mu * x * x)
     mass = float(kernel.sum())
-    edge = float(kernel[:3].sum() + kernel[-3:].sum()) / mass
+    edge = _edge_mass(kernel, 3) / mass
     if edge > 1e-6:
         raise ValueError(
             f"smoothing kernel (mu={mu:.4g}) is not contained by the {mask.axis} axis "
@@ -304,32 +275,3 @@ def operator_norm(op: LinearOp, seed: int = 0, rtol: float = 1e-10, max_iter: in
         f"operator norm iteration did not converge within {max_iter} iterations "
         f"(last estimate {sigma_prev:.6e})"
     )
-
-
-def export_operator_csv(op: LinearOp, path) -> None:
-    """Write the matrix as CSV with re/im interleaved columns plus JSON metadata."""
-    path = Path(path)
-    with path.open("w") as fh:
-        for row in op.matrix:
-            cells = []
-            for z in row:
-                cells.append(repr(float(z.real)))
-                cells.append(repr(float(z.imag)))
-            fh.write(",".join(cells) + "\n")
-    meta = {"n": op.grid.n, "dx": op.grid.dx, "provenance": op.provenance, "layout": "re,im interleaved"}
-    path.with_suffix(path.suffix + ".json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-
-
-def read_operator_csv(path, grid: Grid) -> LinearOp:
-    path = Path(path)
-    rows = []
-    for line in path.read_text().splitlines():
-        if not line.strip():
-            continue
-        vals = [float(v) for v in line.split(",")]
-        rows.append([complex(vals[2 * i], vals[2 * i + 1]) for i in range(len(vals) // 2)])
-    meta_path = path.with_suffix(path.suffix + ".json")
-    provenance = "imported"
-    if meta_path.exists():
-        provenance = json.loads(meta_path.read_text()).get("provenance", provenance)
-    return linear_op(grid, np.array(rows, dtype=np.complex128), provenance)

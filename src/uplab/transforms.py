@@ -23,9 +23,6 @@ particular Wig(f, f) is exactly real and its frequency marginal recovers
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-
-import json
 
 import numpy as np
 
@@ -195,14 +192,3 @@ def wigner(f: Signal, g: Signal | None = None) -> TFMatrix:
     if g is f or g.samples is f.samples:
         vals = vals.real.astype(np.complex128)
     return tfmatrix_from_values(f.grid, vals)
-
-
-def export_tfmatrix_csv(m: TFMatrix, path) -> None:
-    """Write |values| as CSV rows (one per time index) plus a JSON metadata sidecar."""
-    path = Path(path)
-    mags = np.abs(m.values)
-    with path.open("w") as fh:
-        for row in mags:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-    meta = {"n": m.grid.n, "dx": m.grid.dx, "dw": m.grid.dw, "layout": "rows=time, cols=frequency"}
-    path.with_suffix(path.suffix + ".json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")

@@ -88,23 +88,27 @@ class TestRunCommand:
             {"grid": {"n": 255}},
             {"grid": {"n": "many"}},
             {"grid": {"n": math.inf}},
+            {"grid": {"n": 64.5}},
             {"signal": {"kind": "gaussian", "params": {"lam": "nan"}}},
             {"signal": {"kind": "gaussian", "params": {"lam": "wide"}}},
             {"signal": {"kind": "hermite", "params": {"k": "two"}}},
             {"signal": {"kind": "random_bandlimited", "params": {"seed": "abc"}}},
             {"signal": {"kind": "hermite", "params": {"k": 171}}},
             {"signal": {"kind": "csv", "params": {"path": "no-such-signal.csv"}}},
+            {"sets": {"mode": "explicit", "time": [[-1.0, 0.0]], "frequency": ["0:"]}},
         ],
         ids=[
             "odd-grid",
             "non-numeric-grid",
             "infinite-grid",
+            "fractional-grid",
             "non-finite-signal",
             "non-numeric-width",
             "non-numeric-hermite-index",
             "non-numeric-seed",
             "hermite-index-past-the-normalisation",
             "missing-csv-file",
+            "non-numeric-window",
         ],
     )
     def test_malformed_scenario_is_a_usage_error(self, tmp_path, capsys, fields):
@@ -114,6 +118,12 @@ class TestRunCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert captured.out == ""
+
+    def test_integral_float_grid_size_runs(self, tmp_path, capsys):
+        path = tmp_path / "float-grid.json"
+        path.write_text(json.dumps({"name": "float-grid", "grid": {"n": 64.0, "dx": 0.125}, "checks": ["ds-product"]}))
+        assert main(["run", str(path)]) == 0
+        assert "PASS ds-product" in capsys.readouterr().out
 
     def test_skips_are_reported_but_not_failures(self, capsys):
         rc = main(["run", "bandlimited-demo"])

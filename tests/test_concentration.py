@@ -7,7 +7,6 @@ Gaussian, and moment norms against the quadrature over all n samples.
 """
 
 import itertools
-import json
 import math
 
 import numpy as np
@@ -23,9 +22,6 @@ from uplab import (
     make_grid,
     mask_from_axis_window,
     mask_from_flags,
-    mask_from_intervals,
-    mask_from_json,
-    mask_to_json,
     minimal_concentration_set,
     signal_from_samples,
     std_dev,
@@ -77,48 +73,6 @@ class TestMasks:
         comp = mask.complement()
         assert mask.count + comp.count == grid.n
         assert not np.any(mask.flags & comp.flags)
-
-    def test_intervals_round_trip(self):
-        grid = make_grid(16, 0.5)
-        flags = np.zeros(16, dtype=bool)
-        flags[[0, 1, 5, 6, 7, 15]] = True
-        mask = mask_from_flags(grid, FREQUENCY, flags)
-        assert mask.intervals() == [(0, 2), (5, 8), (15, 16)]
-        rebuilt = mask_from_intervals(grid, FREQUENCY, mask.intervals())
-        np.testing.assert_array_equal(rebuilt.flags, mask.flags)
-
-    def test_json_round_trip(self, tmp_path):
-        grid = make_grid(16, 0.5)
-        mask = mask_from_intervals(grid, TIME, [(2, 5), (9, 12)])
-        path = tmp_path / "mask.json"
-        mask_to_json(mask, path)
-        back = mask_from_json(grid, path)
-        assert back.axis == TIME
-        np.testing.assert_array_equal(back.flags, mask.flags)
-
-    def test_long_json_string_is_parsed_not_probed_as_a_path(self):
-        # ~5000 characters is past any file-name length limit
-        grid = make_grid(4096, 1 / 16)
-        intervals = [[a, a + 1] for a in range(0, 4096, 8)]
-        text = json.dumps({"axis": TIME, "intervals": intervals})
-        assert len(text) > 5000
-        mask = mask_from_json(grid, "  \n" + text)
-        assert mask.intervals() == [tuple(pair) for pair in intervals]
-
-    def test_json_string_and_path_give_the_same_mask(self, tmp_path):
-        grid = make_grid(16, 0.5)
-        mask = mask_from_intervals(grid, FREQUENCY, [(1, 4)])
-        path = tmp_path / "mask.json"
-        text = mask_to_json(mask, path)
-        from_text = mask_from_json(grid, text)
-        from_path = mask_from_json(grid, str(path))
-        np.testing.assert_array_equal(from_text.flags, from_path.flags)
-        assert from_text.axis == from_path.axis == FREQUENCY
-
-    def test_out_of_range_interval_rejected(self):
-        grid = make_grid(16, 0.5)
-        with pytest.raises(ValueError):
-            mask_from_intervals(grid, TIME, [(10, 20)])
 
 
 class TestDefect:

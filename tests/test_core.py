@@ -191,6 +191,23 @@ class TestBoundaryEnergy:
         f = signal_from_samples(grid, np.ones(256))
         assert boundary_energy_fraction(f) == pytest.approx(6 / 256, rel=1e-12)
 
+    def test_edge_windows_do_not_overlap_on_a_small_grid(self):
+        grid = make_grid(4, 0.5)
+        f = signal_from_samples(grid, np.ones(4))
+        assert boundary_energy_fraction(f) == 1.0
+
+    def test_zero_cells_read_no_edge_energy(self):
+        grid = make_grid(64, 1 / 8)
+        assert boundary_energy_fraction(noise_signal(grid, 8), cells=0) == 0.0
+
+    @pytest.mark.parametrize("n", [6, 64, 1024])
+    def test_clamp_leaves_three_cell_edges_unchanged(self, n):
+        # from n = 6 the two three-cell edges are disjoint, and the fraction
+        # must equal the plain edge sums bit for bit
+        f = noise_signal(make_grid(n, 8.0 / n), n)
+        e = np.abs(f.samples) ** 2
+        assert boundary_energy_fraction(f) == float((e[:3].sum() + e[-3:].sum()) / float(e.sum()))
+
     def test_centered_gaussian_is_negligible(self):
         grid = make_grid(256, 1 / 16)
         assert boundary_energy_fraction(unit_gaussian(grid)) < 1e-10

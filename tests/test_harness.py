@@ -14,6 +14,7 @@ from uplab import (
     DEFAULT_CHECKS,
     SMOOTHING_CHECKS,
     FREQUENCY,
+    TIME,
     Scenario,
     ScenarioError,
     bundled_scenario,
@@ -35,7 +36,7 @@ from uplab import (
     write_verdicts_csv,
 )
 from uplab.cli import main
-from uplab.harness import CHECKS, SIGNAL_KINDS
+from uplab.harness import CHECKS, SIGNAL_KINDS, _windows_to_mask
 
 
 GRID = make_grid(256, 1 / 16)
@@ -209,6 +210,13 @@ class TestRunScenario:
         report = run_scenario(s)
         assert report.summary["fail"] == 0
         assert report.summary["pass"] == 2
+
+    def test_explicit_windows_are_half_open(self):
+        # [-1, 1) on a half-unit grid keeps -1.0 and drops 1.0, where the
+        # closed mask_from_axis_window would take both
+        grid = make_grid(16, 0.5)
+        mask = _windows_to_mask(grid, TIME, [[-1.0, 1.0]])
+        np.testing.assert_array_equal(grid.times[mask.flags], [-1.0, -0.5, 0.0, 0.5])
 
     def test_check_errors_become_failed_verdicts(self):
         # alpha below the admissible range for the support bound: the check

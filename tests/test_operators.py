@@ -1,11 +1,14 @@
 """Operator construction and calculus tests.
 
+Operators are applied as plain matrix products, op.matrix @ f.samples.
 Oracles: the cumulative-distribution form of a smoothed step (error
 function), direct double-sum evaluations of weak operator identities,
 multiplication-operator reductions of the quantized symbol calculus, dense
-singular value decompositions, and the direct constructions the library no
-longer uses: the rank-one assembly of a localization operator and the
-conjugation of a multiplier by the dense DFT matrix.
+singular value decompositions, the sharp time and frequency projections
+(the mask times the samples, and the masked Fourier round trip), and the
+direct constructions the library does not use: the rank-one assembly of a
+localization operator and the conjugation of a multiplier by the dense DFT
+matrix.
 """
 
 import math
@@ -17,9 +20,7 @@ from scipy.special import erf
 from uplab import (
     FREQUENCY,
     TIME,
-    adjoint_op,
     apply_freq_symbol,
-    apply_op,
     apply_time_symbol,
     fourier,
     gabor_transform,
@@ -30,10 +31,6 @@ from uplab import (
     make_grid,
     mask_from_axis_window,
     operator_norm,
-    project_freq,
-    project_time,
-    read_operator_csv,
-    export_operator_csv,
     signal_from_samples,
     smoothed_concentration_ops,
     tfmatrix_from_values,
@@ -78,10 +75,18 @@ def max_relative_gap(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
+def sharp_concentration_ops(mask_t, mask_w):
+    """(L1, L2) with kernels narrower than one cell: the smoothed indicators
+    equal the masks to rounding, so the operators are the sharp projections."""
+    return smoothed_concentration_ops(mask_t, mask_w, 1e5, 1e-5)
+
+
 class TestProjections:
     def test_time_projection_is_an_orthogonal_projection(self):
         grid = make_grid(64, 1 / 8)
-        p = project_time(mask_from_axis_window(grid, TIME, -1.0, 1.0))
+        mask_t = mask_from_axis_window(grid, TIME, -1.0, 1.0)
+        p, _ = sharp_concentration_ops(mask_t, mask_from_axis_window(grid, FREQUENCY, -0.5, 0.5))
+        np.testing.assert_allclose(np.diag(p.matrix), mask_t.flags, atol=1e-14)
         np.testing.assert_allclose(p.matrix @ p.matrix, p.matrix, atol=1e-14)
         np.testing.assert_allclose(p.matrix, p.matrix.conj().T, atol=1e-14)
         assert operator_norm(p) == pytest.approx(1.0, abs=1e-10)
@@ -89,28 +94,29 @@ class TestProjections:
     def test_frequency_projection_composes_transform_mask_inverse(self):
         grid = make_grid(64, 1 / 8)
         mask = mask_from_axis_window(grid, FREQUENCY, -0.5, 1.5)
-        q = project_freq(mask)
+        _, q = sharp_concentration_ops(mask_from_axis_window(grid, TIME, -1.0, 1.0), mask)
         f = noise_signal(grid, np.random.default_rng(0))
         spec = fourier(f)
         masked = signal_from_samples(grid, np.where(mask.flags, spec.samples, 0), FREQUENCY)
         want = fourier(masked, "inverse")
-        np.testing.assert_allclose(apply_op(q, f).samples, want.samples, atol=1e-12)
+        np.testing.assert_allclose(q.matrix @ f.samples, want.samples, atol=1e-12)
 
     @pytest.mark.parametrize("n", [32, 64, 128])
     def test_frequency_projection_matches_dense_dft_conjugation(self, n):
         grid = make_grid(n, 8.0 / n)
         mask = mask_from_axis_window(grid, FREQUENCY, -0.5, 1.5)
+        _, q = sharp_concentration_ops(mask_from_axis_window(grid, TIME, -1.0, 1.0), mask)
         want = dft_conjugated_multiplier(grid, mask.flags.astype(float))
-        assert max_relative_gap(project_freq(mask).matrix, want) <= 1e-13
+        assert max_relative_gap(q.matrix, want) <= 1e-13
 
     def test_projection_product_contracts_strictly(self):
         # Small windows keep the singular values well separated, where the
         # iterative norm estimate converges; the top value must sit strictly
         # below one because the two localizations are incompatible.
         grid = make_grid(64, 1 / 8)
-        p = project_time(mask_from_axis_window(grid, TIME, -0.5, 0.5))
-        q = project_freq(mask_from_axis_window(grid, FREQUENCY, -0.5, 0.5))
-        pq = linear_op(grid, p.matrix @ q.matrix, "composition")
+        flags_t = mask_from_axis_window(grid, TIME, -0.5, 0.5).flags.astype(float)
+        flags_w = mask_from_axis_window(grid, FREQUENCY, -0.5, 0.5).flags.astype(float)
+        pq = linear_op(grid, np.diag(flags_t) @ dft_conjugated_multiplier(grid, flags_w), "composition")
         norm = operator_norm(pq)
         assert 0.5 < norm < 1.0
         assert norm == pytest.approx(np.linalg.svd(pq.matrix, compute_uv=False)[0], abs=1e-8)
@@ -156,13 +162,14 @@ class TestSmoothedIndicators:
         f = unit_gaussian(grid)
         mask_t = mask_from_axis_window(grid, TIME, -0.75, 0.75)
         mask_w = mask_from_axis_window(grid, FREQUENCY, -0.75, 0.75)
-        pf = apply_op(project_time(mask_t), f)
-        qf = apply_op(project_freq(mask_w), f)
+        pf = mask_t.flags * f.samples
+        masked = signal_from_samples(grid, np.where(mask_w.flags, fourier(f).samples, 0), FREQUENCY)
+        qf = fourier(masked, "inverse").samples
         time_errors, freq_errors = [], []
         for lam1, lam2 in zip((1.0, 4.0, 16.0, 64.0), (1.0, 0.25, 0.0625, 0.015625)):
             l1, l2 = smoothed_concentration_ops(mask_t, mask_w, lam1, lam2)
-            time_errors.append(np.linalg.norm(apply_op(l1, f).samples - pf.samples) * math.sqrt(grid.dx))
-            freq_errors.append(np.linalg.norm(apply_op(l2, f).samples - qf.samples) * math.sqrt(grid.dx))
+            time_errors.append(np.linalg.norm(l1.matrix @ f.samples - pf) * math.sqrt(grid.dx))
+            freq_errors.append(np.linalg.norm(l2.matrix @ f.samples - qf) * math.sqrt(grid.dx))
         assert all(b < a - 1e-10 for a, b in zip(time_errors, time_errors[1:]))
         assert all(b < a - 1e-10 for a, b in zip(freq_errors, freq_errors[1:]))
 
@@ -174,8 +181,8 @@ class TestSmoothedIndicators:
         l1, l2 = smoothed_concentration_ops(mask_t, mask_w, 2.0, 0.5)
         sym1 = gaussian_smoothed_indicator(mask_t, 2.0)
         sym2 = gaussian_smoothed_indicator(mask_w, 0.5)
-        np.testing.assert_allclose(apply_op(l1, f).samples, apply_time_symbol(sym1, f).samples, atol=1e-12)
-        np.testing.assert_allclose(apply_op(l2, f).samples, apply_freq_symbol(sym2, f).samples, atol=1e-12)
+        np.testing.assert_allclose(l1.matrix @ f.samples, apply_time_symbol(sym1, f).samples, atol=1e-12)
+        np.testing.assert_allclose(l2.matrix @ f.samples, apply_freq_symbol(sym2, f).samples, atol=1e-12)
 
     @pytest.mark.parametrize("n", [32, 64, 128])
     def test_frequency_smoother_matches_dense_dft_conjugation(self, n):
@@ -208,7 +215,7 @@ class TestLocalization:
         vf = gabor_transform(f, phi).values
         vg = gabor_transform(g, psi).values
         direct = grid.dx * grid.dw * np.sum(avals * vf * np.conj(vg))
-        assert inner(apply_op(op, f), g) == pytest.approx(direct, abs=1e-10)
+        assert inner(signal_from_samples(grid, op.matrix @ f.samples), g) == pytest.approx(direct, abs=1e-10)
 
     def test_time_only_symbol_gives_a_multiplication_operator(self):
         # chi(x) (x) 1: the frequency sum collapses and the operator becomes
@@ -257,7 +264,7 @@ class TestWeyl:
         f = noise_signal(grid, np.random.default_rng(4))
         sigma = np.exp(-np.pi * grid.times**2)
         op = weyl_operator(lambda x, w: np.exp(-np.pi * x**2) + 0 * w, grid=grid)
-        np.testing.assert_allclose(apply_op(op, f).samples, sigma * f.samples, atol=1e-10)
+        np.testing.assert_allclose(op.matrix @ f.samples, sigma * f.samples, atol=1e-10)
 
     def test_frequency_only_symbol_is_a_transform_multiplier(self):
         grid = make_grid(64, 1 / 8)
@@ -266,7 +273,7 @@ class TestWeyl:
         spec = fourier(f)
         shaped = signal_from_samples(grid, np.exp(-np.pi * grid.freqs**2) * spec.samples, FREQUENCY)
         want = fourier(shaped, "inverse")
-        np.testing.assert_allclose(apply_op(op, f).samples, want.samples, atol=1e-10)
+        np.testing.assert_allclose(op.matrix @ f.samples, want.samples, atol=1e-10)
 
     def test_real_symbol_gives_a_hermitian_operator(self):
         grid = make_grid(64, 1 / 8)
@@ -338,22 +345,3 @@ class TestOperatorNorm:
         op = linear_op(grid, np.zeros((2048, 2048)), "too big")
         with pytest.raises(ValueError):
             operator_norm(op)
-
-
-class TestAdjointAndCsv:
-    def test_adjoint_is_the_conjugate_transpose(self):
-        grid = make_grid(16, 0.25)
-        rng = np.random.default_rng(6)
-        matrix = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-        op = linear_op(grid, matrix, "dense")
-        np.testing.assert_array_equal(adjoint_op(op).matrix, matrix.conj().T)
-
-    def test_csv_round_trip(self, tmp_path):
-        grid = make_grid(16, 0.25)
-        rng = np.random.default_rng(7)
-        matrix = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-        op = linear_op(grid, matrix, "dense")
-        path = tmp_path / "op.csv"
-        export_operator_csv(op, path)
-        back = read_operator_csv(path, grid)
-        np.testing.assert_allclose(back.matrix, matrix, atol=1e-14)

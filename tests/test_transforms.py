@@ -12,7 +12,6 @@ import pytest
 
 from uplab import (
     energy,
-    export_tfmatrix_csv,
     fourier,
     gabor_transform,
     gaussian_window,
@@ -215,19 +214,3 @@ class TestWindows:
         grid = make_grid(256, 1 / 16)
         with pytest.raises(ValueError):
             gaussian_window(4096.0, grid)
-
-
-class TestExport:
-    def test_csv_magnitude_matrix_and_sidecar(self, tmp_path):
-        grid = make_grid(64, 1 / 8)
-        f = unit_gaussian(grid)
-        m = gabor_transform(f, gaussian_window(1.0, grid))
-        path = tmp_path / "tf.csv"
-        export_tfmatrix_csv(m, path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 64
-        first = [float(v) for v in lines[0].split(",")]
-        assert len(first) == 64
-        sidecar = path.with_suffix(".csv.json")
-        assert sidecar.exists()
-        assert '"n": 64' in sidecar.read_text()
