@@ -13,7 +13,6 @@ constants, and a scenario harness that verifies every inequality end to end.
 """
 
 from .bounds import (
-    BoundParams,
     BoundValue,
     CfSearch,
     alpha_k_profile,
@@ -101,7 +100,6 @@ from .report import (
     write_verdicts_csv,
 )
 from .transforms import (
-    GaussianWindow,
     TFMatrix,
     gabor_transform,
     gaussian_window,

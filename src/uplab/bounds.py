@@ -43,34 +43,6 @@ def conjugate_exponent(q: float) -> float:
     return q / (q - 1.0)
 
 
-@dataclass(frozen=True)
-class BoundParams:
-    """Validated parameter bundle for the concentration bounds."""
-
-    eps_t: float
-    eps_omega: float
-    d: int = 1
-    alpha: float = 1.0
-    q: float = 2.0
-
-    def __post_init__(self):
-        if not (0.0 <= self.eps_t <= 1.0 and 0.0 <= self.eps_omega <= 1.0):
-            raise ValueError("concentration defects must lie in [0, 1]")
-        if int(self.d) != self.d or self.d < 1:
-            raise ValueError(f"dimension must be a positive integer, got {self.d!r}")
-        if not self.alpha > 0:
-            raise ValueError(f"moment exponent must be positive, got {self.alpha!r}")
-        conjugate_exponent(self.q)  # validates the range
-
-    @property
-    def q_conj(self) -> float:
-        return conjugate_exponent(self.q)
-
-    @property
-    def eps_sum(self) -> float:
-        return self.eps_t + self.eps_omega
-
-
 def lieb_constant(p: float, d: int = 1) -> float:
     """(2/p)^(d/p): transform-size constant for the mixed norm, p >= 2."""
     p = float(p)
@@ -279,69 +251,45 @@ class CfSearch:
         return tuple(sorted(vals))
 
 
-def cf_quotient(f: Signal, fhat: Signal, witness: dict, d: int = 1) -> float:
-    """Evaluate the signal-adapted quotient at one witness parameter choice.
+def cf_quotient(f: Signal, fhat: Signal, witness: dict) -> float:
+    """Evaluate the signal-adapted quotient at one witness parameter choice,
 
-        ||f||_2^4 * ||fhat||_q1^e1 * ||f||_q2^e2
-        -----------------------------------------------------------------
-        K(d,a1,q1) K(d,a2,q2) ||f||_q2^2 ||fhat||_q1^2 * Mt^e2 * Mw^e1
+        ||f||_2^4 * A * B,
+        A = ||fhat||_q1^e1 / (K(1,a1,q1) ||fhat||_q1^2 Mw^e1),
+        B = ||f||_q2^e2 / (K(1,a2,q2) ||f||_q2^2 Mt^e2),
 
-    with e_j = 2d/(alpha_j q_j'), Mt the time moment of f about t_bar at
+    with e_j = 2/(alpha_j q_j'), Mt the time moment of f about t_bar at
     (alpha2, q2), and Mw the frequency moment of fhat about w_bar at
     (alpha1, q1).
     """
-    q1, q2 = float(witness["q1"]), float(witness["q2"])
-    a1, a2 = float(witness["alpha1"]), float(witness["alpha2"])
-    tb, wb = float(witness["t_bar"]), float(witness["w_bar"])
-    e1 = 2.0 * d / (a1 * conjugate_exponent(q1))
-    e2 = 2.0 * d / (a2 * conjugate_exponent(q2))
-    n2 = norm_lq(f, 2.0)
-    nf = norm_lq(f, q2)
-    nfh = norm_lq(fhat, q1)
-    mt = weighted_moment_norm(f, tb, a2, q2)
-    mw = weighted_moment_norm(fhat, wb, a1, q1)
-    den = (
-        price_k(d, a1, q1)
-        * price_k(d, a2, q2)
-        * nf**2
-        * nfh**2
-        * mt**e2
-        * mw**e1
-    )
-    if den == 0.0:
-        raise ValueError("degenerate witness: a moment norm vanished")
-    return float(n2**4 * nfh**e1 * nf**e2 / den)
+    a = _signal_factor(fhat, witness["w_bar"], witness["q1"], witness["alpha1"])
+    b = _signal_factor(f, witness["t_bar"], witness["q2"], witness["alpha2"])
+    return float(norm_lq(f, 2.0) ** 4 * a * b)
 
 
 def cf_bound(f: Signal, fhat: Signal, search: CfSearch | None = None) -> BoundValue:
     """Best lower bound for the signal-adapted constant over the finite search grids.
 
     Any witness gives a valid lower bound for the true constant, so enlarging
-    the grids can only increase the result.  The quotient of `cf_quotient`
-    factors as
-
-        ||f||_2^4 * A(w_bar, q1, alpha1) * B(t_bar, q2, alpha2),
-        A = ||fhat||_q1^e1 / (K(d,a1,q1) ||fhat||_q1^2 Mw^e1),
-        B = ||f||_q2^e2 / (K(d,a2,q2) ||f||_q2^2 Mt^e2),
-
-    with both factors positive, so its maximum is max A times max B and each
-    factor is scanned on its own grid.  Ties keep the first maximiser in the
-    lexicographic scan order (t_bar, w_bar, q1, alpha1, q2, alpha2) of the
-    full witness grid: that is the first maximiser of A in (w_bar, q1,
-    alpha1) order together with the first maximiser of B in (t_bar, q2,
-    alpha2) order.  Witnesses whose moment norm vanishes are skipped.
+    the grids can only increase the result.  Both factors A and B of
+    `cf_quotient` are positive, so the maximum of the quotient is max A times
+    max B and each factor is scanned on its own grid.  Ties keep the first
+    maximiser in the lexicographic scan order (t_bar, w_bar, q1, alpha1, q2,
+    alpha2) of the full witness grid: that is the first maximiser of A in
+    (w_bar, q1, alpha1) order together with the first maximiser of B in
+    (t_bar, q2, alpha2) order.  Witnesses whose moment norm vanishes are
+    skipped.
     """
     if f.domain != TIME or fhat.domain != FREQUENCY:
         raise ValueError("expected a time signal and its frequency transform")
     search = search or CfSearch()
-    d = 1
     t_centers = _scan_centers(f, search.center_count)
     w_centers = _scan_centers(fhat, search.center_count)
     # (q, alpha, e, K) in scan order, shared by both factors
     table = []
     for q in search.qs:
         qp = conjugate_exponent(q)
-        table += [(q, a, 2.0 * d / (a * qp), price_k(d, a, q)) for a in search.alphas(q, d)]
+        table += [(q, a, 2.0 / (a * qp), price_k(1, a, q)) for a in search.alphas(q)]
 
     best_w, (wb, q1, a1) = _best_factor(fhat, w_centers, table)
     best_t, (tb, q2, a2) = _best_factor(f, t_centers, table)
@@ -355,8 +303,22 @@ def _scan_centers(g: Signal, count: int) -> list:
     return [energy_centroid(g)] + np.linspace(axis[0] / 2.0, axis[-1] / 2.0, count).tolist()
 
 
+def _factor(norm_q: float, k: float, moment: float, e: float) -> float:
+    """||g||_q^e / (K ||g||_q^2 M^e): the factor one signal contributes to C_f."""
+    return norm_q**e / (k * norm_q**2 * moment**e)
+
+
+def _signal_factor(g: Signal, center: float, q: float, alpha: float) -> float:
+    """`_factor` for g at one witness (center, q, alpha), with M = weighted_moment_norm."""
+    q, alpha = float(q), float(alpha)
+    m = weighted_moment_norm(g, float(center), alpha, q)
+    if m == 0.0:
+        raise ValueError("degenerate witness: a moment norm vanished")
+    return _factor(norm_lq(g, q), price_k(1, alpha, q), m, 2.0 / (alpha * conjugate_exponent(q)))
+
+
 def _best_factor(g: Signal, centers: list, table: list) -> tuple[float, tuple]:
-    """First maximiser over (center, q, alpha) of ||g||_q^e / (K ||g||_q^2 M^e).
+    """First maximiser of `_factor` over (center, q, alpha).
 
     The moment M is the one `weighted_moment_norm` computes.  The axis values
     and magnitudes at the nonzero samples of g are taken once per scan and the
@@ -372,7 +334,7 @@ def _best_factor(g: Signal, centers: list, table: list) -> tuple[float, tuple]:
             m = _moment_lq(dist, mags, g.spacing, a, q)
             if m == 0.0:
                 continue
-            val = norms[q] ** e / (k * norms[q] ** 2 * m**e)
+            val = _factor(norms[q], k, m, e)
             if best is None or val > best:
                 best, arg = val, (c, q, a)
     if best is None:
@@ -381,29 +343,21 @@ def _best_factor(g: Signal, centers: list, table: list) -> tuple[float, tuple]:
 
 
 def separate_measure_bounds(
-    f: Signal, fhat: Signal, eps_t: float, eps_omega: float, witness: dict, d: int = 1
+    f: Signal, fhat: Signal, eps_t: float, eps_omega: float, witness: dict
 ) -> tuple[float, float]:
-    """Individual lower bounds for |T| and |Omega| at a given witness.
+    """Individual lower bounds for |T| and |Omega| at a given witness:
 
-    The product of the two bounds equals (1 - eps_T^2)(1 - eps_Omega^2) times
-    the witness quotient, an algebraic identity the tests assert.
+        ((1 - eps_T^2) ||f||_2^2 A, (1 - eps_Omega^2) ||f||_2^2 B)
+
+    with A, B the factors of `cf_quotient`.  Their product equals
+    (1 - eps_T^2)(1 - eps_Omega^2) times the witness quotient, an algebraic
+    identity the tests assert.
     """
     _check_eps(eps_t, eps_omega)
-    q1, q2 = float(witness["q1"]), float(witness["q2"])
-    a1, a2 = float(witness["alpha1"]), float(witness["alpha2"])
-    tb, wb = float(witness["t_bar"]), float(witness["w_bar"])
-    e1 = 2.0 * d / (a1 * conjugate_exponent(q1))
-    e2 = 2.0 * d / (a2 * conjugate_exponent(q2))
+    a = _signal_factor(fhat, witness["w_bar"], witness["q1"], witness["alpha1"])
+    b = _signal_factor(f, witness["t_bar"], witness["q2"], witness["alpha2"])
     norm2 = norm_lq(f, 2.0)
-    nfh = norm_lq(fhat, q1)
-    nf = norm_lq(f, q2)
-    mw = weighted_moment_norm(fhat, wb, a1, q1)
-    mt = weighted_moment_norm(f, tb, a2, q2)
-    if mw == 0.0 or mt == 0.0:
-        raise ValueError("degenerate witness: a moment norm vanished")
-    lb_t = (1.0 - eps_t**2) * norm2**2 * nfh**e1 / (price_k(d, a1, q1) * nfh**2 * mw**e1)
-    lb_w = (1.0 - eps_omega**2) * norm2**2 * nf**e2 / (price_k(d, a2, q2) * nf**2 * mt**e2)
-    return float(lb_t), float(lb_w)
+    return float((1.0 - eps_t**2) * norm2**2 * a), float((1.0 - eps_omega**2) * norm2**2 * b)
 
 
 def delta_bound(
@@ -423,13 +377,7 @@ def heisenberg_floor(f: Signal) -> float:
 
 
 def mixed_bound_check(
-    f: Signal,
-    fhat: Signal,
-    alpha: float,
-    center: float | None = None,
-    axis: str = TIME,
-    support_threshold: float = 1e-12,
-    rel_tol: float = 1e-6,
+    f: Signal, fhat: Signal, alpha: float, axis: str = TIME, rel_tol: float = 1e-6
 ) -> Verdict:
     """Support-moment inequality in one of its two mirror forms.
 
@@ -437,9 +385,8 @@ def mixed_bound_check(
     axis = "frequency":  |supp fhat| * Mt^(1/alpha) >= ||f||_2^(1/alpha) / K
 
     where Mw / Mt is the L^2 moment of order alpha of the other-domain signal
-    about `center` (default: its energy centroid) and K = K(1, alpha, 2).
-    Support is measured at the relative magnitude threshold
-    `support_threshold`.
+    about its energy centroid and K = K(1, alpha, 2).  Support is measured at
+    the fixed relative magnitude threshold 1e-12 of `support_mask`.
     """
     alpha = float(alpha)
     if not alpha > 0.5:
@@ -450,13 +397,9 @@ def mixed_bound_check(
     n2 = norm_lq(f, 2.0)
     if n2 == 0.0:
         return skipped_verdict(check_id, "zero signal")
-    k = price_k(1, alpha, 2.0)
-    if axis == TIME:
-        supp = support_mask(f, support_threshold).measure
-        moment = weighted_moment_norm(fhat, center if center is not None else energy_centroid(fhat), alpha, 2.0)
-    else:
-        supp = support_mask(fhat, support_threshold).measure
-        moment = weighted_moment_norm(f, center if center is not None else energy_centroid(f), alpha, 2.0)
+    supported, other = (f, fhat) if axis == TIME else (fhat, f)
+    supp = support_mask(supported).measure
+    moment = weighted_moment_norm(other, energy_centroid(other), alpha, 2.0)
     lhs = supp * moment ** (1.0 / alpha)
-    rhs = n2 ** (1.0 / alpha) / k
+    rhs = n2 ** (1.0 / alpha) / price_k(1, alpha, 2.0)
     return make_verdict(check_id, lhs, rhs, rel_tol)

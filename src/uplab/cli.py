@@ -82,8 +82,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_bounds(args) -> int:
     try:
-        params = bounds_mod.BoundParams(eps_t=args.eps_t, eps_omega=args.eps_omega, d=args.dim)
-        value = bounds_mod.improved_bound(params.eps_t, params.eps_omega, params.d)
+        value = bounds_mod.improved_bound(args.eps_t, args.eps_omega, args.dim)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -132,7 +131,7 @@ def _selftest_checks(n: int, seed: int):
         w = gaussian_window(1.0, grid)
         v = gabor_transform(f, w)
         lhs = tf_norm_lp(v, 2.0)
-        rhs = math.sqrt(energy(f)) * math.sqrt(energy(w.signal))
+        rhs = math.sqrt(energy(f)) * math.sqrt(energy(w))
         assert abs(lhs - rhs) <= 1e-8 * rhs, f"transform energy {lhs} vs {rhs}"
 
     def wigner_marginal():

@@ -78,8 +78,8 @@ def concentration_defect(f: Signal, u: MaskSet) -> float:
     return float(min(1.0, np.sqrt(max(0.0, outside / total))))
 
 
-def minimal_concentration_set(f: Signal, epsilon: float, axis: str | None = None) -> ConcentrationResult:
-    """Smallest-measure mask on which f is epsilon-concentrated.
+def minimal_concentration_set(f: Signal, epsilon: float) -> ConcentrationResult:
+    """Smallest-measure mask on f's own axis on which f is epsilon-concentrated.
 
     Cells are admitted greedily in order of decreasing energy |f_j|^2 (ties by
     ascending index) until the excluded energy is at most epsilon^2 ||f||^2.
@@ -89,10 +89,6 @@ def minimal_concentration_set(f: Signal, epsilon: float, axis: str | None = None
     epsilon = float(epsilon)
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon!r}")
-    if axis is None:
-        axis = f.domain
-    if axis != f.domain:
-        raise ValueError(f"requested axis {axis!r} but the signal lives on {f.domain!r}")
     e = np.abs(f.samples) ** 2
     total = float(e.sum())
     if total == 0.0:
@@ -100,7 +96,7 @@ def minimal_concentration_set(f: Signal, epsilon: float, axis: str | None = None
     order = np.argsort(-e, kind="stable")
     flags = np.zeros(f.grid.n, dtype=bool)
     flags[order[: _admitted_count(e, order, total, epsilon * epsilon * total)]] = True
-    mask = mask_from_flags(f.grid, axis, flags)
+    mask = mask_from_flags(f.grid, f.domain, flags)
     return ConcentrationResult(concentration_defect(f, mask), mask)
 
 

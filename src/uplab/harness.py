@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from importlib import resources
@@ -235,6 +236,18 @@ _MOMENT_CHECKS = frozenset(
 )
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _is_finite(x) -> bool:
+    return _is_number(x) and math.isfinite(x)
+
+
+def _is_window(w) -> bool:
+    return isinstance(w, (list, tuple)) and len(w) == 2 and all(map(_is_number, w)) and w[0] < w[1]
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A named, reproducible verification run."""
@@ -256,6 +269,8 @@ class Scenario:
             make_grid(self.grid_n, self.grid_dx)
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"bad grid: {exc}") from exc
+        if not isinstance(self.checks, (list, tuple)):
+            raise ScenarioError(f"checks must be a list of check ids, got {self.checks!r}")
         object.__setattr__(self, "checks", tuple(self.checks))
         unknown = [c for c in self.checks if c not in CHECKS]
         if unknown:
@@ -266,15 +281,27 @@ class Scenario:
         if mode == "auto":
             for key in ("eps_t", "eps_omega"):
                 e = self.sets.get(key)
-                if not (isinstance(e, (int, float)) and 0.0 <= e <= 1.0):
+                if not (_is_number(e) and 0.0 <= e <= 1.0):
                     raise ScenarioError(f"auto sets need {key} in [0, 1], got {e!r}")
         elif mode == "explicit":
             for key in ("time", "frequency"):
                 windows = self.sets.get(key)
-                if not windows or not all(len(w) == 2 and float(w[0]) < float(w[1]) for w in windows):
-                    raise ScenarioError(f"explicit sets need nonempty {key} windows [lo, hi)")
+                if not (isinstance(windows, (list, tuple)) and windows and all(map(_is_window, windows))):
+                    raise ScenarioError(
+                        f"explicit sets need a nonempty list of {key} windows [lo, hi), got {windows!r}"
+                    )
         else:
             raise ScenarioError(f"sets mode must be 'auto' or 'explicit', got {mode!r}")
+        for key, value in self.bound_params.items():
+            if key not in BOUND_DEFAULTS:
+                raise ScenarioError(f"unknown bound parameter {key!r}; known: {sorted(BOUND_DEFAULTS)}")
+            if isinstance(BOUND_DEFAULTS[key], tuple):
+                ok = isinstance(value, (list, tuple)) and all(map(_is_finite, value))
+                kind = "a list of finite numbers"
+            else:
+                ok, kind = _is_finite(value), "a finite number"
+            if not ok:
+                raise ScenarioError(f"bound parameter {key!r} must be {kind}, got {value!r}")
         for check_id, tol in self.tolerances.items():
             if check_id not in CHECKS:
                 raise ScenarioError(f"tolerance for unknown check {check_id!r}")
@@ -327,7 +354,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             signal_params=dict(signal.get("params", {})),
             sets=dict(data.get("sets", {"mode": "auto", "eps_t": 0.1, "eps_omega": 0.1})),
             bound_params=dict(data.get("bound_params", {})),
-            checks=tuple(data.get("checks", DEFAULT_CHECKS)),
+            checks=data.get("checks", DEFAULT_CHECKS),
             tolerances=dict(data.get("tolerances", {})),
         )
     except ScenarioError:
@@ -591,12 +618,7 @@ def _check_spread_product(ctx: _RunContext) -> Verdict:
 def _check_support(ctx: _RunContext, axis: str) -> Verdict:
     check_id = "support-time" if axis == TIME else "support-freq"
     return bounds.mixed_bound_check(
-        ctx.f,
-        ctx.fhat,
-        float(ctx.param("alpha_support")),
-        center=None,
-        axis=axis,
-        rel_tol=ctx.tol(check_id),
+        ctx.f, ctx.fhat, float(ctx.param("alpha_support")), axis=axis, rel_tol=ctx.tol(check_id)
     )
 
 

@@ -35,18 +35,17 @@ class PowerIterationError(RuntimeError):
 
 @dataclass(frozen=True)
 class LinearOp:
-    """Dense operator on time-domain samples, with a provenance tag."""
+    """Dense n-by-n operator on the time-domain samples of a grid, as a frozen matrix."""
 
     grid: Grid
     matrix: np.ndarray
-    provenance: str
 
 
-def linear_op(grid: Grid, matrix, provenance: str) -> LinearOp:
+def linear_op(grid: Grid, matrix) -> LinearOp:
     arr = frozen_array(matrix)
     if arr.shape != (grid.n, grid.n):
         raise ValueError(f"expected shape {(grid.n, grid.n)}, got {arr.shape}")
-    return LinearOp(grid, arr, provenance)
+    return LinearOp(grid, arr)
 
 
 def _lags(n: int) -> np.ndarray:
@@ -73,13 +72,11 @@ def _freq_multiplier(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SmoothedSymbol:
-    """Gaussian-smoothed indicator values on one axis."""
+    """Values in [0, 1] of a Gaussian-smoothed mask indicator, one per cell of one grid axis."""
 
     grid: Grid
     axis: str
-    lam: float
     values: np.ndarray
-    mask: MaskSet
 
 
 def gaussian_smoothed_indicator(mask: MaskSet, lam: float) -> SmoothedSymbol:
@@ -111,7 +108,7 @@ def gaussian_smoothed_indicator(mask: MaskSet, lam: float) -> SmoothedSymbol:
     kernel = kernel / (h * mass)
     conv = np.fft.ifft(np.fft.fft(mask.flags.astype(float)) * np.fft.fft(np.fft.ifftshift(kernel)))
     values = np.clip(h * conv.real, 0.0, 1.0)
-    return SmoothedSymbol(grid, mask.axis, lam, frozen_array(values, dtype=np.float64), mask)
+    return SmoothedSymbol(grid, mask.axis, frozen_array(values, dtype=np.float64))
 
 
 def apply_time_symbol(sym: SmoothedSymbol, f: Signal) -> Signal:
@@ -141,8 +138,8 @@ def smoothed_concentration_ops(
     grid = mask_t.grid
     sym1 = gaussian_smoothed_indicator(mask_t, lam1)
     sym2 = gaussian_smoothed_indicator(mask_w, lam2)
-    l1 = linear_op(grid, np.diag(sym1.values.astype(np.complex128)), f"time-concentration-smoother(lam={lam1})")
-    l2 = linear_op(grid, _freq_multiplier(grid, sym2.values), f"frequency-concentration-smoother(lam={lam2})")
+    l1 = linear_op(grid, np.diag(sym1.values.astype(np.complex128)))
+    l2 = linear_op(grid, _freq_multiplier(grid, sym2.values))
     return l1, l2
 
 
@@ -173,7 +170,7 @@ def localization_operator(symbol: TFMatrix, phi: Signal, psi: Signal) -> LinearO
     conv = np.fft.ifft(conv, axis=0)
     conv *= (n * grid.dx * grid.dx * grid.dw) * _alternating(n)
     # conv[m, d] sits at column (m - d) mod n, i.e. L[m, m'] = conv[m, (m - m') mod n]
-    return linear_op(grid, np.take_along_axis(conv, lag, axis=1), "localization")
+    return linear_op(grid, np.take_along_axis(conv, lag, axis=1))
 
 
 def _symbol_on_midpoints(symbol, grid: Grid) -> tuple[Grid, np.ndarray]:
@@ -218,7 +215,7 @@ def weyl_operator(symbol, grid: Grid | None = None) -> LinearOp:
         p = (m + q - wrap * n) % (2 * n)
         sign = np.where(ell % 2 == 0, 1.0, -1.0)
         k[:, q] = sign * rows[p, ell % n]
-    return linear_op(grid, grid.dx * k, "weyl")
+    return linear_op(grid, grid.dx * k)
 
 
 def weyl_from_localization(symbol: TFMatrix, phi: Signal, psi: Signal) -> LinearOp:
@@ -231,8 +228,7 @@ def weyl_from_localization(symbol: TFMatrix, phi: Signal, psi: Signal) -> Linear
     spread = np.fft.ifft2(
         np.fft.fft2(symbol.values) * np.fft.fft2(np.fft.ifftshift(smoother))
     ) * (grid.dx * grid.dw)
-    op = weyl_operator(tfmatrix_from_values(grid, spread))
-    return linear_op(grid, op.matrix, "weyl-of-localization")
+    return weyl_operator(tfmatrix_from_values(grid, spread))
 
 
 def operator_norm(op: LinearOp, seed: int = 0, rtol: float = 1e-10, max_iter: int = 10000) -> float:

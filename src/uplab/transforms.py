@@ -58,16 +58,8 @@ def tfmatrix_from_values(grid: Grid, values) -> TFMatrix:
     return TFMatrix(grid, arr)
 
 
-@dataclass(frozen=True)
-class GaussianWindow:
-    """Unit-energy Gaussian (2*lam)^(1/4) exp(-pi*lam*t^2) sampled on a grid."""
-
-    lam: float
-    signal: Signal
-
-
-def gaussian_window(lam: float, grid: Grid) -> GaussianWindow:
-    """Sample the normalized Gaussian of width parameter lam.
+def gaussian_window(lam: float, grid: Grid) -> Signal:
+    """Sample the unit-energy Gaussian (2*lam)^(1/4) exp(-pi*lam*t^2) as a time signal.
 
     Rejects windows the grid cannot represent: more than 1e-6 of the sampled
     energy within three cells of the edge (too wide), or fewer than four
@@ -89,7 +81,7 @@ def gaussian_window(lam: float, grid: Grid) -> GaussianWindow:
         raise ValueError(
             f"window lam={lam} is not resolved by the grid ({above_half} samples above half maximum)"
         )
-    return GaussianWindow(lam, signal)
+    return signal
 
 
 def _cyclic_shift_table(n: int) -> np.ndarray:
@@ -98,21 +90,20 @@ def _cyclic_shift_table(n: int) -> np.ndarray:
     return (m[None, :] - m[:, None] + n // 2) % n
 
 
-def gabor_transform(f: Signal, window) -> TFMatrix:
+def gabor_transform(f: Signal, window: Signal) -> TFMatrix:
     """V_w f(x_j, w_k) = dx * sum_m exp(-2*pi*i*t_m*w_k) f(t_m) conj(w(t_m - x_j)).
 
     The window is shifted cyclically, one FFT per time shift.
     """
-    win = window.signal if isinstance(window, GaussianWindow) else window
-    if f.domain != TIME or win.domain != TIME:
+    if f.domain != TIME or window.domain != TIME:
         raise ValueError("Gabor transform expects time-domain signal and window")
-    if f.grid != win.grid:
+    if f.grid != window.grid:
         raise ValueError("signal and window must share a grid")
-    if not np.any(win.samples):
+    if not np.any(window.samples):
         raise ValueError("window must be nonzero")
     n = f.grid.n
     table = _cyclic_shift_table(n)
-    integrand = f.samples[None, :] * np.conj(win.samples[table])
+    integrand = f.samples[None, :] * np.conj(window.samples[table])
     vals = f.grid.dx * centered_dft(integrand, axis=1)
     return tfmatrix_from_values(f.grid, vals)
 
@@ -122,7 +113,7 @@ def tf_norm_lp(m: TFMatrix, p: float) -> float:
     return _quadrature_lq(np.abs(m.values), m.cell_weight, p)
 
 
-def spectrogram(f: Signal, g: Signal, window) -> TFMatrix:
+def spectrogram(f: Signal, g: Signal, window: Signal) -> TFMatrix:
     """Two-window spectrogram V_w f * conj(V_w g); real and nonnegative for g = f.
 
     When g is f the transform is computed once and reused.

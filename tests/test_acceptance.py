@@ -216,7 +216,7 @@ def test_acceptance_9_reference_algorithms(capsys):
         rng = np.random.default_rng(seed)
         matrix = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
         top = np.linalg.svd(matrix, compute_uv=False)[0]
-        norm_ok &= abs(U.operator_norm(U.linear_op(grid, matrix, "dense")) - top) <= 1e-8
+        norm_ok &= abs(U.operator_norm(U.linear_op(grid, matrix)) - top) <= 1e-8
     announce(
         capsys,
         9,

@@ -1,0 +1,39 @@
+"""Smoke test of the benchmark worker against this checkout.
+
+`benchmarks/worker.py` reaches the library through its public names and the
+traced `CfSearch.alphas` method.  Running one pass of the two cheapest
+workloads here makes a change that breaks the benchmark fail the unit tests
+first.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_worker(*args) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "worker.py"), *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    return json.loads(out.stdout)
+
+
+def test_traced_suite_pass_matches_the_reference(tmp_path):
+    result = run_worker("--workload", "suite", "--spans", str(tmp_path / "spans.npz"))
+    assert result["failed"] == 0, result["failures"]
+    assert "bounds.CfSearch.alphas" in result["spans"]
+
+
+def test_operators_pass_matches_the_reference():
+    result = run_worker("--workload", "operators", "--variant", "0")
+    assert result["failed"] == 0, result["failures"]

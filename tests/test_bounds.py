@@ -22,7 +22,6 @@ from scipy.special import erf
 import uplab
 from uplab import (
     FREQUENCY,
-    BoundParams,
     CfSearch,
     TIME,
     bounds,
@@ -90,15 +89,6 @@ class TestExponentsAndConstants:
         assert min(values) == pytest.approx(0.5, abs=1e-15)
         assert values[0] == min(values)
         assert alpha_k_profile(10**6) > 0.99
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            BoundParams(eps_t=-0.1, eps_omega=0.2)
-        with pytest.raises(ValueError):
-            BoundParams(eps_t=0.1, eps_omega=0.2, d=0)
-        p = BoundParams(eps_t=0.1, eps_omega=0.2, q=4.0)
-        assert p.q_conj == pytest.approx(4.0 / 3.0)
-        assert p.eps_sum == pytest.approx(0.3)
 
 
 class TestProductBounds:
@@ -174,6 +164,15 @@ class TestProductBounds:
 
     def test_total_defect_one_collapses_to_zero(self):
         assert improved_bound(0.5, 0.5).value == 0.0
+
+    @pytest.mark.parametrize(
+        "eps_t, eps_omega, d",
+        [(-0.1, 0.2, 1), (0.1, math.nan, 1), (0.1, 0.2, 0), (0.1, 0.2, 1.5), (0.6, 0.5, 1)],
+        ids=["negative-defect", "nan-defect", "zero-dimension", "fractional-dimension", "defect-sum-above-one"],
+    )
+    def test_invalid_arguments_raise(self, eps_t, eps_omega, d):
+        with pytest.raises(ValueError):
+            improved_bound(eps_t, eps_omega, d)
 
     @pytest.mark.parametrize("eps_t, d", [(0.0, 355), (0.0, 400), (0.1, 400), (0.45, 400)])
     def test_supremum_above_the_double_range_is_an_error(self, eps_t, d):

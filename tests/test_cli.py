@@ -21,9 +21,22 @@ class TestBoundsCommand:
 
         assert printed == pytest.approx(improved_bound(0.1, 0.1).value, abs=1e-7)
 
-    def test_invalid_defect_sum_is_a_usage_error(self, capsys):
-        assert main(["bounds", "--eps-t", "0.7", "--eps-omega", "0.5"]) == 2
-        assert "error" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--eps-t", "0.7", "--eps-omega", "0.5"],
+            ["--eps-t", "-0.1", "--eps-omega", "0.2"],
+            ["--eps-t", "nan", "--eps-omega", "0.2"],
+            ["--eps-t", "0.1", "--eps-omega", "0.2", "--dim", "0"],
+        ],
+        ids=["defect-sum-above-one", "negative-defect", "nan-defect", "zero-dimension"],
+    )
+    def test_invalid_arguments_are_usage_errors(self, capsys, args):
+        assert main(["bounds", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
 
     @pytest.mark.parametrize("eps_t", ["0", "0.1"])
     def test_dimension_past_the_double_range_is_a_usage_error(self, capsys, eps_t):
@@ -96,6 +109,13 @@ class TestRunCommand:
             {"signal": {"kind": "hermite", "params": {"k": 171}}},
             {"signal": {"kind": "csv", "params": {"path": "no-such-signal.csv"}}},
             {"sets": {"mode": "explicit", "time": [[-1.0, 0.0]], "frequency": ["0:"]}},
+            {"sets": {"mode": "explicit", "time": ["01"], "frequency": [[-1.0, 1.0]]}},
+            {"checks": "ds-product"},
+            {"sets": {"mode": "auto", "eps_t": True, "eps_omega": 0.1}},
+            {"bound_params": {"alhpa": 7}},
+            {"bound_params": {"alpha": "wide"}},
+            {"bound_params": {"q": math.nan}},
+            {"bound_params": {"lam1_sweep": 4}},
         ],
         ids=[
             "odd-grid",
@@ -109,6 +129,13 @@ class TestRunCommand:
             "hermite-index-past-the-normalisation",
             "missing-csv-file",
             "non-numeric-window",
+            "string-window",
+            "string-checks",
+            "boolean-defect",
+            "unknown-bound-parameter",
+            "non-numeric-bound-parameter",
+            "non-finite-bound-parameter",
+            "scalar-sweep",
         ],
     )
     def test_malformed_scenario_is_a_usage_error(self, tmp_path, capsys, fields):

@@ -314,6 +314,15 @@ _VALID_PARAMS = {
     # names of files in the data_dir fixture, resolved in _resolve_csv_path
     "csv": {"path": st.sampled_from(["signal-64.csv", "garbage.csv", "missing.csv", ""])},
 }
+_VALID_BOUND_PARAMS = {
+    "alpha": st.floats(0.6, 4.0),
+    "q": st.sampled_from([1.5, 2.0, 4.0]),
+    "alpha_support": st.floats(0.6, 4.0),
+    "lam1": st.floats(0.25, 4.0),
+    "lam2": st.floats(0.25, 4.0),
+    "lam1_sweep": st.lists(st.floats(0.25, 64.0), max_size=4),
+    "lam2_sweep": st.lists(st.floats(0.01, 4.0), max_size=4),
+}
 _STATUSES = {"pass", "fail", "skipped"}
 _ONE_IN_EIGHT = st.sampled_from((False,) * 7 + (True,))
 
@@ -347,6 +356,11 @@ def scenario_dicts(draw):
         "signal": {"kind": kind, "params": params},
         "sets": sets,
     }
+    if draw(st.booleans()):
+        bound_params = {key: value(valid) for key, valid in _VALID_BOUND_PARAMS.items() if draw(st.booleans())}
+        if draw(_ONE_IN_EIGHT):
+            bound_params["alhpa"] = 1.0
+        data["bound_params"] = bound_params
     if draw(st.booleans()):
         data["checks"] = draw(st.lists(st.sampled_from(sorted(CHECKS)), max_size=len(CHECKS), unique=True))
     if draw(_ONE_IN_EIGHT):

@@ -116,7 +116,7 @@ class TestProjections:
         grid = make_grid(64, 1 / 8)
         flags_t = mask_from_axis_window(grid, TIME, -0.5, 0.5).flags.astype(float)
         flags_w = mask_from_axis_window(grid, FREQUENCY, -0.5, 0.5).flags.astype(float)
-        pq = linear_op(grid, np.diag(flags_t) @ dft_conjugated_multiplier(grid, flags_w), "composition")
+        pq = linear_op(grid, np.diag(flags_t) @ dft_conjugated_multiplier(grid, flags_w))
         norm = operator_norm(pq)
         assert 0.5 < norm < 1.0
         assert norm == pytest.approx(np.linalg.svd(pq.matrix, compute_uv=False)[0], abs=1e-8)
@@ -318,7 +318,7 @@ class TestOperatorNorm:
         grid = make_grid(32, 0.25)
         rng = np.random.default_rng(seed)
         matrix = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
-        op = linear_op(grid, matrix, "dense test matrix")
+        op = linear_op(grid, matrix)
         top = np.linalg.svd(matrix, compute_uv=False)[0]
         assert abs(operator_norm(op) - top) < 1e-8
 
@@ -332,16 +332,16 @@ class TestOperatorNorm:
         sigma = np.concatenate([[2.0, 1.98], np.linspace(1.0, 0.02, 30)])
         matrix = (q1 * sigma) @ q2.conj().T
         top = np.linalg.svd(matrix, compute_uv=False)[0]
-        norm = operator_norm(linear_op(grid, matrix, "close top pair"))
+        norm = operator_norm(linear_op(grid, matrix))
         assert norm <= top * (1 + 1e-12)
         assert norm >= top * (1 - 1e-7)
 
     def test_zero_operator(self):
         grid = make_grid(8, 0.5)
-        assert operator_norm(linear_op(grid, np.zeros((8, 8)), "zero")) == 0.0
+        assert operator_norm(linear_op(grid, np.zeros((8, 8)))) == 0.0
 
     def test_large_grids_rejected(self):
         grid = make_grid(2048, 1 / 64)
-        op = linear_op(grid, np.zeros((2048, 2048)), "too big")
+        op = linear_op(grid, np.zeros((2048, 2048)))
         with pytest.raises(ValueError):
             operator_norm(op)

@@ -203,7 +203,7 @@ class TestWindows:
     def test_window_is_unit_energy(self):
         grid = make_grid(256, 1 / 16)
         w = gaussian_window(2.0, grid)
-        assert norm_lq(w.signal, 2) == pytest.approx(1.0, rel=1e-12)
+        assert norm_lq(w, 2) == pytest.approx(1.0, rel=1e-12)
 
     def test_too_wide_for_the_grid_rejected(self):
         grid = make_grid(256, 1 / 16)
