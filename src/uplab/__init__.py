@@ -105,6 +105,7 @@ from .transforms import (
     gaussian_window,
     marginals,
     spectrogram,
+    spectrogram_marginals,
     tf_norm_lp,
     tfmatrix_from_values,
     trig_upsample2,

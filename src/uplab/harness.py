@@ -13,7 +13,8 @@ optimized-product       |T||Omega| >= sup_r (1-eps)^r (r/(r-1))^(2d(r-1)),
                         concentration operators L1, L2
 marginal-energy         same optimized bound, with eps certified by
                         spectrogram-marginal masses on T and Omega (witness
-                        g = f)
+                        g = f), streamed in row blocks with one Gabor pass
+                        per distinct window
 local-energy            spectral energy in Omega <= K(d,alpha,q) |Omega|
                         ||f||_q^(2-e) |||t|^alpha f||_q^e, e = 2d/(alpha q')
 signal-product          |T||Omega| >= C_f (1 - eps_T - eps_Omega)^2 at the
@@ -76,7 +77,7 @@ from .report import (
     make_verdict,
     skipped_verdict,
 )
-from .transforms import gaussian_window, marginals, spectrogram
+from .transforms import gaussian_window, spectrogram_marginals
 
 
 class ScenarioError(ValueError):
@@ -305,8 +306,8 @@ class Scenario:
         for check_id, tol in self.tolerances.items():
             if check_id not in CHECKS:
                 raise ScenarioError(f"tolerance for unknown check {check_id!r}")
-            if not tol > 0:
-                raise ScenarioError(f"tolerance for {check_id!r} must be positive")
+            if not (_is_finite(tol) and tol > 0):
+                raise ScenarioError(f"tolerance for {check_id!r} must be a finite positive number, got {tol!r}")
 
     def tolerance(self, check_id: str) -> float:
         if check_id in self.tolerances:
@@ -331,17 +332,23 @@ def scenario_to_dict(s: Scenario) -> dict:
     }
 
 
+def _json_object(value, where: str) -> dict:
+    # a JSON list of pairs would pass dict(...), so the type is checked first
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{where} must be a JSON object, got {type(value).__name__}")
+    return dict(value)
+
+
 def scenario_from_dict(data: dict) -> Scenario:
-    if not isinstance(data, dict):
-        raise ScenarioError(f"scenario must be a JSON object, got {type(data).__name__}")
+    data = _json_object(data, "scenario")
     known = {"name", "grid", "signal", "sets", "bound_params", "checks", "tolerances"}
     unknown = set(data) - known
     if unknown:
         raise ScenarioError(f"unknown scenario fields {sorted(unknown)}")
     if "name" not in data:
         raise ScenarioError("scenario needs a 'name' field")
-    grid = data.get("grid", {})
-    signal = data.get("signal", {})
+    grid = _json_object(data.get("grid", {}), "grid")
+    signal = _json_object(data.get("signal", {}), "signal")
     try:
         n = grid.get("n", 256)
         if int(n) != n:
@@ -351,11 +358,11 @@ def scenario_from_dict(data: dict) -> Scenario:
             grid_n=int(n),
             grid_dx=float(grid.get("dx", 1.0 / 16.0)),
             signal_kind=signal.get("kind", "gaussian"),
-            signal_params=dict(signal.get("params", {})),
-            sets=dict(data.get("sets", {"mode": "auto", "eps_t": 0.1, "eps_omega": 0.1})),
-            bound_params=dict(data.get("bound_params", {})),
+            signal_params=_json_object(signal.get("params", {}), "signal.params"),
+            sets=_json_object(data.get("sets", {"mode": "auto", "eps_t": 0.1, "eps_omega": 0.1}), "sets"),
+            bound_params=_json_object(data.get("bound_params", {}), "bound_params"),
             checks=data.get("checks", DEFAULT_CHECKS),
-            tolerances=dict(data.get("tolerances", {})),
+            tolerances=_json_object(data.get("tolerances", {}), "tolerances"),
         )
     except ScenarioError:
         raise
@@ -526,11 +533,10 @@ def _check_optimized_product(ctx: _RunContext) -> Verdict:
 
 def _check_marginal_energy(ctx: _RunContext) -> Verdict:
     lam1, lam2 = float(ctx.param("lam1")), float(ctx.param("lam2"))
-    sp1 = spectrogram(ctx.f, ctx.f, gaussian_window(lam1, ctx.grid))
-    time_profile, _ = marginals(sp1)
+    time_profile, freq_profile = spectrogram_marginals(ctx.f, gaussian_window(lam1, ctx.grid))
+    if lam2 != lam1:
+        _, freq_profile = spectrogram_marginals(ctx.f, gaussian_window(lam2, ctx.grid))
     m_t = min(abs(complex(ctx.grid.dx * np.sum(time_profile[ctx.mask_t.flags]))), 1.0)
-    sp2 = spectrogram(ctx.f, ctx.f, gaussian_window(lam2, ctx.grid))
-    _, freq_profile = marginals(sp2)
     m_w = min(abs(complex(ctx.grid.dw * np.sum(freq_profile[ctx.mask_w.flags]))), 1.0)
     eps_t = math.sqrt(1.0 - m_t**2)
     eps_w = math.sqrt(1.0 - m_w**2)

@@ -9,6 +9,14 @@ shifts are cyclic in the sample index, which makes the energy identity
 exact for every signal, at the cost of wrap-around for signals with mass near
 the grid edge (a documented trade the harness flags).
 
+Every row of V_w f comes from one kernel, ``_gabor_rows``, which builds a
+block of rows in FFT order and transforms it.  ``gabor_transform`` runs it
+over all n rows.  ``spectrogram_marginals`` runs it over row blocks of at
+most ``_BLOCK_BYTES`` and keeps only the two marginal vectors.  It does the
+same arithmetic in the same order as ``marginals(spectrogram(f, f, w))``, so
+its profiles are bit-identical to that dense route, which the tests use as
+the oracle.
+
 The cross-Wigner distribution is
 
     Wig(f, g)(x, w) = int exp(-2*pi*i*t*w) f(x + t/2) conj(g(x - t/2)) dt,
@@ -33,7 +41,6 @@ from .core import (
     Signal,
     _quadrature_lq,
     boundary_energy_fraction,
-    centered_dft,
     frozen_array,
     signal_from_samples,
 )
@@ -84,10 +91,36 @@ def gaussian_window(lam: float, grid: Grid) -> Signal:
     return signal
 
 
-def _cyclic_shift_table(n: int) -> np.ndarray:
-    # row j holds indices (m - j + n/2) mod n, so table[j] centers a window at t_j
-    m = np.arange(n)
-    return (m[None, :] - m[:, None] + n // 2) % n
+# Upper size in bytes of one complex row block in the streamed marginals.  The
+# rows are split into equal blocks, so each block holds about half this size or
+# more, and at least one row.  That keeps every block at or above numpy's
+# 256 KiB temporary-elision threshold whenever the n x n array is: elision
+# evaluates v * conj(v) as conj(v) *= v, which rounds the fused multiply-add of
+# the complex product differently, so only blocks on the same side of the
+# threshold round exactly as the dense array does.
+_BLOCK_BYTES = 1 << 20
+
+
+def _check_gabor_args(f: Signal, window: Signal) -> None:
+    if f.domain != TIME or window.domain != TIME:
+        raise ValueError("Gabor transform expects time-domain signal and window")
+    if f.grid != window.grid:
+        raise ValueError("signal and window must share a grid")
+    if not np.any(window.samples):
+        raise ValueError("window must be nonzero")
+
+
+def _gabor_rows(f: Signal, window: Signal, j0: int, j1: int) -> np.ndarray:
+    """Rows j0:j1 of V_w f, as dx * fftshift(fft(.)) of the integrand in FFT order.
+
+    In FFT order the integrand of row j is ifftshift(f)[k] * conj(w[(k - j) mod n]);
+    the window gather is a reversed sliding view of conj(w) repeated twice.
+    """
+    n = f.grid.n
+    cw = np.conj(window.samples)
+    shifts = np.lib.stride_tricks.sliding_window_view(np.concatenate((cw, cw)), n)
+    integrand = np.fft.ifftshift(f.samples)[None, :] * shifts[n - j0 : n - j1 : -1]
+    return f.grid.dx * np.fft.fftshift(np.fft.fft(integrand, axis=1), axes=1)
 
 
 def gabor_transform(f: Signal, window: Signal) -> TFMatrix:
@@ -95,17 +128,30 @@ def gabor_transform(f: Signal, window: Signal) -> TFMatrix:
 
     The window is shifted cyclically, one FFT per time shift.
     """
-    if f.domain != TIME or window.domain != TIME:
-        raise ValueError("Gabor transform expects time-domain signal and window")
-    if f.grid != window.grid:
-        raise ValueError("signal and window must share a grid")
-    if not np.any(window.samples):
-        raise ValueError("window must be nonzero")
+    _check_gabor_args(f, window)
+    return tfmatrix_from_values(f.grid, _gabor_rows(f, window, 0, f.grid.n))
+
+
+def spectrogram_marginals(f: Signal, window: Signal) -> tuple[np.ndarray, np.ndarray]:
+    """marginals(spectrogram(f, f, window)), streamed over row blocks of V_w f.
+
+    Each block's |V_w f|^2 rows are summed as the dense route sums them (per
+    row along frequency; row by row into the frequency accumulator), so both
+    profiles are bit-identical to the dense ones while only one block is held.
+    """
+    _check_gabor_args(f, window)
     n = f.grid.n
-    table = _cyclic_shift_table(n)
-    integrand = f.samples[None, :] * np.conj(window.samples[table])
-    vals = f.grid.dx * centered_dft(integrand, axis=1)
-    return tfmatrix_from_values(f.grid, vals)
+    blocks = -(-n // max(1, _BLOCK_BYTES // (16 * n)))
+    edges = [i * n // blocks for i in range(blocks + 1)]
+    row_sums = np.empty(n, dtype=np.complex128)
+    col_sum = np.zeros(n, dtype=np.complex128)
+    for j0, j1 in zip(edges[:-1], edges[1:]):
+        v = _gabor_rows(f, window, j0, j1)
+        block = v * np.conj(v)
+        row_sums[j0:j1] = block.sum(axis=1)
+        for row in block:
+            col_sum += row
+    return f.grid.dw * row_sums, f.grid.dx * col_sum
 
 
 def tf_norm_lp(m: TFMatrix, p: float) -> float:

@@ -3,7 +3,9 @@
 `benchmarks/worker.py` reaches the library through its public names and the
 traced `CfSearch.alphas` method.  Running one pass of the two cheapest
 workloads here makes a change that breaks the benchmark fail the unit tests
-first.
+first.  The `phase-space` pass at variant 5 guards the frozen marginal
+masses, which the `marginal-energy` rhs magnifies several hundredfold, so a
+one-ulp drift in the spectrogram marginals fails it.
 """
 
 import json
@@ -36,4 +38,9 @@ def test_traced_suite_pass_matches_the_reference(tmp_path):
 
 def test_operators_pass_matches_the_reference():
     result = run_worker("--workload", "operators", "--variant", "0")
+    assert result["failed"] == 0, result["failures"]
+
+
+def test_conditioning_sensitive_phase_space_pass_matches_the_reference():
+    result = run_worker("--workload", "phase-space", "--variant", "5")
     assert result["failed"] == 0, result["failures"]

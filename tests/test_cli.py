@@ -116,6 +116,12 @@ class TestRunCommand:
             {"bound_params": {"alpha": "wide"}},
             {"bound_params": {"q": math.nan}},
             {"bound_params": {"lam1_sweep": 4}},
+            {"tolerances": {"ds-product": True}},
+            {"tolerances": {"ds-product": math.inf}},
+            {"signal": {"kind": "gaussian", "params": [["lam", 2]]}},
+            {"sets": [["mode", "auto"], ["eps_t", 0.1], ["eps_omega", 0.1]]},
+            {"bound_params": [["alpha", 2]]},
+            {"tolerances": [["ds-product", 1e-6]]},
         ],
         ids=[
             "odd-grid",
@@ -136,6 +142,12 @@ class TestRunCommand:
             "non-numeric-bound-parameter",
             "non-finite-bound-parameter",
             "scalar-sweep",
+            "boolean-tolerance",
+            "infinite-tolerance",
+            "pair-list-params",
+            "pair-list-sets",
+            "pair-list-bound-params",
+            "pair-list-tolerances",
         ],
     )
     def test_malformed_scenario_is_a_usage_error(self, tmp_path, capsys, fields):

@@ -335,6 +335,10 @@ def scenario_dicts(draw):
         # one value in eight is malformed, so most dicts still reach the checks
         return draw(_JUNK) if draw(_ONE_IN_EIGHT) else draw(valid)
 
+    def obj(mapping):
+        # one object in eight is written as the JSON list of its pairs
+        return [list(pair) for pair in mapping.items()] if draw(_ONE_IN_EIGHT) else mapping
+
     kind = value(st.sampled_from(SIGNAL_KINDS))
     known = _VALID_PARAMS.get(kind, {}) if isinstance(kind, str) else {}
     params = {key: value(valid) for key, valid in known.items() if draw(st.booleans())}
@@ -353,18 +357,18 @@ def scenario_dicts(draw):
     data = {
         "name": value(st.just("generated")),
         "grid": {"n": value(st.sampled_from([4, 8, 16, 32, 64])), "dx": value(st.floats(1 / 16, 1 / 2))},
-        "signal": {"kind": kind, "params": params},
-        "sets": sets,
+        "signal": {"kind": kind, "params": obj(params)},
+        "sets": obj(sets),
     }
     if draw(st.booleans()):
         bound_params = {key: value(valid) for key, valid in _VALID_BOUND_PARAMS.items() if draw(st.booleans())}
         if draw(_ONE_IN_EIGHT):
             bound_params["alhpa"] = 1.0
-        data["bound_params"] = bound_params
+        data["bound_params"] = obj(bound_params)
     if draw(st.booleans()):
         data["checks"] = draw(st.lists(st.sampled_from(sorted(CHECKS)), max_size=len(CHECKS), unique=True))
     if draw(_ONE_IN_EIGHT):
-        data["tolerances"] = {draw(st.sampled_from(sorted(CHECKS))): value(st.floats(1e-9, 1e-3))}
+        data["tolerances"] = obj({draw(st.sampled_from(sorted(CHECKS))): value(st.floats(1e-9, 1e-3))})
     return data
 
 
@@ -378,7 +382,7 @@ def data_dir(tmp_path_factory):
 
 def _resolve_csv_path(data, root):
     params = data["signal"]["params"]
-    if data["signal"]["kind"] == "csv" and isinstance(params.get("path"), str) and params["path"]:
+    if data["signal"]["kind"] == "csv" and isinstance(params, dict) and isinstance(params.get("path"), str) and params["path"]:
         params["path"] = str(root / params["path"])
     return data
 
@@ -388,11 +392,14 @@ class TestScenarioProperties:
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_run_rejects_the_scenario_or_reports_valid_statuses(self, data_dir, data):
         data = _resolve_csv_path(data, data_dir)
+        objects = (data["signal"]["params"], data["sets"], data.get("bound_params"), data.get("tolerances"))
+        pair_listed = any(isinstance(field, list) for field in objects)
         try:
             scenario = scenario_from_dict(data)
             report = run_scenario(scenario)
         except ScenarioError:
             return
+        assert not pair_listed, "a JSON list of pairs was read as an object"
         assert [v.check_id for v in report.verdicts] == sorted(dict.fromkeys(scenario.checks))
         assert {v.status for v in report.verdicts} <= _STATUSES
 

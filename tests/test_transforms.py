@@ -2,15 +2,20 @@
 
 Oracles: the exact cyclic energy identity for the windowed transform, the
 closed-form Wigner distribution of Gaussian bumps, orthogonality relations
-for phase-space inner products, and hand-countable cell sums.
+for phase-space inner products, and hand-countable cell sums.  The streamed
+spectrogram marginals are pinned bit for bit to the dense spectrogram, and
+the Gabor transform to the explicit shift-table construction.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from uplab import (
+    Scenario,
+    centered_dft,
     energy,
     fourier,
     gabor_transform,
@@ -19,8 +24,10 @@ from uplab import (
     make_grid,
     marginals,
     norm_lq,
+    run_scenario,
     signal_from_samples,
     spectrogram,
+    spectrogram_marginals,
     tf_norm_lp,
     tfmatrix_from_values,
     trig_upsample2,
@@ -40,6 +47,19 @@ def noise_signal(grid, seed, normalize=True):
 def unit_gaussian(grid, lam=1.0):
     samples = (2 * lam) ** 0.25 * np.exp(-np.pi * lam * grid.times**2)
     return signal_from_samples(grid, samples)
+
+
+def chirp(grid, rate=2.0):
+    t = grid.times
+    return signal_from_samples(grid, 2**0.25 * np.exp(-np.pi * t**2) * np.exp(1j * np.pi * rate * t**2))
+
+
+def shift_table_gabor(f, window):
+    # one explicit cyclic window shift per row, then the centred DFT of each row
+    n = f.grid.n
+    m = np.arange(n)
+    table = (m[None, :] - m[:, None] + n // 2) % n
+    return f.grid.dx * centered_dft(f.samples[None, :] * np.conj(window.samples[table]), axis=1)
 
 
 class TestGabor:
@@ -72,6 +92,12 @@ class TestGabor:
             f, w = noise_signal(grid, seed), noise_signal(grid, 100 + seed)
             v = gabor_transform(f, w)
             assert tf_norm_lp(v, math.inf) <= norm_lq(f, 2) * norm_lq(w, 2) + 1e-12
+
+    @pytest.mark.parametrize("n", [4, 64, 256, 1000])
+    def test_matches_the_shift_table_construction_exactly(self, n):
+        grid = make_grid(n, 1 / 16 if n > 64 else 1 / 8)
+        f, w = noise_signal(grid, 12), noise_signal(grid, 13)
+        np.testing.assert_array_equal(gabor_transform(f, w).values, shift_table_gabor(f, w))
 
     def test_gaussian_window_object_is_accepted(self):
         grid = make_grid(256, 1 / 16)
@@ -136,6 +162,60 @@ class TestSpectrogram:
         time_profile, freq_profile = marginals(sp)
         assert grid.dx * time_profile.sum() == pytest.approx(1.0, rel=1e-10)
         assert grid.dw * freq_profile.sum() == pytest.approx(1.0, rel=1e-10)
+
+
+class TestSpectrogramMarginals:
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("make_signal", [lambda g: noise_signal(g, 14), chirp], ids=["noise", "chirp"])
+    def test_equal_the_dense_marginals_exactly(self, n, make_signal):
+        grid = make_grid(n, 1 / 16 if n > 64 else 1 / 8)
+        f, w = make_signal(grid), gaussian_window(1.0, grid)
+        time_profile, freq_profile = spectrogram_marginals(f, w)
+        dense_time, dense_freq = marginals(spectrogram(f, f, w))
+        np.testing.assert_array_equal(time_profile, dense_time)
+        np.testing.assert_array_equal(freq_profile, dense_freq)
+
+    @pytest.mark.parametrize("n", [258, 1000])
+    def test_uneven_row_blocks_equal_the_dense_marginals_exactly(self, n):
+        # 258 rows would leave a 4-row tail after full 254-row blocks
+        assert n % (transforms._BLOCK_BYTES // (16 * n)) != 0
+        grid = make_grid(n, 1 / 16)
+        f, w = noise_signal(grid, 15), gaussian_window(2.0, grid)
+        time_profile, freq_profile = spectrogram_marginals(f, w)
+        dense_time, dense_freq = marginals(spectrogram(f, f, w))
+        np.testing.assert_array_equal(time_profile, dense_time)
+        np.testing.assert_array_equal(freq_profile, dense_freq)
+
+    def test_peak_memory_stays_below_a_quarter_of_one_dense_array(self):
+        n = 2048
+        grid = make_grid(n, 1 / math.sqrt(n))
+        f, w = noise_signal(grid, 16), gaussian_window(1.0, grid)
+        tracemalloc.start()
+        try:
+            spectrogram_marginals(f, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 16 / 4
+
+    @pytest.mark.parametrize(("lam2", "windows"), [(1.0, 1), (2.0, 2)])
+    def test_marginal_energy_transforms_once_per_distinct_window(self, monkeypatch, lam2, windows):
+        rows_per_window = {}
+        rows = transforms._gabor_rows
+
+        def counting(f, window, j0, j1):
+            key = window.samples.tobytes()
+            rows_per_window[key] = rows_per_window.get(key, 0) + j1 - j0
+            return rows(f, window, j0, j1)
+
+        monkeypatch.setattr(transforms, "_gabor_rows", counting)
+        scenario = Scenario(
+            name="windows", grid_n=64, grid_dx=1 / 8, checks=("marginal-energy",),
+            bound_params={"lam1": 1.0, "lam2": lam2},
+        )
+        run_scenario(scenario)
+        # one pass over the n rows of V_w f per distinct window
+        assert list(rows_per_window.values()) == [scenario.grid_n] * windows
 
 
 class TestWigner:
