@@ -34,7 +34,7 @@ INF = float("inf")
 
 def conjugate_exponent(q: float) -> float:
     q = float(q)
-    if q < 1.0:
+    if not q >= 1.0:
         raise ValueError(f"exponent must satisfy q >= 1, got {q!r}")
     if q == 1.0:
         return INF
@@ -45,16 +45,18 @@ def conjugate_exponent(q: float) -> float:
 
 def lieb_constant(p: float, d: int = 1) -> float:
     """(2/p)^(d/p): transform-size constant for the mixed norm, p >= 2."""
+    d = _check_dimension(d)
     p = float(p)
+    if not p >= 2.0:
+        raise ValueError(f"constant defined for p >= 2, got {p!r}")
     if math.isinf(p):
         return 1.0
-    if p < 2.0:
-        raise ValueError(f"constant defined for p >= 2, got {p!r}")
     return float((2.0 / p) ** (d / p))
 
 
 def locop_constant(q: float, d: int = 1) -> float:
     """(1/q')^(d/q'): operator-norm constant, equal to 1 at q = 1 and q = inf."""
+    d = _check_dimension(d)
     qp = conjugate_exponent(q)
     if math.isinf(qp):
         return 1.0
@@ -164,13 +166,18 @@ def price_k1(d: int, alpha: float) -> float:
     return float(math.exp(log_val))
 
 
-def _check_d_alpha(d: int, alpha: float):
+def _check_dimension(d: int) -> int:
     if int(d) != d or d < 1:
         raise ValueError(f"dimension must be a positive integer, got {d!r}")
+    return int(d)
+
+
+def _check_d_alpha(d: int, alpha: float):
+    d = _check_dimension(d)
     alpha = float(alpha)
     if not (np.isfinite(alpha) and alpha > 0):
         raise ValueError(f"moment exponent must be positive and finite, got {alpha!r}")
-    return int(d), alpha
+    return d, alpha
 
 
 def price_ktilde(d: int, alpha: float, q: float) -> float:
@@ -242,8 +249,8 @@ class CfSearch:
     alpha_max: float = 8.0
     center_count: int = 5
 
-    def alphas(self, q: float, d: int = 1) -> tuple:
-        lo = d / conjugate_exponent(q)
+    def alphas(self, q: float) -> tuple:
+        lo = 1.0 / conjugate_exponent(q)
         vals = set(np.geomspace(max(lo * 1.25, 1e-3), self.alpha_max, self.alpha_count).tolist())
         for extra in (1.0, 2.0):
             if extra > lo * (1.0 + 1e-9) and extra <= self.alpha_max:

@@ -35,7 +35,7 @@ from .harness import (
     run_scenario,
 )
 from .report import write_report_json, write_verdicts_csv
-from .transforms import gabor_transform, gaussian_window, tf_norm_lp, wigner
+from .transforms import gabor_transform, gaussian_window, marginals, tf_norm_lp, wigner
 
 
 def _cmd_run(args) -> int:
@@ -136,8 +136,7 @@ def _selftest_checks(n: int, seed: int):
 
     def wigner_marginal():
         g = generate_signal("gaussian", {"lam": 1.0}, grid)
-        wig = wigner(g)
-        marg = grid.dw * wig.values.sum(axis=1)
+        marg = marginals(wigner(g))[0]
         target = np.abs(g.samples) ** 2
         err = float(np.max(np.abs(marg - target)))
         assert err <= 1e-6, f"marginal error {err:.3e}"

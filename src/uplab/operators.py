@@ -9,13 +9,13 @@ The Weyl quantization evaluates the symbol at half-sample midpoints,
 
     (Op(a) f)(x) = int int exp(2*pi*i*(x - y)*w) a((x + y)/2, w) f(y) dy dw,
 
-with tabulated symbols lifted to the midpoint lattice by trigonometric
-interpolation.  Because the frequency quadrature has spacing dw, the lag
-kernel is periodic with period n*dx; wrapped lags are therefore evaluated on
-the wrapped midpoint branch, which is the periodization of the continuum
-kernel.  This keeps purely-time symbols exactly diagonal, purely-frequency
-symbols exactly the conjugated multiplier, and matches the localization
-operator picture for contained data.
+as a half-lag phase shift: the lag kernel of a tabulated symbol at lag l is
+shifted by -l/2 samples along time by trigonometric interpolation.  Because
+the frequency quadrature has spacing dw, the lag kernel is periodic with
+period n*dx; lags are therefore wrapped into [-n/2, n/2], which is the
+periodization of the continuum kernel.  This keeps purely-time symbols exactly
+diagonal, purely-frequency symbols exactly the conjugated multiplier, and
+matches the localization operator picture for contained data.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .concentration import MaskSet
 from .core import FREQUENCY, TIME, Grid, Signal, _edge_mass, fourier, frozen_array, signal_from_samples
-from .transforms import TFMatrix, tfmatrix_from_values, trig_upsample2, wigner
+from .transforms import TFMatrix, tfmatrix_from_values, wigner
 
 
 class PowerIterationError(RuntimeError):
@@ -173,49 +173,37 @@ def localization_operator(symbol: TFMatrix, phi: Signal, psi: Signal) -> LinearO
     return linear_op(grid, np.take_along_axis(conv, lag, axis=1))
 
 
-def _symbol_on_midpoints(symbol, grid: Grid) -> tuple[Grid, np.ndarray]:
-    if isinstance(symbol, TFMatrix):
-        g = symbol.grid
-        spec = np.fft.fft(symbol.values, axis=0)
-        total = float(np.sum(np.abs(spec) ** 2))
-        nyq = float(np.sum(np.abs(spec[g.n // 2, :]) ** 2))
-        if total > 0 and nyq / total > 1e-8:
-            raise ValueError(
-                "tabulated symbol has energy at the Nyquist row "
-                f"(fraction {nyq / total:.2e}); midpoint interpolation is ill-defined"
-            )
-        a2 = trig_upsample2(symbol.values.T).T  # upsample along the time axis
-        return g, a2
-    if grid is None:
-        raise ValueError("a callable symbol requires an explicit grid")
-    p = np.arange(2 * grid.n)
-    x_half = (p - grid.n) * grid.dx / 2.0
-    a2 = np.asarray(symbol(x_half[:, None], grid.freqs[None, :]), dtype=np.complex128)
-    if a2.shape != (2 * grid.n, grid.n):
-        raise ValueError("callable symbol must broadcast over (x, w) grids")
-    return grid, a2
+def weyl_operator(symbol: TFMatrix) -> LinearOp:
+    """Weyl quantization of a tabulated symbol a(x, w).
 
-
-def weyl_operator(symbol, grid: Grid | None = None) -> LinearOp:
-    """Weyl quantization of a tabulated or callable symbol a(x, w).
-
-    Accepts a TFMatrix (values interpolated to midpoints; rejected when the
-    symbol has more than 1e-8 of its energy in the Nyquist row) or a callable
-    a(x, w) evaluated exactly at the midpoint lattice, with `grid` supplied.
+    The kernel at row m and wrapped lag l in [-n/2, n/2] is the lag kernel
+    B = n * dw * ifft(a, axis=1) at column l, evaluated at x_m - l*dx/2, so
+    each lag column is a trigonometric shift of B by -l/2 samples along time.
+    The Nyquist row of that shift is split symmetrically, and symbols with
+    more than 1e-8 of their energy in it are rejected.
     """
-    grid, a2 = _symbol_on_midpoints(symbol, grid)
+    grid = symbol.grid
     n, n2 = grid.n, grid.n // 2
-    rows = grid.dw * n * np.fft.ifft(a2, axis=1)  # rows indexed by midpoint p
-    k = np.zeros((n, n), dtype=np.complex128)
-    m = np.arange(n)
-    for q in range(n):
-        ell0 = m - q
-        wrap = np.where(ell0 > n2, 1, np.where(ell0 < -n2, -1, 0))
-        ell = ell0 - wrap * n
-        p = (m + q - wrap * n) % (2 * n)
-        sign = np.where(ell % 2 == 0, 1.0, -1.0)
-        k[:, q] = sign * rows[p, ell % n]
-    return linear_op(grid, grid.dx * k)
+    spec = np.fft.fft(symbol.values, axis=0)
+    total = float(np.sum(np.abs(spec) ** 2))
+    nyq = float(np.sum(np.abs(spec[n2, :]) ** 2))
+    if total > 0 and nyq / total > 1e-8:
+        raise ValueError(
+            "tabulated symbol has energy at the Nyquist row "
+            f"(fraction {nyq / total:.2e}); the half-lag shift is ill-defined"
+        )
+    # signed index of each time frequency and each lag, with +n/2 at index n/2
+    ell = np.fft.fftfreq(n, 1.0 / n)
+    ell[n2] = n2
+    # the products are exact integers; reducing them mod 2n keeps the phase in [0, 2*pi)
+    shift = np.exp((-1j * np.pi / n) * (np.outer(ell, ell) % (2 * n)))
+    shift[n2] = np.cos(0.5 * np.pi * ell)
+    kern = np.fft.ifft(np.fft.ifft(spec, axis=1) * shift, axis=0)
+    # lag n/2 takes the wrapped branch -n/2 on rows m < n/2; its shift by +n/4
+    # there is the -n/4 shift read n/2 rows further down
+    kern[:n2, n2] = kern[n2:, n2]
+    kern *= (n * grid.dx * grid.dw) * _alternating(n)
+    return linear_op(grid, np.take_along_axis(kern, _lags(n), axis=1))
 
 
 def weyl_from_localization(symbol: TFMatrix, phi: Signal, psi: Signal) -> LinearOp:
@@ -231,26 +219,33 @@ def weyl_from_localization(symbol: TFMatrix, phi: Signal, psi: Signal) -> Linear
     return weyl_operator(tfmatrix_from_values(grid, spread))
 
 
-def operator_norm(op: LinearOp, seed: int = 0, rtol: float = 1e-10, max_iter: int = 10000) -> float:
+# Power iteration for operator_norm: seed of the start vector, relative step
+# between consecutive estimates that counts as stable, and iteration cap.
+_NORM_SEED = 0
+_NORM_RTOL = 1e-10
+_NORM_MAX_ITER = 10000
+
+
+def operator_norm(op: LinearOp) -> float:
     """Largest singular value by power iteration on M^H M from a seeded start.
 
-    Stops when two consecutive estimates agree to `rtol`; raises
+    Stops when two consecutive estimates agree to _NORM_RTOL; raises
     PowerIterationError with the iteration count otherwise.  The stopping rule
     bounds the step between estimates, not the error: each estimate is
     ||M v|| for a unit v, so it never exceeds the top singular value, but when
     the top two singular values nearly coincide the iteration creeps upward
-    slowly and can stop well short of it, by more than `rtol`.
+    slowly and can stop well short of it, by more than _NORM_RTOL.
     Dense only: intended for n <= 1024.
     """
     if op.grid.n > 1024:
         raise ValueError(f"dense operator norm limited to n <= 1024, got n={op.grid.n}")
     m = op.matrix
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_NORM_SEED)
     v = rng.standard_normal(op.grid.n) + 1j * rng.standard_normal(op.grid.n)
     v /= np.linalg.norm(v)
     sigma_prev = -1.0
     stable = 0
-    for it in range(1, max_iter + 1):
+    for _ in range(_NORM_MAX_ITER):
         u = m @ v
         sigma = float(np.linalg.norm(u))
         if sigma == 0.0:
@@ -260,7 +255,7 @@ def operator_norm(op: LinearOp, seed: int = 0, rtol: float = 1e-10, max_iter: in
         if nv == 0.0:
             return sigma
         v /= nv
-        if abs(sigma - sigma_prev) <= rtol * max(sigma, 1e-300):
+        if abs(sigma - sigma_prev) <= _NORM_RTOL * max(sigma, 1e-300):
             stable += 1
             if stable >= 2:
                 return sigma
@@ -268,6 +263,6 @@ def operator_norm(op: LinearOp, seed: int = 0, rtol: float = 1e-10, max_iter: in
             stable = 0
         sigma_prev = sigma
     raise PowerIterationError(
-        f"operator norm iteration did not converge within {max_iter} iterations "
+        f"operator norm iteration did not converge within {_NORM_MAX_ITER} iterations "
         f"(last estimate {sigma_prev:.6e})"
     )

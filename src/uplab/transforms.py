@@ -210,18 +210,14 @@ def wigner(f: Signal, g: Signal | None = None) -> TFMatrix:
     if f.grid != g.grid:
         raise ValueError("signals must share a grid")
     n = f.grid.n
-    f2 = trig_upsample2(f.samples)
-    g2 = trig_upsample2(g.samples)
-    j = np.arange(n)[:, None]
-    m2 = np.arange(2 * n)[None, :]
-    ia = 2 * j + m2 - n
-    ib = 2 * j - m2 + n
-    valid = (ia >= 0) & (ia < 2 * n) & (ib >= 0) & (ib < 2 * n)
-    r = np.where(
-        valid,
-        f2[np.clip(ia, 0, 2 * n - 1)] * np.conj(g2[np.clip(ib, 0, 2 * n - 1)]),
-        0.0,
-    )
+    # r[j, m2] = f2[2j + m2 - n] * conj(g2[2j - m2 + n]), zero where either
+    # half-sample index leaves [0, 2n): strided windows over the zero-padded
+    # f2 and the reversed zero-padded conj(g2)
+    pad = np.zeros(n, dtype=np.complex128)
+    fp = np.concatenate((pad, trig_upsample2(f.samples), pad))
+    gr = np.concatenate((pad, np.conj(trig_upsample2(g.samples)), pad))[::-1]
+    windows = np.lib.stride_tricks.sliding_window_view
+    r = windows(fp, 2 * n)[0 : 2 * n : 2] * windows(gr, 2 * n)[2 * n - 1 :: -2]
     r[:, 0] = 0.0  # unpaired extreme lag, dropped to keep Hermitian symmetry exact
     folded = r[:, :n] + r[:, n:]
     sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)

@@ -66,9 +66,30 @@ class TestConstantsCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["value"] == pytest.approx(0.5**0.25)
 
-    def test_out_of_domain_parameters_fail_cleanly(self, capsys):
-        assert main(["constants", "--which", "k1", "--d", "1", "--alpha", "0.4"]) == 2
-        assert "error" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--which", "k1", "--d", "1", "--alpha", "0.4"],
+            ["--which", "lieb", "--d", "-3", "--p", "4"],
+            ["--which", "locop", "--d", "0", "--q", "2"],
+            ["--which", "locop", "--q", "nan"],
+            ["--which", "lieb", "--p", "nan"],
+            ["--which", "lieb", "--p=-inf"],
+        ],
+        ids=[
+            "k1-alpha-below-half",
+            "lieb-negative-d",
+            "locop-zero-d",
+            "locop-nan-q",
+            "lieb-nan-p",
+            "lieb-minus-inf-p",
+        ],
+    )
+    def test_out_of_domain_parameters_fail_cleanly(self, args, capsys):
+        assert main(["constants", *args]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 class TestRunCommand:

@@ -7,8 +7,8 @@ multiplication-operator reductions of the quantized symbol calculus, dense
 singular value decompositions, the sharp time and frequency projections
 (the mask times the samples, and the masked Fourier round trip), and the
 direct constructions the library does not use: the rank-one assembly of a
-localization operator and the conjugation of a multiplier by the dense DFT
-matrix.
+localization operator, the conjugation of a multiplier by the dense DFT
+matrix, and the column-by-column Weyl kernel on the midpoint-lifted symbol.
 """
 
 import math
@@ -34,6 +34,7 @@ from uplab import (
     signal_from_samples,
     smoothed_concentration_ops,
     tfmatrix_from_values,
+    trig_upsample2,
     weyl_from_localization,
     weyl_operator,
     wigner,
@@ -69,6 +70,33 @@ def dft_conjugated_multiplier(grid, values):
     """U^H diag(values) U with the dense DFT matrix U[k, m] = dx exp(-2 pi i t_m w_k)."""
     u = grid.dx * np.exp(-2j * np.pi * np.outer(grid.freqs, grid.times))
     return (grid.dw / grid.dx) * (u.conj().T @ (values[:, None] * u))
+
+
+def midpoint_weyl(grid, avals):
+    """Weyl kernel filled column by column from the symbol lifted to the 2n x n
+    midpoint lattice, on the wrapped midpoint branch for wrapped lags."""
+    n, n2 = grid.n, grid.n // 2
+    a2 = trig_upsample2(avals.T).T
+    rows = grid.dw * n * np.fft.ifft(a2, axis=1)  # rows indexed by midpoint p
+    k = np.zeros((n, n), dtype=np.complex128)
+    m = np.arange(n)
+    for q in range(n):
+        ell0 = m - q
+        wrap = np.where(ell0 > n2, 1, np.where(ell0 < -n2, -1, 0))
+        ell = ell0 - wrap * n
+        p = (m + q - wrap * n) % (2 * n)
+        sign = np.where(ell % 2 == 0, 1.0, -1.0)
+        k[:, q] = sign * rows[p, ell % n]
+    return grid.dx * k
+
+
+def time_smooth_symbol(n, rng):
+    """Seeded complex symbol, white along frequency and Gaussian-damped along time
+    so that about 1e-10 of its energy sits in the Nyquist row, below the 1e-8
+    rejection level: every lag, n/2 included, and the Nyquist row take part."""
+    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    k = np.fft.fftfreq(n)
+    return np.fft.ifft(np.fft.fft(raw, axis=0) * np.exp(-40.0 * k * k)[:, None], axis=0)
 
 
 def max_relative_gap(got, want):
@@ -259,19 +287,27 @@ class TestLocalization:
 
 
 class TestWeyl:
+    @pytest.mark.parametrize("n", [32, 64, 128, 256])
+    def test_matches_midpoint_column_assembly(self, n):
+        grid = make_grid(n, 4.0 / math.sqrt(n))
+        avals = time_smooth_symbol(n, np.random.default_rng(600 + n))
+        op = weyl_operator(tfmatrix_from_values(grid, avals))
+        assert max_relative_gap(op.matrix, midpoint_weyl(grid, avals)) <= 1e-13
+
     def test_time_only_symbol_is_pointwise_multiplication(self):
         grid = make_grid(64, 1 / 8)
         f = noise_signal(grid, np.random.default_rng(4))
         sigma = np.exp(-np.pi * grid.times**2)
-        op = weyl_operator(lambda x, w: np.exp(-np.pi * x**2) + 0 * w, grid=grid)
+        op = weyl_operator(tfmatrix_from_values(grid, np.outer(sigma, np.ones(64))))
         np.testing.assert_allclose(op.matrix @ f.samples, sigma * f.samples, atol=1e-10)
 
     def test_frequency_only_symbol_is_a_transform_multiplier(self):
         grid = make_grid(64, 1 / 8)
         f = noise_signal(grid, np.random.default_rng(5))
-        op = weyl_operator(lambda x, w: np.exp(-np.pi * w**2) + 0 * x, grid=grid)
+        gauss = np.exp(-np.pi * grid.freqs**2)
+        op = weyl_operator(tfmatrix_from_values(grid, np.outer(np.ones(64), gauss)))
         spec = fourier(f)
-        shaped = signal_from_samples(grid, np.exp(-np.pi * grid.freqs**2) * spec.samples, FREQUENCY)
+        shaped = signal_from_samples(grid, gauss * spec.samples, FREQUENCY)
         want = fourier(shaped, "inverse")
         np.testing.assert_allclose(op.matrix @ f.samples, want.samples, atol=1e-10)
 
@@ -288,7 +324,7 @@ class TestWeyl:
 
     def test_symbol_with_alternating_sign_rows_rejected(self):
         # A pure +1/-1 alternation along time sits entirely in the row the
-        # midpoint interpolation cannot represent.
+        # half-lag shift cannot represent.
         grid = make_grid(64, 1 / 8)
         values = np.outer((-1.0) ** np.arange(64), np.ones(64))
         with pytest.raises(ValueError):

@@ -3,8 +3,9 @@
 Oracles: the exact cyclic energy identity for the windowed transform, the
 closed-form Wigner distribution of Gaussian bumps, orthogonality relations
 for phase-space inner products, and hand-countable cell sums.  The streamed
-spectrogram marginals are pinned bit for bit to the dense spectrogram, and
-the Gabor transform to the explicit shift-table construction.
+spectrogram marginals are pinned bit for bit to the dense spectrogram, the
+Gabor transform to the explicit shift-table construction, and the Wigner
+distribution to the explicit index-table gather of its lag products.
 """
 
 import math
@@ -60,6 +61,31 @@ def shift_table_gabor(f, window):
     m = np.arange(n)
     table = (m[None, :] - m[:, None] + n // 2) % n
     return f.grid.dx * centered_dft(f.samples[None, :] * np.conj(window.samples[table]), axis=1)
+
+
+def index_table_wigner(f, g):
+    # the lag products r[j, m2] = f2[2j + m2 - n] * conj(g2[2j - m2 + n]) gathered
+    # through explicit index tables, zero where either index leaves [0, 2n)
+    n = f.grid.n
+    f2 = trig_upsample2(f.samples)
+    g2 = trig_upsample2(g.samples)
+    j = np.arange(n)[:, None]
+    m2 = np.arange(2 * n)[None, :]
+    ia = 2 * j + m2 - n
+    ib = 2 * j - m2 + n
+    valid = (ia >= 0) & (ia < 2 * n) & (ib >= 0) & (ib < 2 * n)
+    r = np.where(
+        valid,
+        f2[np.clip(ia, 0, 2 * n - 1)] * np.conj(g2[np.clip(ib, 0, 2 * n - 1)]),
+        0.0,
+    )
+    r[:, 0] = 0.0
+    folded = r[:, :n] + r[:, n:]
+    sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    vals = f.grid.dx * np.fft.fft(folded * sign[None, :], axis=1)
+    if g is f:
+        vals = vals.real.astype(np.complex128)
+    return vals
 
 
 class TestGabor:
@@ -219,6 +245,13 @@ class TestSpectrogramMarginals:
 
 
 class TestWigner:
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_matches_index_table_gather(self, n):
+        grid = make_grid(n, 4.0 / math.sqrt(n))
+        f, g = noise_signal(grid, 20 + n), noise_signal(grid, 30 + n)
+        assert np.array_equal(wigner(f, g).values, index_table_wigner(f, g))
+        assert np.array_equal(wigner(f).values, index_table_wigner(f, f))
+
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
     def test_gaussian_closed_form(self, lam):
         # For f = (2 lam)^(1/4) exp(-pi lam t^2) the distribution is
