@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import betaln, gammaln, lambertw
 
 from .concentration import _moment_lq, _support, energy_centroid, support_mask, weighted_moment_norm
-from .core import FREQUENCY, TIME, Signal, norm_lq
+from .core import _BLOCK_BYTES, FREQUENCY, TIME, Signal, norm_lq
 from .report import Verdict, make_verdict, skipped_verdict
 
 INF = float("inf")
@@ -285,23 +285,29 @@ def cf_bound(f: Signal, fhat: Signal, search: CfSearch | None = None) -> BoundVa
     alpha2) of the full witness grid: that is the first maximiser of A in
     (w_bar, q1, alpha1) order together with the first maximiser of B in
     (t_bar, q2, alpha2) order.  Witnesses whose moment norm vanishes are
-    skipped.
+    skipped.  `_best_factor` ranks each factor's rows in one log-domain pass
+    and evaluates exactly only those near the top; the value and witness are
+    those of evaluating every row, bit for bit.
     """
     if f.domain != TIME or fhat.domain != FREQUENCY:
         raise ValueError("expected a time signal and its frequency transform")
     search = search or CfSearch()
     t_centers = _scan_centers(f, search.center_count)
     w_centers = _scan_centers(fhat, search.center_count)
-    # (q, alpha, e, K) in scan order, shared by both factors
-    table = []
-    for q in search.qs:
-        qp = conjugate_exponent(q)
-        table += [(q, a, 2.0 / (a * qp), price_k(1, a, q)) for a in search.alphas(q)]
-
+    table = _scan_table(search)
     best_w, (wb, q1, a1) = _best_factor(fhat, w_centers, table)
     best_t, (tb, q2, a2) = _best_factor(f, t_centers, table)
     witness = {"t_bar": tb, "w_bar": wb, "q1": q1, "alpha1": a1, "q2": q2, "alpha2": a2}
     return BoundValue(float(norm_lq(f, 2.0) ** 4 * best_w * best_t), witness, attained=True)
+
+
+def _scan_table(search: CfSearch) -> list:
+    """The (q, alpha, e, K) rows of one factor's scan in scan order, shared by both factors."""
+    table = []
+    for q in search.qs:
+        qp = conjugate_exponent(q)
+        table += [(q, a, 2.0 / (a * qp), price_k(1, a, q)) for a in search.alphas(q)]
+    return table
 
 
 def _scan_centers(g: Signal, count: int) -> list:
@@ -324,29 +330,100 @@ def _signal_factor(g: Signal, center: float, q: float, alpha: float) -> float:
     return _factor(norm_lq(g, q), price_k(1, alpha, q), m, 2.0 / (alpha * conjugate_exponent(q)))
 
 
-def _best_factor(g: Signal, centers: list, table: list) -> tuple[float, tuple]:
-    """First maximiser of `_factor` over (center, q, alpha).
+# Rows whose ranked log-factor lies within this of the top one are re-evaluated
+# exactly.  The ranking errs by far less (the tests hold it under 1e-11), so the
+# band always holds every exact maximiser.
+_RANK_BAND = 1e-9
 
-    The moment M is the one `weighted_moment_norm` computes.  The axis values
-    and magnitudes at the nonzero samples of g are taken once per scan and the
-    distances to each centre once per centre, so each (q, alpha) row costs one
-    pass over the nonzero samples and no array is longer than n.
+
+def _best_factor(g: Signal, centers: list, table: list) -> tuple[float, tuple]:
+    """First maximiser of `_factor` over (center, q, alpha), in that scan order.
+
+    The moment M is the one `weighted_moment_norm` computes.  The scan ranks,
+    then verifies.  `_ranked_log_factors` gives every row's log-factor in one
+    log-domain pass.  Only the rows within `_RANK_BAND` of the top rank are
+    evaluated exactly, by `_moment_lq` and `_factor`, and the first exact
+    maximiser among them in scan order is returned.
+
+    Why this is the exhaustive scan's answer: a row's ranked and exact
+    log-factors differ by some eps far below band / 2.  Let L be the exact
+    maximum.  If the top-ranked row is exactly feasible, its rank is at most
+    L + eps, while every exact maximiser ranks at least L - eps, which is
+    within 2 eps < band of the top.  So every exact maximiser is evaluated,
+    and the value, witness and tie rule match the row-by-row scan.  A checked
+    row whose exact moment is 0 (dist^alpha * |g| underflows on every sample
+    while its logarithm stays finite) is infeasible, as in the row-by-row scan:
+    it is dropped and the rows are ranked again.
     """
     norms = {q: norm_lq(g, q) for q in {row[0] for row in table}}
+    ranks = _ranked_log_factors(g, centers, table, norms)
     axis, mags = _support(g)
-    best, arg = None, None
-    for c in centers:
-        dist = np.abs(axis - float(c))
-        for q, a, e, k in table:
-            m = _moment_lq(dist, mags, g.spacing, a, q)
+    while True:
+        top = ranks.max(initial=-np.inf)
+        if top == -np.inf:
+            raise ValueError("search grids admitted no feasible witness")
+        best, arg, dropped = None, None, False
+        for row in np.flatnonzero(ranks >= top - _RANK_BAND):
+            c = centers[row // len(table)]
+            q, a, e, k = table[row % len(table)]
+            m = _moment_lq(np.abs(axis - float(c)), mags, g.spacing, a, q)
             if m == 0.0:
+                ranks[row], dropped = -np.inf, True
                 continue
             val = _factor(norms[q], k, m, e)
             if best is None or val > best:
                 best, arg = val, (c, q, a)
-    if best is None:
-        raise ValueError("search grids admitted no feasible witness")
-    return best, arg
+        if not dropped:
+            return best, arg
+
+
+def _ranked_log_factors(g: Signal, centers: list, table: list, norms: dict) -> np.ndarray:
+    """log `_factor` of every (center, q, alpha) row, in scan order, without a power.
+
+    On the nonzero samples, u = q (alpha log|x - c| + log|g|) is q times the
+    log of the moment integrand, so with h the spacing
+
+        log M = (max u + log h + log sum exp(u - max u)) / q,
+
+    and log M is the maximum of alpha log|x - c| + log|g| at q = inf.
+    log|x - c| is taken once per centre and kept for every centre (a few
+    n-vectors).  Rows of one q are stacked in blocks of at most `_BLOCK_BYTES`
+    of u.  Rows with M = 0 (every sample on the centre) rank -inf.
+    """
+    axis, mags = _support(g)
+    rank = np.full(len(centers) * len(table), -np.inf)
+    if mags.size == 0:
+        return rank
+    log_dist = np.abs(axis - np.asarray(centers, dtype=float)[:, None])
+    with np.errstate(divide="ignore"):
+        np.log(log_dist, out=log_dist)
+    level = np.log(mags)
+    row_q, row_a, row_e, row_k = np.tile(np.array(table).T, len(centers))
+    row_c = np.repeat(np.arange(len(centers)), len(table))
+    log_m = np.empty(rank.size)
+    step = max(1, _BLOCK_BYTES // (8 * mags.size))
+    block = np.empty((min(step, rank.size), mags.size))
+    for q in np.unique(row_q):
+        rows = np.flatnonzero(row_q == q)
+        scale = 1.0 if math.isinf(q) else q
+        scaled_level = scale * level
+        for b in range(0, rows.size, step):
+            r = rows[b : b + step]
+            u = block[: r.size]
+            np.take(log_dist, row_c[r], axis=0, out=u, mode="clip")  # in range; "clip" skips the buffered copy
+            u *= (scale * row_a[r])[:, None]
+            u += scaled_level
+            top = u.max(axis=1)
+            if not math.isinf(q):
+                with np.errstate(invalid="ignore"):  # top = -inf: the row is masked below
+                    u -= top[:, None]
+                np.exp(u, out=u)
+                top += math.log(g.spacing) + np.log(u.sum(axis=1))
+            log_m[r] = top / scale
+    log_norm = np.log([norms[q] for q in row_q])
+    feasible = log_m > -np.inf
+    rank[feasible] = ((row_e - 2.0) * log_norm - np.log(row_k) - row_e * log_m)[feasible]
+    return rank
 
 
 def separate_measure_bounds(

@@ -31,6 +31,10 @@ TIME = "time"
 FREQUENCY = "frequency"
 _DOMAINS = (TIME, FREQUENCY)
 
+# working-set cap of one block in the row-blocked passes
+# (transforms.spectrogram_marginals, bounds._ranked_log_factors)
+_BLOCK_BYTES = 1 << 20
+
 
 def frozen_array(values, dtype=np.complex128) -> np.ndarray:
     """Copy values into a read-only ndarray of the given dtype."""

@@ -353,10 +353,13 @@ def scenario_from_dict(data: dict) -> Scenario:
         n = grid.get("n", 256)
         if int(n) != n:
             raise ScenarioError(f"grid.n must be an integer, got {n!r}")
+        dx = grid.get("dx", 1.0 / 16.0)
+        if not (_is_finite(dx) and dx > 0):
+            raise ScenarioError(f"grid.dx must be a finite positive number, got {dx!r}")
         return Scenario(
             name=data["name"],
             grid_n=int(n),
-            grid_dx=float(grid.get("dx", 1.0 / 16.0)),
+            grid_dx=float(dx),
             signal_kind=signal.get("kind", "gaussian"),
             signal_params=_json_object(signal.get("params", {}), "signal.params"),
             sets=_json_object(data.get("sets", {"mode": "auto", "eps_t": 0.1, "eps_omega": 0.1}), "sets"),

@@ -37,6 +37,7 @@ import numpy as np
 from .core import (
     FREQUENCY,
     TIME,
+    _BLOCK_BYTES,
     Grid,
     Signal,
     _quadrature_lq,
@@ -91,16 +92,6 @@ def gaussian_window(lam: float, grid: Grid) -> Signal:
     return signal
 
 
-# Upper size in bytes of one complex row block in the streamed marginals.  The
-# rows are split into equal blocks, so each block holds about half this size or
-# more, and at least one row.  That keeps every block at or above numpy's
-# 256 KiB temporary-elision threshold whenever the n x n array is: elision
-# evaluates v * conj(v) as conj(v) *= v, which rounds the fused multiply-add of
-# the complex product differently, so only blocks on the same side of the
-# threshold round exactly as the dense array does.
-_BLOCK_BYTES = 1 << 20
-
-
 def _check_gabor_args(f: Signal, window: Signal) -> None:
     if f.domain != TIME or window.domain != TIME:
         raise ValueError("Gabor transform expects time-domain signal and window")
@@ -141,6 +132,12 @@ def spectrogram_marginals(f: Signal, window: Signal) -> tuple[np.ndarray, np.nda
     """
     _check_gabor_args(f, window)
     n = f.grid.n
+    # Complex row blocks of at most _BLOCK_BYTES, split equally, so each holds
+    # about half that or more, and at least one row.  That keeps every block at
+    # or above numpy's 256 KiB temporary-elision threshold whenever the n x n
+    # array is: elision evaluates v * conj(v) as conj(v) *= v, which rounds the
+    # fused multiply-add of the complex product differently, so only blocks on
+    # the same side of the threshold round exactly as the dense array does.
     blocks = -(-n // max(1, _BLOCK_BYTES // (16 * n)))
     edges = [i * n // blocks for i in range(blocks + 1)]
     row_sums = np.empty(n, dtype=np.complex128)

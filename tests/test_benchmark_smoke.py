@@ -5,7 +5,10 @@ traced `CfSearch.alphas` method.  Running one pass of the two cheapest
 workloads here makes a change that breaks the benchmark fail the unit tests
 first.  The `phase-space` pass at variant 5 guards the frozen marginal
 masses, which the `marginal-energy` rhs magnifies several hundredfold, so a
-one-ulp drift in the spectrogram marginals fails it.
+one-ulp drift in the spectrogram marginals fails it.  The `refine` pass at
+variant 0 (about 2 s) checks the n = 65536 `cf_bound` scan, and every other
+default check but `marginal-energy` at n = 8192 to 65536, against the frozen
+values.
 """
 
 import json
@@ -43,4 +46,9 @@ def test_operators_pass_matches_the_reference():
 
 def test_conditioning_sensitive_phase_space_pass_matches_the_reference():
     result = run_worker("--workload", "phase-space", "--variant", "5")
+    assert result["failed"] == 0, result["failures"]
+
+
+def test_n65536_refine_pass_matches_the_reference():
+    result = run_worker("--workload", "refine", "--variant", "0")
     assert result["failed"] == 0, result["failures"]

@@ -4,8 +4,9 @@ Oracles: closed forms for the special constants (2 pi, pi^2, Stirling-free
 gamma identities), a dense-grid maximization, the stationarity condition and
 the small-defect expansion 2d - 2 sqrt(d eps) of the log-supremum in place of
 the Lambert W maximizer, exact Gaussian moments, hand-derived special cases of the
-measure bounds, and a brute-force scan of cf_quotient over the full witness
-grid in place of the factored cf_bound search.
+measure bounds, a brute-force scan of cf_quotient over the full witness
+grid in place of the factored cf_bound search, and the row-by-row factor scan
+(`exhaustive_best_factor`) in place of the ranked one.
 """
 
 import itertools
@@ -48,9 +49,11 @@ from uplab import (
     price_rhs,
     separate_measure_bounds,
     signal_from_samples,
+    standard_suite,
     std_dev,
     weighted_moment_norm,
 )
+from uplab.concentration import _moment_lq, _support
 
 
 def unit_gaussian(grid, lam=1.0):
@@ -59,6 +62,25 @@ def unit_gaussian(grid, lam=1.0):
 
 
 GAUSS_WITNESS = {"t_bar": 0.0, "w_bar": 0.0, "q1": 2.0, "alpha1": 1.0, "q2": 2.0, "alpha2": 1.0}
+
+
+def exhaustive_best_factor(g, centers, table):
+    """First maximiser of bounds._factor over (center, q, alpha), every row evaluated exactly."""
+    norms = {q: norm_lq(g, q) for q in {row[0] for row in table}}
+    axis, mags = _support(g)
+    best, arg = None, None
+    for c in centers:
+        dist = np.abs(axis - float(c))
+        for q, a, e, k in table:
+            m = _moment_lq(dist, mags, g.spacing, a, q)
+            if m == 0.0:
+                continue
+            val = bounds._factor(norms[q], k, m, e)
+            if best is None or val > best:
+                best, arg = val, (c, q, a)
+    if best is None:
+        raise ValueError("search grids admitted no feasible witness")
+    return best, arg
 
 
 class TestExponentsAndConstants:
@@ -310,8 +332,14 @@ class TestSignalAdaptedBounds:
                         return landscape(domain, center, alpha, q)
             return 1.0
 
-        # cf_quotient (the brute force) reads weighted_moment_norm, the factor scan _moment_lq
+        def ranks_from_landscape(g, centers, table, norms):
+            # with unit norms and constants the log-factor is -e log M
+            return np.array([-e * math.log(landscape(g.domain, c, a, q)) for c in centers for q, a, e, _ in table])
+
+        # cf_quotient (the brute force) reads weighted_moment_norm; the factor
+        # scan ranks rows by _ranked_log_factors and checks the top by _moment_lq
         monkeypatch.setattr(bounds, "weighted_moment_norm", lambda g, c, a, q: landscape(g.domain, c, a, q))
+        monkeypatch.setattr(bounds, "_ranked_log_factors", ranks_from_landscape)
         monkeypatch.setattr(bounds, "_moment_lq", moment_from_distances)
         monkeypatch.setattr(bounds, "norm_lq", lambda g, q: 1.0)
         monkeypatch.setattr(bounds, "price_k", lambda d, alpha, q: 1.0)
@@ -367,6 +395,99 @@ class TestSignalAdaptedBounds:
         loose_t, loose_w = separate_measure_bounds(f, fhat, 0.5, 0.5, GAUSS_WITNESS)
         assert loose_t < tight_t
         assert loose_w < tight_w
+
+
+def scan_signals():
+    """The distinct standard_suite() signals, then seeded n = 8192 refine-style ones (n dx^2 = 1)."""
+    seen = {}
+    for s in standard_suite():
+        key = (s.signal_kind, tuple(sorted(s.signal_params.items())))
+        seen.setdefault(key, (s.name, generate_signal(s.signal_kind, s.signal_params, make_grid(s.grid_n, s.grid_dx))))
+    out = list(seen.values())
+    grid = make_grid(8192, math.sqrt(1 / 8192))
+    out.append(("gaussian-n8192", generate_signal("gaussian", {"lam": 1.0}, grid)))
+    out.append(("indicator-n8192", generate_signal("indicator", {"lo": -1.0, "hi": 1.0}, grid)))
+    for seed in range(4):
+        f = generate_signal("random_bandlimited", {"seed": seed, "band": 2.0}, grid)
+        out.append((f"bandlimited-v{seed}-n8192", f))
+    return out
+
+
+SCAN_SIGNALS = scan_signals()
+
+
+def scan_inputs(g, search=None):
+    search = search or CfSearch()
+    return g, bounds._scan_centers(g, search.center_count), bounds._scan_table(search)
+
+
+class TestRankedFactorScan:
+    @pytest.mark.parametrize("name, f", SCAN_SIGNALS, ids=[name for name, _ in SCAN_SIGNALS])
+    def test_matches_the_exhaustive_scan_bit_for_bit(self, name, f):
+        for g in (f, fourier(f)):
+            assert bounds._best_factor(*scan_inputs(g)) == exhaustive_best_factor(*scan_inputs(g))
+
+    def test_matches_the_exhaustive_scan_on_a_full_support_n65536_signal(self):
+        grid = make_grid(65536, math.sqrt(1 / 65536))
+        f = generate_signal("random_bandlimited", {"seed": 0, "band": 2.0}, grid)
+        assert np.all(f.samples != 0)
+        assert bounds._best_factor(*scan_inputs(f)) == exhaustive_best_factor(*scan_inputs(f))
+
+    @pytest.mark.parametrize("name, f", SCAN_SIGNALS, ids=[name for name, _ in SCAN_SIGNALS])
+    def test_ranks_sit_well_inside_the_band_of_the_exact_log_factors(self, name, f):
+        for g in (f, fourier(f)):
+            g, centers, table = scan_inputs(g)
+            norms = {q: norm_lq(g, q) for q in {row[0] for row in table}}
+            ranks = bounds._ranked_log_factors(g, centers, table, norms)
+            axis, mags = _support(g)
+            rows = [(c, row) for c in centers for row in table]
+            assert len(rows) == ranks.size
+            for rank, (c, (q, a, e, k)) in zip(ranks, rows):
+                m = _moment_lq(np.abs(axis - c), mags, g.spacing, a, q)
+                if m == 0.0:
+                    continue
+                assert abs(rank - math.log(bounds._factor(norms[q], k, m, e))) <= bounds._RANK_BAND / 100
+
+    def test_a_near_tie_that_ranks_the_wrong_row_first_returns_the_exact_maximiser(self, monkeypatch):
+        g, centers, table = scan_inputs(dict(SCAN_SIGNALS)["bandlimited3-eps005"])
+        expected = exhaustive_best_factor(g, centers, table)
+        lift = 5e-10  # inside the band, far above the ranking error
+        assert lift < bounds._RANK_BAND
+        ranked = bounds._ranked_log_factors
+
+        def misranked(g, centers, table, norms):
+            # put the runner-up (2.9e-3 below the top row) just above it
+            ranks = ranked(g, centers, table, norms)
+            first, runner_up = np.argsort(-ranks, kind="stable")[:2]
+            ranks[runner_up] = ranks[first] + lift
+            return ranks
+
+        monkeypatch.setattr(bounds, "_ranked_log_factors", misranked)
+        assert bounds._best_factor(g, centers, table) == expected
+
+    def test_a_checked_row_whose_moment_underflows_is_dropped_and_the_rows_ranked_again(self):
+        # a unit spike 8 cells off the middle of a grid with dx = 1e-10: every
+        # centre lies within 2e-9 of it, so d^40 underflows to 0 while its
+        # logarithm, and so the rank, stays finite
+        grid = make_grid(64, 1e-10)
+        samples = np.zeros(grid.n)
+        samples[40] = 1.0
+        search = CfSearch(qs=(2.0, math.inf), alpha_max=40.0)
+        g, centers, table = scan_inputs(signal_from_samples(grid, samples), search)
+        norms = {q: norm_lq(g, q) for q in search.qs}
+        ranks = bounds._ranked_log_factors(g, centers, table, norms)
+        top = int(np.argmax(ranks))
+        c, (q, a, _, _) = centers[top // len(table)], table[top % len(table)]
+        axis, mags = _support(g)
+        assert np.isfinite(ranks[top])
+        assert _moment_lq(np.abs(axis - c), mags, g.spacing, a, q) == 0.0
+        assert bounds._best_factor(g, centers, table) == exhaustive_best_factor(g, centers, table)
+
+    def test_the_zero_signal_admits_no_feasible_witness(self):
+        grid = make_grid(64, 1 / 8)
+        zero = signal_from_samples(grid, np.zeros(grid.n))
+        with pytest.raises(ValueError, match="no feasible witness"):
+            bounds._best_factor(zero, [0.0, 1.0], bounds._scan_table(CfSearch()))
 
 
 class TestUncertaintyFloors:

@@ -123,6 +123,8 @@ class TestRunCommand:
             {"grid": {"n": "many"}},
             {"grid": {"n": math.inf}},
             {"grid": {"n": 64.5}},
+            {"grid": {"n": 64, "dx": True}},
+            {"grid": {"n": 64, "dx": "0.0625"}},
             {"signal": {"kind": "gaussian", "params": {"lam": "nan"}}},
             {"signal": {"kind": "gaussian", "params": {"lam": "wide"}}},
             {"signal": {"kind": "hermite", "params": {"k": "two"}}},
@@ -149,6 +151,8 @@ class TestRunCommand:
             "non-numeric-grid",
             "infinite-grid",
             "fractional-grid",
+            "boolean-grid-spacing",
+            "string-grid-spacing",
             "non-finite-signal",
             "non-numeric-width",
             "non-numeric-hermite-index",
