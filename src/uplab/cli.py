@@ -10,7 +10,7 @@ Subcommands:
 * ``selftest``        — run the built-in invariant suite.
 
 Exit codes: 0 success, 1 failed verdicts or failed selftest, 2 malformed
-input.
+input or a report file that cannot be written.
 """
 
 from __future__ import annotations
@@ -71,12 +71,16 @@ def _cmd_run(args) -> int:
         f"{report.scenario}: {summary['pass']} passed, {summary['fail']} failed, "
         f"{summary['skipped']} skipped"
     )
-    if args.out:
-        write_report_json(report, args.out)
-        print(f"report written to {args.out}")
-    if args.csv:
-        write_verdicts_csv(report, args.csv)
-        print(f"verdict table written to {args.csv}")
+    try:
+        if args.out:
+            write_report_json(report, args.out)
+            print(f"report written to {args.out}")
+        if args.csv:
+            write_verdicts_csv(report, args.csv)
+            print(f"verdict table written to {args.csv}")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 1 if report.failed else 0
 
 

@@ -40,8 +40,10 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -84,19 +86,64 @@ class ScenarioError(ValueError):
     """A scenario file or description that cannot be run."""
 
 
+_FLOAT_MAX = sys.float_info.max
+_TYPE_NAMES = {float: "a finite number", int: "an integer", str: "a string", tuple: "a JSON list"}
+
+
+def _typed(where: str, value, default):
+    """value cast to the JSON type of default; anything else raises ScenarioError.
+
+    A float default takes a finite number that is not a boolean, an int
+    default an integer-valued one, a string default a string, a tuple
+    default a list of items typed by default[0], and a dict default a JSON
+    object of keys of default, each typed by its entry.  None takes anything.
+    """
+    if default is None:
+        return value
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ScenarioError(f"{where} must be a JSON object, got {value!r}")
+        unknown = [key for key in value if key not in default]
+        if unknown:
+            raise ScenarioError(f"unknown keys {unknown} in {where}; known: {sorted(default)}")
+        return {key: _typed(f"{where}.{key}", item, default[key]) for key, item in value.items()}
+    if isinstance(default, tuple):
+        if isinstance(value, (list, tuple)):
+            return tuple(_typed(f"{where}[{i}]", item, default[0]) for i, item in enumerate(value))
+    elif isinstance(default, str):
+        if isinstance(value, str):
+            return value
+    # abs(value) <= _FLOAT_MAX is false for nan and the infinities, and exact for ints past the float range
+    elif isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= _FLOAT_MAX:
+        if isinstance(default, float):
+            return float(value)
+        if value == int(value):
+            return int(value)
+    raise ScenarioError(f"{where} must be {_TYPE_NAMES[type(default)]}, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # signal generation
 # ---------------------------------------------------------------------------
 
-SIGNAL_KINDS = (
-    "gaussian",
-    "hermite",
-    "chirp",
-    "indicator",
-    "modulated_gaussian",
-    "random_bandlimited",
-    "csv",
-)
+# each kind's parameters; a default also fixes the type of its parameter
+SIGNAL_DEFAULTS = {
+    "gaussian": {"lam": 1.0},
+    "hermite": {"k": 0},
+    "chirp": {"rate": 2.0},
+    "indicator": {"lo": -1.0, "hi": 1.0},
+    "modulated_gaussian": {"lam": 1.0, "omega0": 1.0},
+    "random_bandlimited": {"seed": 0, "band": 2.0},
+    "csv": {"path": ""},
+}
+SIGNAL_KINDS = tuple(SIGNAL_DEFAULTS)
+
+
+def _signal_params(kind, params) -> dict:
+    """The given params of a known signal kind, typed by that kind's defaults."""
+    if _typed("signal.kind", kind, "") not in SIGNAL_DEFAULTS:
+        raise ScenarioError(f"unknown signal kind {kind!r}; expected one of {SIGNAL_KINDS}")
+    return _typed("signal.params", params, SIGNAL_DEFAULTS[kind])
 
 
 def _unit(grid: Grid, values: np.ndarray) -> Signal:
@@ -107,96 +154,72 @@ def _unit(grid: Grid, values: np.ndarray) -> Signal:
     return signal_from_samples(grid, values / scale, TIME)
 
 
-def _require_params(kind: str, params: dict, allowed: dict) -> dict:
-    unknown = set(params) - set(allowed)
-    if unknown:
-        raise ScenarioError(f"unknown parameters for kind {kind!r}: {sorted(unknown)}")
-    merged = dict(allowed)
-    merged.update(params)
-    return merged
-
-
 def generate_signal(kind: str, params: dict, grid: Grid) -> Signal:
     """Deterministic unit-energy time signal of the named kind.
 
-    A parameter that does not convert to the number the kind needs raises
-    ScenarioError like any other bad value.
+    params sets any of the kind's keys in SIGNAL_DEFAULTS to a value of its
+    default's type; any other key or value raises ScenarioError.
     """
+    given = _signal_params(kind, params)
+    p = SIGNAL_DEFAULTS[kind] | given
     try:
-        return _generate_signal(kind, dict(params or {}), grid)
-    except ScenarioError:
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"bad parameters for signal kind {kind!r}: {exc}") from exc
-
-
-def _generate_signal(kind: str, params: dict, grid: Grid) -> Signal:
-    t = grid.times
-    if kind == "gaussian":
-        p = _require_params(kind, params, {"lam": 1.0})
-        lam = float(p["lam"])
+        t = grid.times
+    except (ValueError, MemoryError) as exc:
+        raise ScenarioError(f"a grid of {grid.n} samples is too large: {exc}") from exc
+    if kind in ("gaussian", "modulated_gaussian"):
+        lam = p["lam"]
         if lam <= 0:
             raise ScenarioError(f"gaussian width parameter must be positive, got {lam}")
-        return _unit(grid, (2.0 * lam) ** 0.25 * np.exp(-math.pi * lam * t**2))
+        values = (2.0 * lam) ** 0.25 * np.exp(-math.pi * lam * t**2)
+        if kind == "modulated_gaussian":
+            values = values * np.exp(2j * math.pi * p["omega0"] * t)
+        return _unit(grid, values)
     if kind == "hermite":
-        p = _require_params(kind, params, {"k": 0})
-        k = int(p["k"])
-        if k < 0 or k != p["k"]:
-            raise ScenarioError(f"hermite index must be a nonnegative integer, got {p['k']!r}")
-        if k > 170:
-            raise ScenarioError(f"hermite index {k} is above 170, where 2^k k! overflows a double")
+        k = p["k"]
+        if not 0 <= k <= 170:
+            raise ScenarioError(f"hermite index must be in [0, 170], where 2^k k! stays a double, got {k}")
         coeffs = np.zeros(k + 1)
         coeffs[k] = 1.0
         poly = np.polynomial.hermite.hermval(math.sqrt(2.0 * math.pi) * t, coeffs)
         scale = 2.0**0.25 / math.sqrt(2.0**k * math.factorial(k))
         return _unit(grid, scale * poly * np.exp(-math.pi * t**2))
     if kind == "chirp":
-        p = _require_params(kind, params, {"rate": 2.0})
-        rate = float(p["rate"])
-        return _unit(grid, 2.0**0.25 * np.exp(-math.pi * t**2) * np.exp(1j * math.pi * rate * t**2))
+        return _unit(grid, 2.0**0.25 * np.exp(-math.pi * t**2) * np.exp(1j * math.pi * p["rate"] * t**2))
     if kind == "indicator":
-        p = _require_params(kind, params, {"lo": -1.0, "hi": 1.0})
-        lo, hi = float(p["lo"]), float(p["hi"])
+        lo, hi = p["lo"], p["hi"]
         flags = (t >= lo) & (t < hi)
         if not flags.any():
             raise ScenarioError(f"indicator window [{lo}, {hi}) contains no grid point")
         return _unit(grid, flags.astype(np.complex128))
-    if kind == "modulated_gaussian":
-        p = _require_params(kind, params, {"lam": 1.0, "omega0": 1.0})
-        lam, omega0 = float(p["lam"]), float(p["omega0"])
-        if lam <= 0:
-            raise ScenarioError(f"gaussian width parameter must be positive, got {lam}")
-        base = (2.0 * lam) ** 0.25 * np.exp(-math.pi * lam * t**2)
-        return _unit(grid, base * np.exp(2j * math.pi * omega0 * t))
     if kind == "random_bandlimited":
-        p = _require_params(kind, params, {"seed": 0, "band": 2.0})
-        band = float(p["band"])
+        seed, band = p["seed"], p["band"]
         if band <= 0:
             raise ScenarioError(f"band half-width must be positive, got {band}")
-        rng = np.random.default_rng(int(p["seed"]))
+        if seed < 0:
+            raise ScenarioError(f"random_bandlimited seed must be nonnegative, got {seed}")
+        rng = np.random.default_rng(seed)
         spectrum = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
         flags = np.abs(grid.freqs) <= band
         if not flags.any():
             raise ScenarioError(f"band half-width {band} selects no frequency bin")
         shaped = signal_from_samples(grid, spectrum * flags, FREQUENCY)
         return _unit(grid, fourier(shaped, "inverse").samples)
-    if kind == "csv":
-        p = _require_params(kind, params, {"path": None})
-        if not p["path"]:
-            raise ScenarioError("csv signal kind requires a 'path' parameter")
-        try:
-            sig = read_signal_csv(p["path"])
-        except OSError as exc:
-            raise ScenarioError(f"cannot read signal file {p['path']}: {exc}") from exc
-        if sig.domain != TIME:
-            raise ScenarioError("csv signal must be sampled in the time domain")
-        if sig.grid.n != grid.n or not math.isclose(sig.grid.dx, grid.dx, rel_tol=1e-12):
-            raise ScenarioError(
-                f"csv grid (n={sig.grid.n}, dx={sig.grid.dx}) does not match "
-                f"the scenario grid (n={grid.n}, dx={grid.dx})"
-            )
-        return _unit(grid, sig.samples)
-    raise ScenarioError(f"unknown signal kind {kind!r}; expected one of {SIGNAL_KINDS}")
+    # kind == "csv"
+    path = p["path"]
+    if not path:
+        raise ScenarioError("csv signal kind requires a 'path' parameter")
+    try:
+        sig = read_signal_csv(path)
+    except (OSError, ValueError) as exc:
+        raise ScenarioError(f"cannot read signal file {path}: {exc}") from exc
+    if sig.domain != TIME:
+        raise ScenarioError("csv signal must be sampled in the time domain")
+    if sig.grid.n != grid.n or not math.isclose(sig.grid.dx, grid.dx, rel_tol=1e-12):
+        raise ScenarioError(
+            f"csv grid (n={sig.grid.n}, dx={sig.grid.dx}) does not match "
+            f"the scenario grid (n={grid.n}, dx={grid.dx})"
+        )
+    return _unit(grid, sig.samples)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +250,13 @@ BOUND_DEFAULTS = {
     "lam2_sweep": (1.0, 0.25, 0.0625, 0.015625),
 }
 
-DEFAULT_TOLERANCE = 1e-6
-DEFAULT_TOLERANCES = {"smoothing-time": 1e-10, "smoothing-freq": 1e-10}
+# relative tolerance of each check
+TOLERANCE_DEFAULTS = dict.fromkeys(DEFAULT_CHECKS, 1e-6) | dict.fromkeys(SMOOTHING_CHECKS, 1e-10)
+
+_GRID_DEFAULTS = {"n": 256, "dx": 1.0 / 16.0}
+# the keys of both sets modes; the explicit windows have no default, their entries give the type
+_SET_TYPES = {"mode": "auto", "eps_t": 0.1, "eps_omega": 0.1, "time": ((-1.0, 1.0),), "frequency": ((-1.0, 1.0),)}
+_SET_KEYS = {"auto": {"mode", "eps_t", "eps_omega"}, "explicit": {"mode", "time", "frequency"}}
 
 # checks whose right side involves grid-truncated weighted moments
 _MOMENT_CHECKS = frozenset(
@@ -237,25 +265,17 @@ _MOMENT_CHECKS = frozenset(
 )
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-
-def _is_finite(x) -> bool:
-    return _is_number(x) and math.isfinite(x)
-
-
-def _is_window(w) -> bool:
-    return isinstance(w, (list, tuple)) and len(w) == 2 and all(map(_is_number, w)) and w[0] < w[1]
-
-
 @dataclass(frozen=True)
 class Scenario:
-    """A named, reproducible verification run."""
+    """A named, reproducible verification run.
+
+    Construction stores each value cast to the JSON type of its default, or
+    raises ScenarioError: a scenario built in Python meets the file's rule.
+    """
 
     name: str
-    grid_n: int = 256
-    grid_dx: float = 1.0 / 16.0
+    grid_n: int = _GRID_DEFAULTS["n"]
+    grid_dx: float = _GRID_DEFAULTS["dx"]
     signal_kind: str = "gaussian"
     signal_params: dict = field(default_factory=dict)
     sets: dict = field(default_factory=lambda: {"mode": "auto", "eps_t": 0.1, "eps_omega": 0.1})
@@ -264,60 +284,49 @@ class Scenario:
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        store = partial(object.__setattr__, self)
+        store("name", _typed("name", self.name, ""))
         if not self.name:
             raise ScenarioError("scenario needs a nonempty name")
+        store("grid_n", _typed("grid.n", self.grid_n, _GRID_DEFAULTS["n"]))
+        store("grid_dx", _typed("grid.dx", self.grid_dx, _GRID_DEFAULTS["dx"]))
         try:
             make_grid(self.grid_n, self.grid_dx)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ScenarioError(f"bad grid: {exc}") from exc
-        if not isinstance(self.checks, (list, tuple)):
-            raise ScenarioError(f"checks must be a list of check ids, got {self.checks!r}")
-        object.__setattr__(self, "checks", tuple(self.checks))
+        store("signal_params", _signal_params(self.signal_kind, self.signal_params))
+        store("checks", _typed("checks", self.checks, DEFAULT_CHECKS))
         unknown = [c for c in self.checks if c not in CHECKS]
         if unknown:
             raise ScenarioError(f"unknown checks {unknown}; known: {sorted(CHECKS)}")
-        if self.signal_kind not in SIGNAL_KINDS:
-            raise ScenarioError(f"unknown signal kind {self.signal_kind!r}")
+        store("sets", _typed("sets", self.sets, _SET_TYPES))
         mode = self.sets.get("mode")
+        if mode not in _SET_KEYS:
+            raise ScenarioError(f"sets mode must be 'auto' or 'explicit', got {mode!r}")
+        if set(self.sets) != _SET_KEYS[mode]:
+            raise ScenarioError(f"{mode} sets need exactly the keys {sorted(_SET_KEYS[mode])}, got {sorted(self.sets)}")
         if mode == "auto":
             for key in ("eps_t", "eps_omega"):
-                e = self.sets.get(key)
-                if not (_is_number(e) and 0.0 <= e <= 1.0):
-                    raise ScenarioError(f"auto sets need {key} in [0, 1], got {e!r}")
-        elif mode == "explicit":
+                if not 0.0 <= self.sets[key] <= 1.0:
+                    raise ScenarioError(f"auto sets need {key} in [0, 1], got {self.sets[key]!r}")
+        else:
             for key in ("time", "frequency"):
-                windows = self.sets.get(key)
-                if not (isinstance(windows, (list, tuple)) and windows and all(map(_is_window, windows))):
+                windows = self.sets[key]
+                if not (windows and all(len(w) == 2 and w[0] < w[1] for w in windows)):
                     raise ScenarioError(
                         f"explicit sets need a nonempty list of {key} windows [lo, hi), got {windows!r}"
                     )
-        else:
-            raise ScenarioError(f"sets mode must be 'auto' or 'explicit', got {mode!r}")
-        for key, value in self.bound_params.items():
-            if key not in BOUND_DEFAULTS:
-                raise ScenarioError(f"unknown bound parameter {key!r}; known: {sorted(BOUND_DEFAULTS)}")
-            if isinstance(BOUND_DEFAULTS[key], tuple):
-                ok = isinstance(value, (list, tuple)) and all(map(_is_finite, value))
-                kind = "a list of finite numbers"
-            else:
-                ok, kind = _is_finite(value), "a finite number"
-            if not ok:
-                raise ScenarioError(f"bound parameter {key!r} must be {kind}, got {value!r}")
+        store("bound_params", _typed("bound_params", self.bound_params, BOUND_DEFAULTS))
+        store("tolerances", _typed("tolerances", self.tolerances, TOLERANCE_DEFAULTS))
         for check_id, tol in self.tolerances.items():
-            if check_id not in CHECKS:
-                raise ScenarioError(f"tolerance for unknown check {check_id!r}")
-            if not (_is_finite(tol) and tol > 0):
-                raise ScenarioError(f"tolerance for {check_id!r} must be a finite positive number, got {tol!r}")
+            if tol <= 0:
+                raise ScenarioError(f"tolerance for {check_id!r} must be positive, got {tol!r}")
 
     def tolerance(self, check_id: str) -> float:
-        if check_id in self.tolerances:
-            return float(self.tolerances[check_id])
-        return DEFAULT_TOLERANCES.get(check_id, DEFAULT_TOLERANCE)
+        return self.tolerances.get(check_id, TOLERANCE_DEFAULTS[check_id])
 
     def bound_param(self, key: str):
-        if key in self.bound_params:
-            return self.bound_params[key]
-        return BOUND_DEFAULTS[key]
+        return self.bound_params.get(key, BOUND_DEFAULTS[key])
 
 
 def scenario_to_dict(s: Scenario) -> dict:
@@ -332,56 +341,34 @@ def scenario_to_dict(s: Scenario) -> dict:
     }
 
 
-def _json_object(value, where: str) -> dict:
-    # a JSON list of pairs would pass dict(...), so the type is checked first
-    if not isinstance(value, dict):
-        raise ScenarioError(f"{where} must be a JSON object, got {type(value).__name__}")
-    return dict(value)
+# the layout scenario_to_dict writes; a None entry goes to Scenario as it stands
+_FILE_LAYOUT = {
+    "name": None,
+    "grid": {"n": None, "dx": None},
+    "signal": {"kind": None, "params": None},
+    "sets": None,
+    "bound_params": None,
+    "checks": None,
+    "tolerances": None,
+}
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    data = _json_object(data, "scenario")
-    known = {"name", "grid", "signal", "sets", "bound_params", "checks", "tolerances"}
-    unknown = set(data) - known
-    if unknown:
-        raise ScenarioError(f"unknown scenario fields {sorted(unknown)}")
+    data = _typed("scenario", data, _FILE_LAYOUT)
     if "name" not in data:
         raise ScenarioError("scenario needs a 'name' field")
-    grid = _json_object(data.get("grid", {}), "grid")
-    signal = _json_object(data.get("signal", {}), "signal")
-    try:
-        n = grid.get("n", 256)
-        if int(n) != n:
-            raise ScenarioError(f"grid.n must be an integer, got {n!r}")
-        dx = grid.get("dx", 1.0 / 16.0)
-        if not (_is_finite(dx) and dx > 0):
-            raise ScenarioError(f"grid.dx must be a finite positive number, got {dx!r}")
-        return Scenario(
-            name=data["name"],
-            grid_n=int(n),
-            grid_dx=float(dx),
-            signal_kind=signal.get("kind", "gaussian"),
-            signal_params=_json_object(signal.get("params", {}), "signal.params"),
-            sets=_json_object(data.get("sets", {"mode": "auto", "eps_t": 0.1, "eps_omega": 0.1}), "sets"),
-            bound_params=_json_object(data.get("bound_params", {}), "bound_params"),
-            checks=data.get("checks", DEFAULT_CHECKS),
-            tolerances=_json_object(data.get("tolerances", {}), "tolerances"),
-        )
-    except ScenarioError:
-        raise
-    except (TypeError, ValueError, OverflowError, AttributeError) as exc:
-        raise ScenarioError(f"malformed scenario: {exc}") from exc
+    # grid.n is the field grid_n, signal.params is signal_params; an absent key keeps its default
+    nested = {f"{outer}_{key}": value for outer in ("grid", "signal") for key, value in data.pop(outer, {}).items()}
+    return Scenario(**data, **nested)
 
 
 def load_scenario(path) -> Scenario:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"scenario file {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # UnicodeDecodeError or json.JSONDecodeError
+        raise ScenarioError(f"scenario file {path} is not UTF-8 JSON: {exc}") from exc
     return scenario_from_dict(data)
 
 
@@ -467,7 +454,7 @@ def _windows_to_mask(grid: Grid, axis: str, windows) -> MaskSet:
     ax = grid.axis(axis)
     flags = np.zeros(grid.n, dtype=bool)
     for lo, hi in windows:
-        flags |= (ax >= float(lo)) & (ax < float(hi))
+        flags |= (ax >= lo) & (ax < hi)
     if not flags.any():
         raise ScenarioError(f"explicit {axis} set covers no grid cell")
     return mask_from_flags(grid, axis, flags)
@@ -475,7 +462,7 @@ def _windows_to_mask(grid: Grid, axis: str, windows) -> MaskSet:
 
 def _resolve_sets(s: Scenario, f: Signal, fhat: Signal):
     if s.sets["mode"] == "auto":
-        eps_t, eps_omega = float(s.sets["eps_t"]), float(s.sets["eps_omega"])
+        eps_t, eps_omega = s.sets["eps_t"], s.sets["eps_omega"]
         mask_t = minimal_concentration_set(f, eps_t).mask
         mask_w = minimal_concentration_set(fhat, eps_omega).mask
         return mask_t, mask_w, eps_t, eps_omega
@@ -511,12 +498,12 @@ def _check_ds_product(ctx: _RunContext) -> Verdict:
 
 
 def _check_optimized_product(ctx: _RunContext) -> Verdict:
-    lam1, lam2 = float(ctx.param("lam1")), float(ctx.param("lam2"))
+    lam1, lam2 = ctx.param("lam1"), ctx.param("lam2")
     l1 = gaussian_smoothed_indicator(ctx.mask_t, lam1)
     l2 = gaussian_smoothed_indicator(ctx.mask_w, lam2)
     total = energy(ctx.f)
     eps_t = _certified_eps(energy(apply_time_symbol(l1, ctx.f)) / total)
-    eps_w = _certified_eps(energy(apply_freq_symbol(l2, ctx.f)) / total)
+    eps_w = _certified_eps(energy(apply_freq_symbol(l2, ctx.fhat)) / total)
     s = eps_t + eps_w
     if s >= 1.0:
         return skipped_verdict(
@@ -535,7 +522,7 @@ def _check_optimized_product(ctx: _RunContext) -> Verdict:
 
 
 def _check_marginal_energy(ctx: _RunContext) -> Verdict:
-    lam1, lam2 = float(ctx.param("lam1")), float(ctx.param("lam2"))
+    lam1, lam2 = ctx.param("lam1"), ctx.param("lam2")
     time_profile, freq_profile = spectrogram_marginals(ctx.f, gaussian_window(lam1, ctx.grid))
     if lam2 != lam1:
         _, freq_profile = spectrogram_marginals(ctx.f, gaussian_window(lam2, ctx.grid))
@@ -560,7 +547,7 @@ def _check_marginal_energy(ctx: _RunContext) -> Verdict:
 
 
 def _check_local_energy(ctx: _RunContext) -> Verdict:
-    alpha, q = float(ctx.param("alpha")), float(ctx.param("q"))
+    alpha, q = ctx.param("alpha"), ctx.param("q")
     if q <= 1.0 or not alpha > 1.0 / bounds.conjugate_exponent(q):
         return skipped_verdict("local-energy", f"infeasible parameters: need q > 1 and alpha > d/q' (alpha={alpha:g}, q={q:g})")
     rhs_bound = bounds.price_rhs(
@@ -627,7 +614,7 @@ def _check_spread_product(ctx: _RunContext) -> Verdict:
 def _check_support(ctx: _RunContext, axis: str) -> Verdict:
     check_id = "support-time" if axis == TIME else "support-freq"
     return bounds.mixed_bound_check(
-        ctx.f, ctx.fhat, float(ctx.param("alpha_support")), axis=axis, rel_tol=ctx.tol(check_id)
+        ctx.f, ctx.fhat, ctx.param("alpha_support"), axis=axis, rel_tol=ctx.tol(check_id)
     )
 
 
@@ -642,16 +629,16 @@ def _sharp_freq_projection(ctx: _RunContext) -> Signal:
 
 def _check_smoothing(ctx: _RunContext, check_id: str) -> Verdict:
     if check_id == "smoothing-time":
-        sweep = tuple(float(x) for x in ctx.param("lam1_sweep"))
+        sweep = ctx.param("lam1_sweep")
         sharp = _sharp_time_projection(ctx)
         smoothed = [
             apply_time_symbol(gaussian_smoothed_indicator(ctx.mask_t, lam), ctx.f) for lam in sweep
         ]
     else:
-        sweep = tuple(float(x) for x in ctx.param("lam2_sweep"))
+        sweep = ctx.param("lam2_sweep")
         sharp = _sharp_freq_projection(ctx)
         smoothed = [
-            apply_freq_symbol(gaussian_smoothed_indicator(ctx.mask_w, lam), ctx.f) for lam in sweep
+            apply_freq_symbol(gaussian_smoothed_indicator(ctx.mask_w, lam), ctx.fhat) for lam in sweep
         ]
     if len(sweep) < 2:
         return skipped_verdict(check_id, "sweep needs at least two kernel widths")

@@ -117,12 +117,11 @@ def apply_time_symbol(sym: SmoothedSymbol, f: Signal) -> Signal:
     return signal_from_samples(f.grid, sym.values * f.samples, TIME)
 
 
-def apply_freq_symbol(sym: SmoothedSymbol, f: Signal) -> Signal:
-    """Fourier multiplier: transform, multiply by the smoothed values, invert."""
-    if sym.axis != FREQUENCY or f.domain != TIME:
-        raise ValueError("frequency symbol application requires a time signal and frequency symbol")
-    spec = fourier(f, "forward")
-    shaped = signal_from_samples(f.grid, sym.values * spec.samples, FREQUENCY)
+def apply_freq_symbol(sym: SmoothedSymbol, fhat: Signal) -> Signal:
+    """Fourier multiplier on the spectrum fhat of f: multiply by the smoothed values, invert to time."""
+    if sym.axis != FREQUENCY or fhat.domain != FREQUENCY:
+        raise ValueError("frequency symbol application requires a spectrum and a frequency symbol")
+    shaped = signal_from_samples(fhat.grid, sym.values * fhat.samples, FREQUENCY)
     return fourier(shaped, "inverse")
 
 

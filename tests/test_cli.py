@@ -145,6 +145,20 @@ class TestRunCommand:
             {"sets": [["mode", "auto"], ["eps_t", 0.1], ["eps_omega", 0.1]]},
             {"bound_params": [["alpha", 2]]},
             {"tolerances": [["ds-product", 1e-6]]},
+            {"signal": {"kind": "gaussian", "params": {"lam": True}}},
+            {"signal": {"kind": "gaussian", "params": {"lam": "2"}}},
+            {"signal": {"kind": "indicator", "params": {"lo": "-1"}}},
+            {"signal": {"kind": "random_bandlimited", "params": {"seed": 2.5}}},
+            {"signal": {"kind": "random_bandlimited", "params": {"seed": True}}},
+            {"signal": {"kind": "random_bandlimited", "params": {"seed": "7"}}},
+            {"signal": {"kind": "random_bandlimited", "params": {"seed": -1}}},
+            {"signal": {"kind": "hermite", "params": {"k": True}}},
+            {"signal": {"kind": "gaussian", "parameters": {"lam": 4}}},
+            {"grid": {"n": 64, "size": 64}},
+            {"sets": {"mode": "auto", "eps_t": 0.1, "eps_omega": 0.1, "time": [[-1.0, 1.0]]}},
+            {"sets": {"mode": "auto", "eps_t": 0.1, "eps_omgea": 0.1}},
+            {"name": 5},
+            {"grid": {"n": 1e20}},
         ],
         ids=[
             "odd-grid",
@@ -173,6 +187,20 @@ class TestRunCommand:
             "pair-list-sets",
             "pair-list-bound-params",
             "pair-list-tolerances",
+            "boolean-width",
+            "string-width",
+            "string-window-edge",
+            "fractional-seed",
+            "boolean-seed",
+            "string-seed",
+            "negative-seed",
+            "boolean-hermite-index",
+            "misspelt-signal-params",
+            "unknown-grid-key",
+            "key-of-the-other-sets-mode",
+            "misspelt-defect",
+            "numeric-name",
+            "grid-past-the-array-limit",
         ],
     )
     def test_malformed_scenario_is_a_usage_error(self, tmp_path, capsys, fields):
@@ -182,6 +210,24 @@ class TestRunCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert captured.out == ""
+
+    def test_scenario_file_that_is_not_utf8_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"name": "\xff"}')
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    def test_unwritable_output_is_a_usage_error(self, tmp_path, capsys, flag):
+        target = tmp_path / "no-such-dir" / "report"
+        assert main(["run", "gaussian-basic", flag, str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+        assert "PASS ds-product" in captured.out
 
     def test_integral_float_grid_size_runs(self, tmp_path, capsys):
         path = tmp_path / "float-grid.json"

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from uplab import (
     write_verdicts_csv,
 )
 from uplab.cli import main
-from uplab.harness import CHECKS, SIGNAL_KINDS, _windows_to_mask
+from uplab.harness import BOUND_DEFAULTS, CHECKS, SIGNAL_DEFAULTS, SIGNAL_KINDS, _windows_to_mask
 
 
 GRID = make_grid(256, 1 / 16)
@@ -125,6 +126,25 @@ class TestScenarioSchema:
             tolerances={"ds-product": 1e-8},
         )
         assert scenario_from_dict(scenario_to_dict(s)) == s
+
+    def test_dict_round_trip_of_every_shipped_scenario(self):
+        shipped = standard_suite() + tuple(bundled_scenario(name) for name in bundled_scenario_names())
+        for s in shipped:
+            assert scenario_from_dict(scenario_to_dict(s)) == s
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"grid_dx": True},
+            {"grid_dx": "0.125"},
+            {"name": 5},
+            {"signal_kind": "random_bandlimited", "signal_params": {"seed": 2.5}},
+        ],
+        ids=["boolean-grid-spacing", "string-grid-spacing", "numeric-name", "fractional-seed"],
+    )
+    def test_scenario_built_in_python_is_checked_like_a_file(self, fields):
+        with pytest.raises(ScenarioError):
+            Scenario(**{"name": "python", **fields})
 
     def test_file_round_trip(self, tmp_path):
         s = Scenario(name="disk")
@@ -324,6 +344,8 @@ _VALID_BOUND_PARAMS = {
     "lam2_sweep": st.lists(st.floats(0.01, 4.0), max_size=4),
 }
 _STATUSES = {"pass", "fail", "skipped"}
+# keys no scenario object knows, mixed in by scenario_dicts
+_MISSPELT = ("width", "alhpa", "stray")
 _ONE_IN_EIGHT = st.sampled_from((False,) * 7 + (True,))
 
 
@@ -354,12 +376,11 @@ def scenario_dicts(draw):
         }
     else:
         sets = {"mode": mode, "eps_t": value(st.floats(0.0, 1.0)), "eps_omega": value(st.floats(0.0, 1.0))}
-    data = {
-        "name": value(st.just("generated")),
-        "grid": {"n": value(st.sampled_from([4, 8, 16, 32, 64])), "dx": value(st.floats(1 / 16, 1 / 2))},
-        "signal": {"kind": kind, "params": obj(params)},
-        "sets": obj(sets),
-    }
+    grid = {"n": value(st.sampled_from([4, 8, 16, 32, 64])), "dx": value(st.floats(1 / 16, 1 / 2))}
+    signal = {"kind": kind, "params": obj(params)}
+    if draw(_ONE_IN_EIGHT):
+        draw(st.sampled_from([grid, signal, sets]))["stray"] = 1.0
+    data = {"name": value(st.just("generated")), "grid": grid, "signal": signal, "sets": obj(sets)}
     if draw(st.booleans()):
         bound_params = {key: value(valid) for key, valid in _VALID_BOUND_PARAMS.items() if draw(st.booleans())}
         if draw(_ONE_IN_EIGHT):
@@ -392,14 +413,23 @@ class TestScenarioProperties:
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_run_rejects_the_scenario_or_reports_valid_statuses(self, data_dir, data):
         data = _resolve_csv_path(data, data_dir)
-        objects = (data["signal"]["params"], data["sets"], data.get("bound_params"), data.get("tolerances"))
+        objects = (
+            data["grid"],
+            data["signal"],
+            data["signal"]["params"],
+            data["sets"],
+            data.get("bound_params"),
+            data.get("tolerances"),
+        )
         pair_listed = any(isinstance(field, list) for field in objects)
+        misspelt = any(isinstance(field, dict) and key in field for field in objects for key in _MISSPELT)
         try:
             scenario = scenario_from_dict(data)
             report = run_scenario(scenario)
         except ScenarioError:
             return
         assert not pair_listed, "a JSON list of pairs was read as an object"
+        assert not misspelt, "an unknown key was ignored"
         assert [v.check_id for v in report.verdicts] == sorted(dict.fromkeys(scenario.checks))
         assert {v.status for v in report.verdicts} <= _STATUSES
 
@@ -414,3 +444,39 @@ class TestScenarioProperties:
         assert rc in (0, 1, 2)
         if rc == 2:
             assert err.getvalue().startswith("error: ")
+
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+_README_TYPES = {"finite number": float, "integer": int, "string": str, "list of finite numbers": tuple}
+
+
+def _readme_table(header: str) -> list:
+    """Rows of the README table under header, each cell stripped of code quotes."""
+    lines = _README.read_text(encoding="utf-8").splitlines()
+    rows = []
+    for line in lines[lines.index(header) + 2 :]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip().strip("`") for cell in line.strip("|").split("|")])
+    return rows
+
+
+def _readme_entry(type_name: str, default: str) -> tuple:
+    value = json.loads(default)
+    return _README_TYPES[type_name], tuple(value) if isinstance(value, list) else value
+
+
+class TestReadmeTables:
+    def test_signal_parameter_table_matches_the_defaults(self):
+        documented = {}
+        for kind, key, type_name, default in _readme_table("| kind | key | type | default |"):
+            documented.setdefault(kind, {})[key] = _readme_entry(type_name, default)
+        expected = {kind: {key: (type(v), v) for key, v in params.items()} for kind, params in SIGNAL_DEFAULTS.items()}
+        assert documented == expected
+
+    def test_bound_parameter_table_matches_the_defaults(self):
+        documented = {
+            key: _readme_entry(type_name, default)
+            for key, type_name, default, _ in _readme_table("| key | type | default | used by |")
+        }
+        assert documented == {key: (type(v), v) for key, v in BOUND_DEFAULTS.items()}
