@@ -25,12 +25,12 @@ from .bounds import (
     improved_bound,
     lieb_constant,
     locop_constant,
-    mixed_bound_check,
     price_k,
     price_k1,
     price_ktilde,
     price_rhs,
     separate_measure_bounds,
+    support_moment_sides,
 )
 from .concentration import (
     ConcentrationResult,

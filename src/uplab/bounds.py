@@ -27,7 +27,6 @@ from scipy.special import betaln, gammaln, lambertw
 
 from .concentration import _moment_lq, _support, energy_centroid, support_mask, weighted_moment_norm
 from .core import _BLOCK_BYTES, FREQUENCY, TIME, Signal, norm_lq
-from .report import Verdict, make_verdict, skipped_verdict
 
 INF = float("inf")
 
@@ -91,11 +90,16 @@ def _check_eps(eps_t: float, eps_omega: float) -> None:
 
 @dataclass(frozen=True)
 class BoundValue:
-    """A bound together with the argument that attains it (when one exists)."""
+    """A bound together with the argument that attains it (when one exists).
+
+    `cf_bound` also keeps the factors of its value, (||f||_2, A, B) with
+    value = ||f||_2^4 * A * B, for `separate_measure_bounds`.
+    """
 
     value: float
     witness: dict | None = None
     attained: bool = True
+    factors: tuple | None = None
 
 
 def improved_bound(eps_t: float, eps_omega: float, d: int = 1) -> BoundValue:
@@ -287,7 +291,8 @@ def cf_bound(f: Signal, fhat: Signal, search: CfSearch | None = None) -> BoundVa
     (t_bar, q2, alpha2) order.  Witnesses whose moment norm vanishes are
     skipped.  `_best_factor` ranks each factor's rows in one log-domain pass
     and evaluates exactly only those near the top; the value and witness are
-    those of evaluating every row, bit for bit.
+    those of evaluating every row, bit for bit.  The result's `factors` are
+    (||f||_2, max A, max B).
     """
     if f.domain != TIME or fhat.domain != FREQUENCY:
         raise ValueError("expected a time signal and its frequency transform")
@@ -298,7 +303,8 @@ def cf_bound(f: Signal, fhat: Signal, search: CfSearch | None = None) -> BoundVa
     best_w, (wb, q1, a1) = _best_factor(fhat, w_centers, table)
     best_t, (tb, q2, a2) = _best_factor(f, t_centers, table)
     witness = {"t_bar": tb, "w_bar": wb, "q1": q1, "alpha1": a1, "q2": q2, "alpha2": a2}
-    return BoundValue(float(norm_lq(f, 2.0) ** 4 * best_w * best_t), witness, attained=True)
+    norm2 = norm_lq(f, 2.0)
+    return BoundValue(float(norm2**4 * best_w * best_t), witness, factors=(norm2, best_w, best_t))
 
 
 def _scan_table(search: CfSearch) -> list:
@@ -426,21 +432,17 @@ def _ranked_log_factors(g: Signal, centers: list, table: list, norms: dict) -> n
     return rank
 
 
-def separate_measure_bounds(
-    f: Signal, fhat: Signal, eps_t: float, eps_omega: float, witness: dict
-) -> tuple[float, float]:
-    """Individual lower bounds for |T| and |Omega| at a given witness:
+def separate_measure_bounds(eps_t: float, eps_omega: float, factors: tuple) -> tuple[float, float]:
+    """Individual lower bounds for |T| and |Omega| from `cf_bound`'s factors (||f||_2, A, B):
 
         ((1 - eps_T^2) ||f||_2^2 A, (1 - eps_Omega^2) ||f||_2^2 B)
 
     with A, B the factors of `cf_quotient`.  Their product equals
-    (1 - eps_T^2)(1 - eps_Omega^2) times the witness quotient, an algebraic
-    identity the tests assert.
+    (1 - eps_T^2)(1 - eps_Omega^2) times the quotient at the witness, an
+    algebraic identity the tests assert.
     """
     _check_eps(eps_t, eps_omega)
-    a = _signal_factor(fhat, witness["w_bar"], witness["q1"], witness["alpha1"])
-    b = _signal_factor(f, witness["t_bar"], witness["q2"], witness["alpha2"])
-    norm2 = norm_lq(f, 2.0)
+    norm2, a, b = factors
     return float((1.0 - eps_t**2) * norm2**2 * a), float((1.0 - eps_omega**2) * norm2**2 * b)
 
 
@@ -460,30 +462,26 @@ def heisenberg_floor(f: Signal) -> float:
     return float(norm_lq(f, 2.0) ** 2 / (4.0 * math.pi))
 
 
-def mixed_bound_check(
-    f: Signal, fhat: Signal, alpha: float, axis: str = TIME, rel_tol: float = 1e-6
-) -> Verdict:
-    """Support-moment inequality in one of its two mirror forms.
+def support_moment_sides(f: Signal, fhat: Signal, alpha: float, axis: str) -> tuple[float, float]:
+    """(lhs, rhs) of the support-moment inequality lhs >= rhs in one of its two mirror forms.
 
     axis = "time":       |supp f| * Mw^(1/alpha) >= ||f||_2^(1/alpha) / K
     axis = "frequency":  |supp fhat| * Mt^(1/alpha) >= ||f||_2^(1/alpha) / K
 
     where Mw / Mt is the L^2 moment of order alpha of the other-domain signal
     about its energy centroid and K = K(1, alpha, 2).  Support is measured at
-    the fixed relative magnitude threshold 1e-12 of `support_mask`.
+    the fixed relative magnitude threshold 1e-12 of `support_mask`.  The zero
+    signal raises ValueError.
     """
     alpha = float(alpha)
     if not alpha > 0.5:
         raise ValueError(f"support bound requires alpha > 1/2, got {alpha!r}")
     if axis not in (TIME, FREQUENCY):
         raise ValueError(f"axis must be 'time' or 'frequency', got {axis!r}")
-    check_id = "support-time" if axis == TIME else "support-freq"
     n2 = norm_lq(f, 2.0)
     if n2 == 0.0:
-        return skipped_verdict(check_id, "zero signal")
+        raise ValueError("support bound of the zero signal is undefined")
     supported, other = (f, fhat) if axis == TIME else (fhat, f)
     supp = support_mask(supported).measure
     moment = weighted_moment_norm(other, energy_centroid(other), alpha, 2.0)
-    lhs = supp * moment ** (1.0 / alpha)
-    rhs = n2 ** (1.0 / alpha) / price_k(1, alpha, 2.0)
-    return make_verdict(check_id, lhs, rhs, rel_tol)
+    return supp * moment ** (1.0 / alpha), n2 ** (1.0 / alpha) / price_k(1, alpha, 2.0)

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bounds_mod
-from .core import FREQUENCY, TIME, energy, fourier, make_grid, norm_lq, signal_from_samples
+from .core import TIME, energy, fourier, make_grid, signal_from_samples
 from .harness import (
     Scenario,
     ScenarioError,
@@ -177,6 +177,9 @@ def _selftest_checks(n: int, seed: int):
 def _cmd_selftest(args) -> int:
     if args.n < 64 or args.n % 2:
         print("error: selftest needs an even grid size of at least 64", file=sys.stderr)
+        return 2
+    if args.seed < 0:
+        print(f"error: selftest needs a nonnegative seed, got {args.seed}", file=sys.stderr)
         return 2
     failures = 0
     for name, fn in _selftest_checks(args.n, args.seed):

@@ -14,16 +14,20 @@ optimized-product       |T||Omega| >= sup_r (1-eps)^r (r/(r-1))^(2d(r-1)),
 marginal-energy         same optimized bound, with eps certified by
                         spectrogram-marginal masses on T and Omega (witness
                         g = f), streamed in row blocks with one Gabor pass
-                        per distinct window
+                        per distinct window; |V_w f|^2 is formed as
+                        conj(v) * v, so its rounding does not depend on
+                        the array size
 local-energy            spectral energy in Omega <= K(d,alpha,q) |Omega|
                         ||f||_q^(2-e) |||t|^alpha f||_q^e, e = 2d/(alpha q')
 signal-product          |T||Omega| >= C_f (1 - eps_T - eps_Omega)^2 at the
                         best searched witness for the signal-adapted C_f
-separate-time           |T| >= its signal-adapted lower bound
-separate-freq           |Omega| >= its signal-adapted lower bound
+separate-time           |T| >= its signal-adapted lower bound, from the
+                        factors of signal-product's C_f search
+separate-freq           |Omega| >= its signal-adapted lower bound, likewise
 spread-product          Delta f * Delta fhat >= (1-eps_T^2)(1-eps_Omega^2)
                         ||f||_2^2 / (4 pi^2 |T||Omega|)
-support-time            |supp f| * moment(fhat)^(1/alpha) >= ||f||_2^(1/a)/K
+support-time            |supp f| * moment(fhat)^(1/alpha) >= ||f||_2^(1/a)/K,
+                        both sides from bounds.support_moment_sides
 support-freq            the mirror form on supp fhat
 smoothing-time          ||L1 f - P f||_2 strictly decreases along the
                         lam1 sweep (P = sharp time projection)
@@ -31,8 +35,10 @@ smoothing-freq          ||L2 f - Q f||_2 strictly decreases along the
                         lam2 sweep (Q = sharp frequency projection)
 ======================  ======================================================
 
-Hypothesis violations produce skipped verdicts; internal errors produce
-failed verdicts carrying the error text — a run never raises mid-report.
+Every verdict is made here; `bounds` only computes the sides, each once per
+run.  Hypothesis violations produce skipped verdicts; internal errors
+produce failed verdicts carrying the error text — a run never raises
+mid-report.
 """
 
 from __future__ import annotations
@@ -497,27 +503,25 @@ def _check_ds_product(ctx: _RunContext) -> Verdict:
     )
 
 
+def _certified_product(ctx: _RunContext, check_id: str, eps_t: float, eps_w: float, source: str, notes) -> Verdict:
+    """|T||Omega| against improved_bound at a certified defect pair; notes(r) gives the verdict's notes."""
+    s = eps_t + eps_w
+    if s >= 1.0:
+        return skipped_verdict(check_id, f"hypothesis violated: {source} certify eps_t + eps_omega = {s:.6g} >= 1")
+    bv = bounds.improved_bound(eps_t, eps_w)
+    mt, mw = ctx.measures()
+    return make_verdict(check_id, mt * mw, bv.value, ctx.tol(check_id), notes=notes(bv.witness["r"]))
+
+
 def _check_optimized_product(ctx: _RunContext) -> Verdict:
-    lam1, lam2 = ctx.param("lam1"), ctx.param("lam2")
-    l1 = gaussian_smoothed_indicator(ctx.mask_t, lam1)
-    l2 = gaussian_smoothed_indicator(ctx.mask_w, lam2)
+    l1 = gaussian_smoothed_indicator(ctx.mask_t, ctx.param("lam1"))
+    l2 = gaussian_smoothed_indicator(ctx.mask_w, ctx.param("lam2"))
     total = energy(ctx.f)
     eps_t = _certified_eps(energy(apply_time_symbol(l1, ctx.f)) / total)
     eps_w = _certified_eps(energy(apply_freq_symbol(l2, ctx.fhat)) / total)
-    s = eps_t + eps_w
-    if s >= 1.0:
-        return skipped_verdict(
-            "optimized-product",
-            f"hypothesis violated: smoothed-operator energies certify eps_t + eps_omega = {s:.6g} >= 1",
-        )
-    bv = bounds.improved_bound(eps_t, eps_w)
-    mt, mw = ctx.measures()
-    return make_verdict(
-        "optimized-product",
-        mt * mw,
-        bv.value,
-        ctx.tol("optimized-product"),
-        notes=f"certified eps_t={eps_t:.6f} eps_omega={eps_w:.6f} r={bv.witness['r']:.4f}",
+    return _certified_product(
+        ctx, "optimized-product", eps_t, eps_w, "smoothed-operator energies",
+        lambda r: f"certified eps_t={eps_t:.6f} eps_omega={eps_w:.6f} r={r:.4f}",
     )
 
 
@@ -528,21 +532,9 @@ def _check_marginal_energy(ctx: _RunContext) -> Verdict:
         _, freq_profile = spectrogram_marginals(ctx.f, gaussian_window(lam2, ctx.grid))
     m_t = min(abs(complex(ctx.grid.dx * np.sum(time_profile[ctx.mask_t.flags]))), 1.0)
     m_w = min(abs(complex(ctx.grid.dw * np.sum(freq_profile[ctx.mask_w.flags]))), 1.0)
-    eps_t = math.sqrt(1.0 - m_t**2)
-    eps_w = math.sqrt(1.0 - m_w**2)
-    s = eps_t + eps_w
-    if s >= 1.0:
-        return skipped_verdict(
-            "marginal-energy",
-            f"hypothesis violated: marginal masses certify eps_t + eps_omega = {s:.6g} >= 1",
-        )
-    mt, mw = ctx.measures()
-    return make_verdict(
-        "marginal-energy",
-        mt * mw,
-        bounds.improved_bound(eps_t, eps_w).value,
-        ctx.tol("marginal-energy"),
-        notes=f"witness g=f; marginal masses m_t={m_t:.6f} m_omega={m_w:.6f}",
+    return _certified_product(
+        ctx, "marginal-energy", _certified_eps(m_t**2), _certified_eps(m_w**2), "marginal masses",
+        lambda r: f"witness g=f; marginal masses m_t={m_t:.6f} m_omega={m_w:.6f}",
     )
 
 
@@ -587,7 +579,7 @@ def _check_signal_product(ctx: _RunContext) -> Verdict:
 
 
 def _check_separate(ctx: _RunContext, which: str) -> Verdict:
-    lb_t, lb_w = bounds.separate_measure_bounds(ctx.f, ctx.fhat, ctx.eps_t, ctx.eps_omega, ctx.cf().witness)
+    lb_t, lb_w = bounds.separate_measure_bounds(ctx.eps_t, ctx.eps_omega, ctx.cf().factors)
     mt, mw = ctx.measures()
     if which == "separate-time":
         return make_verdict(which, mt, lb_t, ctx.tol(which))
@@ -613,9 +605,8 @@ def _check_spread_product(ctx: _RunContext) -> Verdict:
 
 def _check_support(ctx: _RunContext, axis: str) -> Verdict:
     check_id = "support-time" if axis == TIME else "support-freq"
-    return bounds.mixed_bound_check(
-        ctx.f, ctx.fhat, ctx.param("alpha_support"), axis=axis, rel_tol=ctx.tol(check_id)
-    )
+    lhs, rhs = bounds.support_moment_sides(ctx.f, ctx.fhat, ctx.param("alpha_support"), axis)
+    return make_verdict(check_id, lhs, rhs, ctx.tol(check_id))
 
 
 def _sharp_time_projection(ctx: _RunContext) -> Signal:

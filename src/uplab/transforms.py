@@ -13,9 +13,10 @@ Every row of V_w f comes from one kernel, ``_gabor_rows``, which builds a
 block of rows in FFT order and transforms it.  ``gabor_transform`` runs it
 over all n rows.  ``spectrogram_marginals`` runs it over row blocks of at
 most ``_BLOCK_BYTES`` and keeps only the two marginal vectors.  It does the
-same arithmetic in the same order as ``marginals(spectrogram(f, f, w))``, so
-its profiles are bit-identical to that dense route, which the tests use as
-the oracle.
+same arithmetic in the same order as ``marginals(spectrogram(f, f, w))``,
+forming |V_w f|^2 as conj(V_w f) * V_w f in both, so its profiles are
+bit-identical to that dense route at every array size and block height; the
+tests use the dense route as the oracle.
 
 The cross-Wigner distribution is
 
@@ -35,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    FREQUENCY,
     TIME,
     _BLOCK_BYTES,
     Grid,
@@ -126,26 +126,22 @@ def gabor_transform(f: Signal, window: Signal) -> TFMatrix:
 def spectrogram_marginals(f: Signal, window: Signal) -> tuple[np.ndarray, np.ndarray]:
     """marginals(spectrogram(f, f, window)), streamed over row blocks of V_w f.
 
-    Each block's |V_w f|^2 rows are summed as the dense route sums them (per
-    row along frequency; row by row into the frequency accumulator), so both
-    profiles are bit-identical to the dense ones while only one block is held.
+    Each block's |V_w f|^2 rows are formed as conj(v) * v, the product order
+    of `spectrogram`, and summed as the dense route sums them (per row along
+    frequency; row by row into the frequency accumulator), so both profiles
+    are bit-identical to the dense ones for any block height while only one
+    block is held.
     """
     _check_gabor_args(f, window)
     n = f.grid.n
-    # Complex row blocks of at most _BLOCK_BYTES, split equally, so each holds
-    # about half that or more, and at least one row.  That keeps every block at
-    # or above numpy's 256 KiB temporary-elision threshold whenever the n x n
-    # array is: elision evaluates v * conj(v) as conj(v) *= v, which rounds the
-    # fused multiply-add of the complex product differently, so only blocks on
-    # the same side of the threshold round exactly as the dense array does.
-    blocks = -(-n // max(1, _BLOCK_BYTES // (16 * n)))
-    edges = [i * n // blocks for i in range(blocks + 1)]
+    step = max(1, _BLOCK_BYTES // (16 * n))
     row_sums = np.empty(n, dtype=np.complex128)
     col_sum = np.zeros(n, dtype=np.complex128)
-    for j0, j1 in zip(edges[:-1], edges[1:]):
-        v = _gabor_rows(f, window, j0, j1)
-        block = v * np.conj(v)
-        row_sums[j0:j1] = block.sum(axis=1)
+    for j0 in range(0, n, step):
+        v = _gabor_rows(f, window, j0, min(j0 + step, n))
+        block = np.conj(v)
+        block *= v
+        row_sums[j0 : j0 + step] = block.sum(axis=1)
         for row in block:
             col_sum += row
     return f.grid.dw * row_sums, f.grid.dx * col_sum
@@ -159,11 +155,13 @@ def tf_norm_lp(m: TFMatrix, p: float) -> float:
 def spectrogram(f: Signal, g: Signal, window: Signal) -> TFMatrix:
     """Two-window spectrogram V_w f * conj(V_w g); real and nonnegative for g = f.
 
-    When g is f the transform is computed once and reused.
+    When g is f the transform is computed once and reused.  The product is
+    formed as conj(V_w g) * V_w f at every size, so its rounding does not
+    depend on whether numpy reuses a temporary operand in place.
     """
     vf = gabor_transform(f, window)
     vg = vf if g is f else gabor_transform(g, window)
-    return tfmatrix_from_values(f.grid, vf.values * np.conj(vg.values))
+    return tfmatrix_from_values(f.grid, np.conj(vg.values) * vf.values)
 
 
 def marginals(m: TFMatrix) -> tuple[np.ndarray, np.ndarray]:

@@ -5,10 +5,11 @@ traced `CfSearch.alphas` method.  Running one pass of the two cheapest
 workloads here makes a change that breaks the benchmark fail the unit tests
 first.  The `phase-space` pass at variant 5 guards the frozen marginal
 masses, which the `marginal-energy` rhs magnifies several hundredfold, so a
-one-ulp drift in the spectrogram marginals fails it.  The `refine` pass at
-variant 0 (about 2 s) checks the n = 65536 `cf_bound` scan, and every other
-default check but `marginal-energy` at n = 8192 to 65536, against the frozen
-values.
+one-ulp drift in the spectrogram marginals fails it.  It runs traced and
+counts the moment evaluations, so a check that recomputes `cf_bound`'s
+factors fails it too.  The `refine` pass at variant 0 (about 2 s) checks the
+n = 65536 `cf_bound` scan, and every other default check but
+`marginal-energy` at n = 8192 to 65536, against the frozen values.
 """
 
 import json
@@ -44,9 +45,12 @@ def test_operators_pass_matches_the_reference():
     assert result["failed"] == 0, result["failures"]
 
 
-def test_conditioning_sensitive_phase_space_pass_matches_the_reference():
-    result = run_worker("--workload", "phase-space", "--variant", "5")
+def test_conditioning_sensitive_phase_space_pass_matches_the_reference(tmp_path):
+    result = run_worker("--workload", "phase-space", "--variant", "5", "--spans", str(tmp_path / "spans.npz"))
     assert result["failed"] == 0, result["failures"]
+    # 5 per scenario: local-energy, the two support checks and spread-product's
+    # two spreads; the signal-adapted checks take every moment from cf_bound's scan
+    assert result["spans"]["concentration.weighted_moment_norm"]["calls"] == 15
 
 
 def test_n65536_refine_pass_matches_the_reference():

@@ -41,7 +41,6 @@ from uplab import (
     locop_constant,
     make_grid,
     minimal_concentration_set,
-    mixed_bound_check,
     norm_lq,
     price_k,
     price_k1,
@@ -51,6 +50,7 @@ from uplab import (
     signal_from_samples,
     standard_suite,
     std_dev,
+    support_moment_sides,
     weighted_moment_norm,
 )
 from uplab.concentration import _moment_lq, _support
@@ -382,17 +382,18 @@ class TestSignalAdaptedBounds:
         grid = make_grid(256, 1 / 16)
         f = unit_gaussian(grid)
         fhat = fourier(f)
+        cf = cf_bound(f, fhat)
         eps_t, eps_omega = 0.1, 0.2
-        lb_t, lb_w = separate_measure_bounds(f, fhat, eps_t, eps_omega, GAUSS_WITNESS)
-        want = (1 - eps_t**2) * (1 - eps_omega**2) * cf_quotient(f, fhat, GAUSS_WITNESS)
+        lb_t, lb_w = separate_measure_bounds(eps_t, eps_omega, cf.factors)
+        want = (1 - eps_t**2) * (1 - eps_omega**2) * cf_quotient(f, fhat, cf.witness)
         assert lb_t * lb_w == pytest.approx(want, rel=1e-12)
 
     def test_separate_bounds_shrink_with_larger_defects(self):
         grid = make_grid(256, 1 / 16)
         f = unit_gaussian(grid)
-        fhat = fourier(f)
-        tight_t, tight_w = separate_measure_bounds(f, fhat, 0.05, 0.05, GAUSS_WITNESS)
-        loose_t, loose_w = separate_measure_bounds(f, fhat, 0.5, 0.5, GAUSS_WITNESS)
+        cf = cf_bound(f, fourier(f))
+        tight_t, tight_w = separate_measure_bounds(0.05, 0.05, cf.factors)
+        loose_t, loose_w = separate_measure_bounds(0.5, 0.5, cf.factors)
         assert loose_t < tight_t
         assert loose_w < tight_w
 
@@ -524,15 +525,9 @@ class TestSupportMomentBound:
         grid = make_grid(256, 1 / 16)
         f = unit_gaussian(grid)
         fhat = fourier(f)
-        from uplab import FREQUENCY
-
-        vt = mixed_bound_check(f, fhat, 1.0)
-        assert vt.check_id == "support-time"
-        assert vt.status == "pass"
-        assert vt.margin > 0
-        vw = mixed_bound_check(f, fhat, 1.0, axis=FREQUENCY)
-        assert vw.check_id == "support-freq"
-        assert vw.status == "pass"
+        for axis in (TIME, FREQUENCY):
+            lhs, rhs = support_moment_sides(f, fhat, 1.0, axis)
+            assert lhs - rhs > 0
 
     def test_gaussian_hand_value(self):
         # Support at threshold 1e-12 spans |t| <= 2.96..., measure 5.9375 on
@@ -540,19 +535,19 @@ class TestSupportMomentBound:
         grid = make_grid(256, 1 / 16)
         f = unit_gaussian(grid)
         fhat = fourier(f)
-        v = mixed_bound_check(f, fhat, 1.0)
-        assert v.rhs == pytest.approx(1 / (2 * math.pi), rel=1e-9)
-        assert v.lhs == pytest.approx(5.9375 * std_dev(f, 0.0), rel=1e-4)
+        lhs, rhs = support_moment_sides(f, fhat, 1.0, TIME)
+        assert rhs == pytest.approx(1 / (2 * math.pi), rel=1e-9)
+        assert lhs == pytest.approx(5.9375 * std_dev(f, 0.0), rel=1e-4)
 
-    def test_zero_signal_is_skipped(self):
+    def test_zero_signal_raises(self):
         grid = make_grid(256, 1 / 16)
         zero = signal_from_samples(grid, np.zeros(256))
         f = unit_gaussian(grid)
-        v = mixed_bound_check(zero, fourier(f), 1.0)
-        assert v.status == "skipped"
+        with pytest.raises(ValueError, match="zero signal"):
+            support_moment_sides(zero, fourier(f), 1.0, TIME)
 
     def test_shallow_powers_rejected(self):
         grid = make_grid(256, 1 / 16)
         f = unit_gaussian(grid)
         with pytest.raises(ValueError):
-            mixed_bound_check(f, fourier(f), 0.5)
+            support_moment_sides(f, fourier(f), 0.5, TIME)

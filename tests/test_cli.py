@@ -261,3 +261,8 @@ class TestSelftestCommand:
     def test_odd_grid_rejected(self, capsys):
         assert main(["selftest", "--n", "129"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_negative_seed_rejected(self, capsys):
+        assert main(["selftest", "--n", "64", "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1

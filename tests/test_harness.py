@@ -36,6 +36,7 @@ from uplab import (
     write_signal_csv,
     write_verdicts_csv,
 )
+from uplab import bounds, concentration
 from uplab.cli import main
 from uplab.harness import BOUND_DEFAULTS, CHECKS, SIGNAL_DEFAULTS, SIGNAL_KINDS, _windows_to_mask
 
@@ -263,6 +264,42 @@ class TestRunScenario:
         s = Scenario(name="dup", checks=("ds-product", "ds-product"))
         report = run_scenario(s)
         assert len(report.verdicts) == 1
+
+    def test_signal_adapted_factors_are_evaluated_once(self, monkeypatch):
+        # signal-product, separate-time and separate-freq share one cf_bound
+        # search, and the separate bounds read its factors: no moment is
+        # evaluated outside that search
+        calls, inside = [], []
+        search = bounds.cf_bound
+
+        def traced_search(*args):
+            inside.append(True)
+            try:
+                return search(*args)
+            finally:
+                inside.pop()
+
+        def counted(label, fn):
+            def wrapper(*args):
+                calls.append((label, bool(inside)))
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(bounds, "cf_bound", counted("cf_bound", traced_search))
+        for module, name in (
+            (bounds, "_signal_factor"),
+            (bounds, "weighted_moment_norm"),
+            (bounds, "_moment_lq"),
+            (concentration, "weighted_moment_norm"),
+            (concentration, "_moment_lq"),
+        ):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        s = Scenario(name="factors-once", checks=("signal-product", "separate-time", "separate-freq"))
+        assert run_scenario(s).summary["pass"] == 3
+        assert [label for label, _ in calls].count("cf_bound") == 1
+        assert ("_moment_lq", True) in calls
+        assert [label for label, within in calls if not within and label != "cf_bound"] == []
 
     def test_reports_are_deterministic(self):
         s = bundled_scenario("indicator-tight")

@@ -179,7 +179,7 @@ class TestSpectrogram:
         monkeypatch.setattr(transforms, "gabor_transform", counting)
         sp = spectrogram(f, f, window)
         assert len(calls) == 1
-        np.testing.assert_array_equal(sp.values, vf * np.conj(vf))
+        np.testing.assert_array_equal(sp.values, np.conj(vf) * vf)
 
     def test_marginals_integrate_to_the_mass(self):
         grid = make_grid(256, 1 / 16)
@@ -207,6 +207,18 @@ class TestSpectrogramMarginals:
         assert n % (transforms._BLOCK_BYTES // (16 * n)) != 0
         grid = make_grid(n, 1 / 16)
         f, w = noise_signal(grid, 15), gaussian_window(2.0, grid)
+        time_profile, freq_profile = spectrogram_marginals(f, w)
+        dense_time, dense_freq = marginals(spectrogram(f, f, w))
+        np.testing.assert_array_equal(time_profile, dense_time)
+        np.testing.assert_array_equal(freq_profile, dense_freq)
+
+    def test_small_row_blocks_equal_the_dense_marginals_exactly(self, monkeypatch):
+        # 3-row blocks (48 KiB) fall below numpy's 256 KiB temporary-elision
+        # threshold while the dense 1 MiB array does not; both form conj(v) * v
+        n = 256
+        monkeypatch.setattr(transforms, "_BLOCK_BYTES", 3 * 16 * n)
+        grid = make_grid(n, 1 / 16)
+        f, w = noise_signal(grid, 17), gaussian_window(1.0, grid)
         time_profile, freq_profile = spectrogram_marginals(f, w)
         dense_time, dense_freq = marginals(spectrogram(f, f, w))
         np.testing.assert_array_equal(time_profile, dense_time)
