@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln, gammaln, lambertw
 
 from .concentration import _moment_lq, _support, energy_centroid, support_mask, weighted_moment_norm
 from .core import _BLOCK_BYTES, FREQUENCY, TIME, Signal, norm_lq
@@ -106,17 +105,14 @@ def improved_bound(eps_t: float, eps_omega: float, d: int = 1) -> BoundValue:
     """sup over r in [1, inf) of (1 - eps)^r * (r/(r-1))^(2d(r-1)), eps = eps_T + eps_Omega.
 
     The log of the objective, h(r) = r log(1-eps) + 2d (r-1) log(r/(r-1)), is
-    strictly concave, and with x = 1 - 1/r its stationarity condition reads
-    x e^(-x) = e^(-1 + log(1-eps)/(2d)).  The maximizer is therefore
+    strictly concave.  With u = 1/r its stationarity condition reads
 
-        r* = 1 / u,   u = 1 + W0(-exp(-1 + log1p(-eps)/(2d))),
+        -log1p(-u) - u = -log1p(-eps) / (2d),
 
-    with W0 the principal Lambert W branch (Corless et al., Adv. Comput.
-    Math. 5, 1996).  For small eps the argument of W0 sits within rounding
-    of the branch point -1/e, where the digits of u cancel; there u comes
-    from the inverted series of u^2/2 + u^3/3 + ... = -log(1-eps)/(2d),
-    u = s - s^2/3 + s^3/36 with s = sqrt(-log(1-eps)/d), whose next term is
-    s^4/270.  The value is exp(h(r*)) with h evaluated as
+    the principal Lambert W equation u = 1 + W0(-exp(-1 + log1p(-eps)/(2d)))
+    (Corless et al., Adv. Comput. Math. 5, 1996) written without the branch
+    point.  `_stationary_u` solves it by a bracketed Newton iteration.  The
+    value is exp(h(r*)), r* = 1/u, with h evaluated as
     r log1p(-eps) - 2d (r-1) log1p(-1/r), which stays accurate as r -> inf.
     At eps = 0 the supremum is exp(2d), approached as r -> inf but attained
     by no finite r, which the returned record marks with attained=False.
@@ -135,14 +131,61 @@ def improved_bound(eps_t: float, eps_omega: float, d: int = 1) -> BoundValue:
         return BoundValue(0.0, {"r": 1.0}, attained=True)
 
     log1me = math.log1p(-eps)
-    s = math.sqrt(-log1me) / math.sqrt(d)  # sqrt(-log1me / d) underflows to 0 for subnormal eps
-    if s < 2e-3:  # where the errors of the two routes cross, ~4e-11 relative in u
-        u = s - s * s / 3.0 + s**3 / 36.0
-    else:
-        u = 1.0 + float(lambertw(-math.exp(log1me / (2.0 * d) - 1.0)).real)
+    u = _stationary_u(math.sqrt(-log1me) / math.sqrt(d))  # sqrt(-log1me / d) underflows to 0 for subnormal eps
     r_star = 1.0 / u
     h = r_star * log1me - 2.0 * d * (r_star - 1.0) * math.log1p(-u)
     return BoundValue(_bound_exp(h, d), {"r": r_star}, attained=True)
+
+
+def _stationary_u(s: float) -> float:
+    """The root u in (0, 1) of phi(u) = s, phi(u) = sqrt(2 (-log1p(-u) - u)), for s > 0.
+
+    phi is increasing and convex (phi'' has the sign of phi^2 - u^2 =
+    2 sum_{k>=3} u^k / k), so a Newton step, with phi'(u) = u / ((1 - u) phi(u)),
+    moves down onto the root from above it.  The root lies in
+
+        [-expm1(-s^2/2), min(s, -expm1(-1 - s^2/2))],
+
+    since phi(u) >= u and 1 - u = exp(-(s^2/2 + u)); a step that leaves the
+    bracket becomes a bisection.  The start is the inverted series
+    u = s - s^2/3 + s^3/36 for s < 1 (next term s^4/270, so for s below
+    ~1e-5 it is the root to rounding and is returned as it is), and the upper
+    end of the bracket otherwise.  The iteration stops at a step of at most
+    4 ulps, which it does not take.
+    """
+    lo, hi = -math.expm1(-0.5 * s * s), min(s, -math.expm1(-1.0 - 0.5 * s * s))
+    u = s - s * s / 3.0 + s**3 / 36.0 if s < 1.0 else hi
+    for _ in range(100):
+        root_gap = math.sqrt(_scaled_log_gap(u))
+        miss = u * root_gap - s
+        if miss > 0.0:
+            hi = u
+        elif miss < 0.0:
+            lo = u
+        step = miss * (1.0 - u) * root_gap
+        if abs(step) <= 4.0 * math.ulp(u):
+            break
+        u -= step
+        if not lo < u < hi:
+            u = 0.5 * (lo + hi)
+    return u
+
+
+def _scaled_log_gap(u: float) -> float:
+    """2 (-log1p(-u) - u) / u^2 for u in (0, 1), free of cancellation and underflow.
+
+    For u <= 1/4 it is summed as (2/a) (1 + 2u/a^2 sum_k w^(2k) / (2k+3)),
+    a = 2 - u and w = u/a, from -log1p(-u) = 2 atanh(w); w^2 <= 1/49, so ten
+    terms reach rounding.
+    """
+    if u > 0.25:
+        return 2.0 * (-math.log1p(-u) - u) / (u * u)
+    a = 2.0 - u
+    w2 = (u / a) ** 2
+    tail = 0.0
+    for j in range(21, 1, -2):
+        tail = tail * w2 + 1.0 / j
+    return 2.0 / a * (1.0 + 2.0 * u / (a * a) * tail)
 
 
 def _bound_exp(h: float, d: int) -> float:
@@ -161,9 +204,9 @@ def price_k1(d: int, alpha: float) -> float:
     log_val = (
         (d / 2.0) * math.log(math.pi)
         - math.log(alpha)
-        - gammaln(d / 2.0)
-        + gammaln(x)
-        + gammaln(1.0 - x)
+        - math.lgamma(d / 2.0)
+        + math.lgamma(x)
+        + math.lgamma(1.0 - x)
         + x * math.log(2.0 * alpha / d - 1.0)
         - math.log(1.0 - x)
     )
@@ -197,7 +240,7 @@ def price_ktilde(d: int, alpha: float, q: float) -> float:
         log_val = (
             math.log(2.0)
             + (d / 2.0) * math.log(math.pi)
-            - gammaln(d / 2.0)
+            - math.lgamma(d / 2.0)
             + math.log(alpha)
             - math.log(d)
             - math.log(alpha - d)
@@ -211,9 +254,11 @@ def price_ktilde(d: int, alpha: float, q: float) -> float:
     bracket = (
         math.log(2.0)
         + (d / 2.0) * math.log(math.pi)
-        - gammaln(d / 2.0)
+        - math.lgamma(d / 2.0)
         - math.log(alpha * q)
-        + betaln(x, y)
+        + math.lgamma(x)
+        + math.lgamma(y)
+        - math.lgamma(x + y)
     )
     log_val = (
         ((q - 1.0) / q) * bracket
@@ -300,10 +345,9 @@ def cf_bound(f: Signal, fhat: Signal, search: CfSearch | None = None) -> BoundVa
     t_centers = _scan_centers(f, search.center_count)
     w_centers = _scan_centers(fhat, search.center_count)
     table = _scan_table(search)
-    best_w, (wb, q1, a1) = _best_factor(fhat, w_centers, table)
-    best_t, (tb, q2, a2) = _best_factor(f, t_centers, table)
+    best_w, (wb, q1, a1), _ = _best_factor(fhat, w_centers, table)
+    best_t, (tb, q2, a2), norm2 = _best_factor(f, t_centers, table)
     witness = {"t_bar": tb, "w_bar": wb, "q1": q1, "alpha1": a1, "q2": q2, "alpha2": a2}
-    norm2 = norm_lq(f, 2.0)
     return BoundValue(float(norm2**4 * best_w * best_t), witness, factors=(norm2, best_w, best_t))
 
 
@@ -342,8 +386,8 @@ def _signal_factor(g: Signal, center: float, q: float, alpha: float) -> float:
 _RANK_BAND = 1e-9
 
 
-def _best_factor(g: Signal, centers: list, table: list) -> tuple[float, tuple]:
-    """First maximiser of `_factor` over (center, q, alpha), in that scan order.
+def _best_factor(g: Signal, centers: list, table: list) -> tuple[float, tuple, float]:
+    """First maximiser of `_factor` over (center, q, alpha), in that scan order, and ||g||_2.
 
     The moment M is the one `weighted_moment_norm` computes.  The scan ranks,
     then verifies.  `_ranked_log_factors` gives every row's log-factor in one
@@ -361,7 +405,7 @@ def _best_factor(g: Signal, centers: list, table: list) -> tuple[float, tuple]:
     while its logarithm stays finite) is infeasible, as in the row-by-row scan:
     it is dropped and the rows are ranked again.
     """
-    norms = {q: norm_lq(g, q) for q in {row[0] for row in table}}
+    norms = {q: norm_lq(g, q) for q in {2.0, *(row[0] for row in table)}}
     ranks = _ranked_log_factors(g, centers, table, norms)
     axis, mags = _support(g)
     while True:
@@ -380,7 +424,7 @@ def _best_factor(g: Signal, centers: list, table: list) -> tuple[float, tuple]:
             if best is None or val > best:
                 best, arg = val, (c, q, a)
         if not dropped:
-            return best, arg
+            return best, arg, norms[2.0]
 
 
 def _ranked_log_factors(g: Signal, centers: list, table: list, norms: dict) -> np.ndarray:
@@ -409,7 +453,7 @@ def _ranked_log_factors(g: Signal, centers: list, table: list, norms: dict) -> n
     log_m = np.empty(rank.size)
     step = max(1, _BLOCK_BYTES // (8 * mags.size))
     block = np.empty((min(step, rank.size), mags.size))
-    for q in np.unique(row_q):
+    for q in sorted({row[0] for row in table}):  # np.unique would import numpy.ma on first use
         rows = np.flatnonzero(row_q == q)
         scale = 1.0 if math.isinf(q) else q
         scaled_level = scale * level

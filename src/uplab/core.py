@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import numpy.fft  # numpy loads submodules on first use; load this one with the library, not in a run
 
 TIME = "time"
 FREQUENCY = "frequency"

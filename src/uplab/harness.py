@@ -54,6 +54,8 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
+import numpy.polynomial.hermite  # numpy loads submodules on first use; load these with the library
+import numpy.random
 
 from . import bounds
 from .concentration import (

@@ -1,9 +1,10 @@
 """Bound constant and inequality tests.
 
 Oracles: closed forms for the special constants (2 pi, pi^2, Stirling-free
-gamma identities), a dense-grid maximization, the stationarity condition and
-the small-defect expansion 2d - 2 sqrt(d eps) of the log-supremum in place of
-the Lambert W maximizer, exact Gaussian moments, hand-derived special cases of the
+gamma identities), 40-digit mpmath log-gamma and Beta values for every scan
+row's constant, a dense-grid maximization, the stationarity condition, the
+small-defect expansion 2d - 2 sqrt(d eps) of the log-supremum and the 50-digit
+mpmath Lambert W maximizer, exact Gaussian moments, hand-derived special cases of the
 measure bounds, a brute-force scan of cf_quotient over the full witness
 grid in place of the factored cf_bound search, and the row-by-row factor scan
 (`exhaustive_best_factor`) in place of the ranked one.
@@ -16,6 +17,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -65,7 +67,7 @@ GAUSS_WITNESS = {"t_bar": 0.0, "w_bar": 0.0, "q1": 2.0, "alpha1": 1.0, "q2": 2.0
 
 
 def exhaustive_best_factor(g, centers, table):
-    """First maximiser of bounds._factor over (center, q, alpha), every row evaluated exactly."""
+    """First maximiser of bounds._factor over (center, q, alpha), every row evaluated exactly, and ||g||_2."""
     norms = {q: norm_lq(g, q) for q in {row[0] for row in table}}
     axis, mags = _support(g)
     best, arg = None, None
@@ -80,7 +82,7 @@ def exhaustive_best_factor(g, centers, table):
                 best, arg = val, (c, q, a)
     if best is None:
         raise ValueError("search grids admitted no feasible witness")
-    return best, arg
+    return best, arg, norm_lq(g, 2.0)
 
 
 class TestExponentsAndConstants:
@@ -206,6 +208,32 @@ class TestProductBounds:
     def test_largest_representable_zero_defect_supremum(self):
         assert improved_bound(0.0, 0.0, 354).value == pytest.approx(math.exp(708.0), rel=1e-15)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_the_50_digit_lambert_w_maximizer(self, d):
+        # u = 1/r* = 1 + W0(-exp(-1 + log1p(-eps)/(2d))).  Near the branch point
+        # the argument of W0 sits ~eps/(2d e) above -1/e, so the oracle works
+        # with 50 digits beyond the ones that cancel there.  The value is held
+        # to 7.4e-15 relative, the largest error of the Lambert W route this
+        # one replaces.  u is held to 8 ulps: the iteration stops at a step of
+        # at most 4 ulps, and the residual phi(u) - s carries at most 4 ulps of
+        # s (two each from s and phi(u)), which reach u at most as the same
+        # relative error since u phi'(u) >= phi(u) = s (phi is convex, phi(0) = 0).
+        grid = np.concatenate([np.geomspace(1e-300, 0.5, 61), 1 - np.geomspace(1e-12, 0.5, 25)])
+        worst_u = 0.0
+        for eps in map(float, grid):
+            got = improved_bound(eps, 0.0, d)
+            with mpmath.workdps(50 + math.ceil(-math.log10(eps))):
+                log1me = mpmath.log1p(-mpmath.mpf(eps))
+                u = 1 + mpmath.lambertw(-mpmath.exp(log1me / (2 * d) - 1)).real
+                r = 1 / u
+                value = mpmath.exp(r * log1me - 2 * d * (r - 1) * mpmath.log1p(-u))
+                value_err = float(abs(got.value - value) / value)
+                u_err = float(abs(1 / got.witness["r"] - u) / u)
+            assert value_err <= 7.4e-15, (eps, value_err)
+            assert u_err <= 8 * 2.0**-52, (eps, u_err)
+            worst_u = max(worst_u, u_err)
+        print(f"improved_bound d={d}: largest relative error in u = 1/r* {worst_u:.2e}")
+
     def test_gaussian_minimal_sets_sit_below_the_supremum_bound(self):
         # The tightest concentration sets of the Gaussian at defect 0.1 have a
         # measure product below both the r = 2 member and the supremum, which
@@ -261,6 +289,33 @@ class TestSpectralConcentrationConstants:
         # cells centered in [-1/2, 1/2] cover half a cell more on each side
         assert inside == pytest.approx(erf(math.sqrt(2 * math.pi) * (0.5 + grid.dw / 2)), rel=1e-3)
         assert inside < rhs
+
+    @pytest.mark.parametrize("q", CfSearch().qs)
+    def test_every_scan_row_matches_40_digit_gamma_values(self, q):
+        # log Ktilde is a sum of terms t_j: logs and log-gammas, the log-Beta
+        # taken as lgamma(x) + lgamma(y) - lgamma(x + y).  Each carries at most
+        # 4 units of 2^-53 of max(|t_j|, 1): one from its library function, up
+        # to two from the rounding of its argument and one from its product and
+        # the sum.  K = Ktilde^2 doubles that, and exp and the square add two.
+        with mpmath.workdps(40):
+            for alpha in CfSearch().alphas(q):
+                a = mpmath.mpf(alpha)
+                head = [mpmath.log(2), mpmath.log(mpmath.pi) / 2, -mpmath.loggamma(0.5)]
+                if math.isinf(q):
+                    log_k = mpmath.fsum(head) + mpmath.log(a) - mpmath.log(a - 1)
+                    terms = head + [mpmath.log(a), -mpmath.log(a - 1)]
+                else:
+                    qm, qp = mpmath.mpf(q), 1 / (1 - 1 / mpmath.mpf(q))
+                    x, y = 1 / (a * qm), 1 / (qm - 1) - 1 / (a * qm)
+                    bracket = head + [-mpmath.log(a * qm)]
+                    tail = [mpmath.log(a * qp - 1) / (qm * qp * a), -mpmath.log(1 - 1 / (a * qp)) / qm]
+                    log_k = (qm - 1) / qm * (mpmath.fsum(bracket) + mpmath.log(mpmath.beta(x, y))) + mpmath.fsum(tail)
+                    log_gammas = [mpmath.loggamma(x), mpmath.loggamma(y), -mpmath.loggamma(x + y)]
+                    terms = [(qm - 1) / qm * t for t in bracket + log_gammas] + tail
+                want = mpmath.exp(2 * log_k)
+                scale = float(mpmath.fsum(max(abs(t), 1) for t in terms))
+                err = float(abs(price_k(1, alpha, q) - want) / want)
+                assert err <= 2.0**-53 * (8 * scale + 2), (alpha, err, scale)
 
 
 class TestSignalAdaptedBounds:
@@ -377,6 +432,22 @@ class TestSignalAdaptedBounds:
         assert got.witness == best_witness
         assert got.value == pytest.approx(best, rel=1e-14)
         return got.witness
+
+    def test_the_l2_norm_of_f_is_taken_once(self, monkeypatch):
+        # the scan's norm table holds q = 2, and cf_bound's ||f||_2 factor is that entry
+        grid = make_grid(256, 1 / 16)
+        f = unit_gaussian(grid)
+        calls = []
+        norm = bounds.norm_lq
+
+        def counted(g, q):
+            calls.append((g.domain, q))
+            return norm(g, q)
+
+        monkeypatch.setattr(bounds, "norm_lq", counted)
+        cf = cf_bound(f, fourier(f))
+        assert calls.count((TIME, 2.0)) == 1
+        assert cf.factors[0] == norm_lq(f, 2.0)
 
     def test_separate_bounds_multiply_to_the_product_form(self):
         grid = make_grid(256, 1 / 16)
