@@ -17,7 +17,6 @@ from .bounds import (
     CfSearch,
     alpha_k_profile,
     cf_bound,
-    cf_quotient,
     conjugate_exponent,
     delta_bound,
     ds_bound,
@@ -33,11 +32,9 @@ from .bounds import (
     support_moment_sides,
 )
 from .concentration import (
-    ConcentrationResult,
     MaskSet,
     concentration_defect,
     energy_centroid,
-    mask_from_axis_window,
     mask_from_flags,
     minimal_concentration_set,
     std_dev,
@@ -104,7 +101,6 @@ from .transforms import (
     gabor_transform,
     gaussian_window,
     marginals,
-    spectrogram,
     spectrogram_marginals,
     tf_norm_lp,
     tfmatrix_from_values,

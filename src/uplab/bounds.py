@@ -307,37 +307,23 @@ class CfSearch:
         return tuple(sorted(vals))
 
 
-def cf_quotient(f: Signal, fhat: Signal, witness: dict) -> float:
-    """Evaluate the signal-adapted quotient at one witness parameter choice,
-
-        ||f||_2^4 * A * B,
-        A = ||fhat||_q1^e1 / (K(1,a1,q1) ||fhat||_q1^2 Mw^e1),
-        B = ||f||_q2^e2 / (K(1,a2,q2) ||f||_q2^2 Mt^e2),
-
-    with e_j = 2/(alpha_j q_j'), Mt the time moment of f about t_bar at
-    (alpha2, q2), and Mw the frequency moment of fhat about w_bar at
-    (alpha1, q1).
-    """
-    a = _signal_factor(fhat, witness["w_bar"], witness["q1"], witness["alpha1"])
-    b = _signal_factor(f, witness["t_bar"], witness["q2"], witness["alpha2"])
-    return float(norm_lq(f, 2.0) ** 4 * a * b)
-
-
 def cf_bound(f: Signal, fhat: Signal, search: CfSearch | None = None) -> BoundValue:
     """Best lower bound for the signal-adapted constant over the finite search grids.
 
-    Any witness gives a valid lower bound for the true constant, so enlarging
-    the grids can only increase the result.  Both factors A and B of
-    `cf_quotient` are positive, so the maximum of the quotient is max A times
-    max B and each factor is scanned on its own grid.  Ties keep the first
-    maximiser in the lexicographic scan order (t_bar, w_bar, q1, alpha1, q2,
-    alpha2) of the full witness grid: that is the first maximiser of A in
-    (w_bar, q1, alpha1) order together with the first maximiser of B in
-    (t_bar, q2, alpha2) order.  Witnesses whose moment norm vanishes are
-    skipped.  `_best_factor` ranks each factor's rows in one log-domain pass
-    and evaluates exactly only those near the top; the value and witness are
-    those of evaluating every row, bit for bit.  The result's `factors` are
-    (||f||_2, max A, max B).
+    At a witness (t_bar, w_bar, q1, alpha1, q2, alpha2) the quotient is
+    ||f||_2^4 * A * B, with A the `_factor` of fhat about w_bar at (q1, alpha1)
+    and B that of f about t_bar at (q2, alpha2).  Any witness gives a valid
+    lower bound for the true constant, so enlarging the grids can only
+    increase the result.  Both factors are positive, so the maximum of the
+    quotient is max A times max B and each factor is scanned on its own grid.
+    Ties keep the first maximiser in the lexicographic scan order (t_bar,
+    w_bar, q1, alpha1, q2, alpha2) of the full witness grid: that is the first
+    maximiser of A in (w_bar, q1, alpha1) order together with the first
+    maximiser of B in (t_bar, q2, alpha2) order.  Witnesses whose moment norm
+    vanishes are skipped.  `_best_factor` ranks each factor's rows in one
+    log-domain pass and evaluates exactly only those near the top; the value
+    and witness are those of evaluating every row, bit for bit.  The result's
+    `factors` are (||f||_2, max A, max B).
     """
     if f.domain != TIME or fhat.domain != FREQUENCY:
         raise ValueError("expected a time signal and its frequency transform")
@@ -369,15 +355,6 @@ def _scan_centers(g: Signal, count: int) -> list:
 def _factor(norm_q: float, k: float, moment: float, e: float) -> float:
     """||g||_q^e / (K ||g||_q^2 M^e): the factor one signal contributes to C_f."""
     return norm_q**e / (k * norm_q**2 * moment**e)
-
-
-def _signal_factor(g: Signal, center: float, q: float, alpha: float) -> float:
-    """`_factor` for g at one witness (center, q, alpha), with M = weighted_moment_norm."""
-    q, alpha = float(q), float(alpha)
-    m = weighted_moment_norm(g, float(center), alpha, q)
-    if m == 0.0:
-        raise ValueError("degenerate witness: a moment norm vanished")
-    return _factor(norm_lq(g, q), price_k(1, alpha, q), m, 2.0 / (alpha * conjugate_exponent(q)))
 
 
 # Rows whose ranked log-factor lies within this of the top one are re-evaluated
@@ -481,7 +458,7 @@ def separate_measure_bounds(eps_t: float, eps_omega: float, factors: tuple) -> t
 
         ((1 - eps_T^2) ||f||_2^2 A, (1 - eps_Omega^2) ||f||_2^2 B)
 
-    with A, B the factors of `cf_quotient`.  Their product equals
+    with A, B the factors of `cf_bound`'s quotient.  Their product equals
     (1 - eps_T^2)(1 - eps_Omega^2) times the quotient at the witness, an
     algebraic identity the tests assert.
     """
@@ -490,9 +467,7 @@ def separate_measure_bounds(eps_t: float, eps_omega: float, factors: tuple) -> t
     return float((1.0 - eps_t**2) * norm2**2 * a), float((1.0 - eps_omega**2) * norm2**2 * b)
 
 
-def delta_bound(
-    f: Signal, fhat: Signal, meas_t: float, meas_omega: float, eps_t: float, eps_omega: float
-) -> float:
+def delta_bound(f: Signal, meas_t: float, meas_omega: float, eps_t: float, eps_omega: float) -> float:
     """Spread-product floor: (1-eps_T^2)(1-eps_Omega^2) ||f||_2^2 / (4 pi^2 |T||Omega|)."""
     _check_eps(eps_t, eps_omega)
     if not (meas_t > 0 and meas_omega > 0):

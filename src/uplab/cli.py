@@ -18,8 +18,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -39,10 +39,11 @@ from .transforms import gabor_transform, gaussian_window, marginals, tf_norm_lp,
 
 
 def _cmd_run(args) -> int:
-    path = Path(args.scenario)
     try:
-        if path.is_file():
-            scenario = load_scenario(path)
+        # os.path.isfile is False for a name the system rejects (one past the
+        # length limit, say), where Path.is_file raises before Python 3.14
+        if os.path.isfile(args.scenario):
+            scenario = load_scenario(args.scenario)
         elif args.scenario in bundled_scenario_names():
             scenario = bundled_scenario(args.scenario)
         else:

@@ -34,13 +34,6 @@ class MaskSet:
     def measure(self) -> float:
         return float(np.count_nonzero(self.flags) * self.grid.spacing(self.axis))
 
-    @property
-    def count(self) -> int:
-        return int(np.count_nonzero(self.flags))
-
-    def complement(self) -> "MaskSet":
-        return MaskSet(self.grid, self.axis, frozen_array(~self.flags, dtype=bool))
-
 
 def mask_from_flags(grid: Grid, axis: str, flags) -> MaskSet:
     if axis not in _AXES:
@@ -49,21 +42,6 @@ def mask_from_flags(grid: Grid, axis: str, flags) -> MaskSet:
     if arr.shape != (grid.n,):
         raise ValueError(f"expected {grid.n} flags, got shape {arr.shape}")
     return MaskSet(grid, axis, arr)
-
-
-def mask_from_axis_window(grid: Grid, axis: str, lo: float, hi: float) -> MaskSet:
-    """Flag the cells whose axis value lies in the closed window [lo, hi]
-    (both ends included, unlike the half-open [lo, hi) scenario windows)."""
-    values = grid.axis(axis)
-    return mask_from_flags(grid, axis, (values >= lo) & (values <= hi))
-
-
-@dataclass(frozen=True)
-class ConcentrationResult:
-    """A mask together with the concentration defect achieved on it."""
-
-    epsilon: float
-    mask: MaskSet
 
 
 def concentration_defect(f: Signal, u: MaskSet) -> float:
@@ -78,7 +56,7 @@ def concentration_defect(f: Signal, u: MaskSet) -> float:
     return float(min(1.0, np.sqrt(max(0.0, outside / total))))
 
 
-def minimal_concentration_set(f: Signal, epsilon: float) -> ConcentrationResult:
+def minimal_concentration_set(f: Signal, epsilon: float) -> MaskSet:
     """Smallest-measure mask on f's own axis on which f is epsilon-concentrated.
 
     Cells are admitted greedily in order of decreasing energy |f_j|^2 (ties by
@@ -96,8 +74,7 @@ def minimal_concentration_set(f: Signal, epsilon: float) -> ConcentrationResult:
     order = np.argsort(-e, kind="stable")
     flags = np.zeros(f.grid.n, dtype=bool)
     flags[order[: _admitted_count(e, order, total, epsilon * epsilon * total)]] = True
-    mask = mask_from_flags(f.grid, f.domain, flags)
-    return ConcentrationResult(concentration_defect(f, mask), mask)
+    return mask_from_flags(f.grid, f.domain, flags)
 
 
 def _admitted_count(e: np.ndarray, order: np.ndarray, total: float, budget: float) -> int:
@@ -160,11 +137,9 @@ def std_dev(f: Signal, center: float | None = None) -> float:
     return weighted_moment_norm(f, center, 1.0, 2.0) / total
 
 
-def support_mask(f: Signal, threshold: float = 1e-12) -> MaskSet:
-    """Cells where |f| exceeds threshold times the peak magnitude."""
-    if threshold < 0:
-        raise ValueError(f"threshold must be nonnegative, got {threshold!r}")
+def support_mask(f: Signal) -> MaskSet:
+    """Cells where |f| exceeds 1e-12 times the peak magnitude."""
     mags = np.abs(f.samples)
     peak = float(mags.max())
-    flags = mags > threshold * peak if peak > 0 else np.zeros(f.grid.n, dtype=bool)
+    flags = mags > 1e-12 * peak if peak > 0 else np.zeros(f.grid.n, dtype=bool)
     return mask_from_flags(f.grid, f.domain, flags)

@@ -56,10 +56,6 @@ class Grid:
         return 1.0 / (self.n * self.dx)
 
     @property
-    def length(self) -> float:
-        return self.n * self.dx
-
-    @property
     def times(self) -> np.ndarray:
         return self._centered_indices() * self.dx
 
@@ -197,18 +193,18 @@ def energy(f: Signal) -> float:
     return float(f.spacing * np.sum(np.abs(f.samples) ** 2))
 
 
-def boundary_energy_fraction(f: Signal, cells: int = 3) -> float:
-    """Fraction of total energy within min(cells, n // 2) samples of either edge."""
+def boundary_energy_fraction(f: Signal) -> float:
+    """Fraction of total energy within min(3, n // 2) samples of either edge."""
     e = np.abs(f.samples) ** 2
     total = float(e.sum())
     if total == 0.0:
         return 0.0
-    return _edge_mass(e, cells) / total
+    return _edge_mass(e) / total
 
 
-def _edge_mass(weights: np.ndarray, cells: int) -> float:
-    """Sum of nonnegative weights over the first and last min(cells, n // 2) entries."""
-    k = min(cells, weights.size // 2)
+def _edge_mass(weights: np.ndarray) -> float:
+    """Sum of nonnegative weights over the first and last min(3, n // 2) entries."""
+    k = min(3, weights.size // 2)
     return float(weights[:k].sum() + weights[weights.size - k :].sum())
 
 

@@ -377,6 +377,8 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
     except ValueError as exc:  # UnicodeDecodeError or json.JSONDecodeError
         raise ScenarioError(f"scenario file {path} is not UTF-8 JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ScenarioError(f"scenario file {path} nests too deeply to parse: {exc}") from exc
     return scenario_from_dict(data)
 
 
@@ -397,7 +399,7 @@ def bundled_scenario(name: str) -> Scenario:
     return scenario_from_dict(json.loads(candidate.read_text(encoding="utf-8")))
 
 
-def standard_suite(eps_values=(0.05, 0.1, 0.25), grid_n: int = 256, grid_dx: float = 1.0 / 16.0) -> tuple:
+def standard_suite(grid_n: int = 256, grid_dx: float = 1.0 / 16.0) -> tuple:
     """The bundled verification corpus: seven signals crossed with defect levels."""
     kinds = (
         ("gaussian", "gaussian", {"lam": 1.0}),
@@ -410,7 +412,7 @@ def standard_suite(eps_values=(0.05, 0.1, 0.25), grid_n: int = 256, grid_dx: flo
     )
     out = []
     for label, kind, params in kinds:
-        for eps in eps_values:
+        for eps in (0.05, 0.1, 0.25):
             checks = DEFAULT_CHECKS + (SMOOTHING_CHECKS if kind == "gaussian" else ())
             out.append(
                 Scenario(
@@ -471,8 +473,8 @@ def _windows_to_mask(grid: Grid, axis: str, windows) -> MaskSet:
 def _resolve_sets(s: Scenario, f: Signal, fhat: Signal):
     if s.sets["mode"] == "auto":
         eps_t, eps_omega = s.sets["eps_t"], s.sets["eps_omega"]
-        mask_t = minimal_concentration_set(f, eps_t).mask
-        mask_w = minimal_concentration_set(fhat, eps_omega).mask
+        mask_t = minimal_concentration_set(f, eps_t)
+        mask_w = minimal_concentration_set(fhat, eps_omega)
         return mask_t, mask_w, eps_t, eps_omega
     mask_t = _windows_to_mask(f.grid, TIME, s.sets["time"])
     mask_w = _windows_to_mask(f.grid, FREQUENCY, s.sets["frequency"])
@@ -592,7 +594,7 @@ def _check_spread_product(ctx: _RunContext) -> Verdict:
     mt, mw = ctx.measures()
     if mt <= 0 or mw <= 0:
         return skipped_verdict("spread-product", "hypothesis violated: a concentration set has zero measure")
-    rhs = bounds.delta_bound(ctx.f, ctx.fhat, mt, mw, ctx.eps_t, ctx.eps_omega)
+    rhs = bounds.delta_bound(ctx.f, mt, mw, ctx.eps_t, ctx.eps_omega)
     floor = bounds.heisenberg_floor(ctx.f)
     interesting = mt * mw <= (1.0 - ctx.eps_t**2) * (1.0 - ctx.eps_omega**2) / math.pi
     notes = (

@@ -99,7 +99,7 @@ def gaussian_smoothed_indicator(mask: MaskSet, lam: float) -> SmoothedSymbol:
     x = grid.axis(mask.axis)
     kernel = np.sqrt(mu) * np.exp(-np.pi * mu * x * x)
     mass = float(kernel.sum())
-    edge = _edge_mass(kernel, 3) / mass
+    edge = _edge_mass(kernel) / mass
     if edge > 1e-6:
         raise ValueError(
             f"smoothing kernel (mu={mu:.4g}) is not contained by the {mask.axis} axis "

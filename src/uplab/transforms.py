@@ -1,4 +1,4 @@
-"""Time-frequency transforms: Gabor, spectrogram, and Wigner distributions.
+"""Time-frequency transforms: Gabor, spectrogram marginals, and Wigner distributions.
 
 All transforms share the grid conventions of :mod:`uplab.core` and produce
 n-by-n matrices indexed [time, frequency] with cell weight dx * dw.  Window
@@ -10,13 +10,13 @@ exact for every signal, at the cost of wrap-around for signals with mass near
 the grid edge (a documented trade the harness flags).
 
 Every row of V_w f comes from one kernel, ``_gabor_rows``, which builds a
-block of rows in FFT order and transforms it.  ``gabor_transform`` runs it
-over all n rows.  ``spectrogram_marginals`` runs it over row blocks of at
-most ``_BLOCK_BYTES`` and keeps only the two marginal vectors.  It does the
-same arithmetic in the same order as ``marginals(spectrogram(f, f, w))``,
-forming |V_w f|^2 as conj(V_w f) * V_w f in both, so its profiles are
-bit-identical to that dense route at every array size and block height; the
-tests use the dense route as the oracle.
+block of rows in FFT order in a buffer its caller passes and transforms it.
+``gabor_transform`` runs it over all n rows.  ``spectrogram_marginals`` runs
+it over row blocks of at most ``_BLOCK_BYTES`` and keeps only the two
+marginal vectors.  The dense spectrogram conj(V_w f) * V_w f and its
+``marginals`` live in the tests as the oracle: the streamed profiles do the
+same arithmetic in the same order, so they are bit-identical to it at every
+array size and block height.
 
 The cross-Wigner distribution is
 
@@ -101,17 +101,24 @@ def _check_gabor_args(f: Signal, window: Signal) -> None:
         raise ValueError("window must be nonzero")
 
 
-def _gabor_rows(f: Signal, window: Signal, j0: int, j1: int) -> np.ndarray:
-    """Rows j0:j1 of V_w f, as dx * fftshift(fft(.)) of the integrand in FFT order.
+def _gabor_rows(f: Signal, window: Signal, j0: int, out: np.ndarray) -> np.ndarray:
+    """Rows j0:j0 + len(out) of V_w f, as dx * fftshift(fft(.)) of the integrand in FFT order.
 
     In FFT order the integrand of row j is ifftshift(f)[k] * conj(w[(k - j) mod n]);
     the window gather is a reversed sliding view of conj(w) repeated twice.
+    ``out`` holds the integrand, then the rows: the fftshift and the dx
+    scaling are taken as one product per half row.  The FFT output is the
+    only array allocated.
     """
-    n = f.grid.n
+    n, half = f.grid.n, f.grid.n // 2
+    j1 = j0 + out.shape[0]
     cw = np.conj(window.samples)
     shifts = np.lib.stride_tricks.sliding_window_view(np.concatenate((cw, cw)), n)
-    integrand = np.fft.ifftshift(f.samples)[None, :] * shifts[n - j0 : n - j1 : -1]
-    return f.grid.dx * np.fft.fftshift(np.fft.fft(integrand, axis=1), axes=1)
+    np.multiply(np.fft.ifftshift(f.samples)[None, :], shifts[n - j0 : n - j1 : -1], out=out)
+    spectrum = np.fft.fft(out, axis=1)
+    np.multiply(f.grid.dx, spectrum[:, half:], out=out[:, :half])
+    np.multiply(f.grid.dx, spectrum[:, :half], out=out[:, half:])
+    return out
 
 
 def gabor_transform(f: Signal, window: Signal) -> TFMatrix:
@@ -120,26 +127,31 @@ def gabor_transform(f: Signal, window: Signal) -> TFMatrix:
     The window is shifted cyclically, one FFT per time shift.
     """
     _check_gabor_args(f, window)
-    return tfmatrix_from_values(f.grid, _gabor_rows(f, window, 0, f.grid.n))
+    n = f.grid.n
+    return tfmatrix_from_values(f.grid, _gabor_rows(f, window, 0, np.empty((n, n), dtype=np.complex128)))
 
 
 def spectrogram_marginals(f: Signal, window: Signal) -> tuple[np.ndarray, np.ndarray]:
-    """marginals(spectrogram(f, f, window)), streamed over row blocks of V_w f.
+    """Time and frequency marginals of the spectrogram |V_w f|^2, streamed over row blocks.
 
-    Each block's |V_w f|^2 rows are formed as conj(v) * v, the product order
-    of `spectrogram`, and summed as the dense route sums them (per row along
-    frequency; row by row into the frequency accumulator), so both profiles
-    are bit-identical to the dense ones for any block height while only one
-    block is held.
+    Each block's |V_w f|^2 rows are formed as conj(v) * v and summed as the
+    dense spectrogram's ``marginals`` sums them (per row along frequency; row
+    by row into the frequency accumulator), so both profiles are bit-identical
+    to that dense route, the tests' oracle, for any block height while only
+    one block is held.  The row and |v|^2 buffers are reused across blocks.
     """
     _check_gabor_args(f, window)
     n = f.grid.n
     step = max(1, _BLOCK_BYTES // (16 * n))
+    # one allocation for both buffers: with glibc, two separate ones let the
+    # heap be trimmed and faulted in again on every call (measured at n = 256)
+    rows, power = np.empty((2, min(step, n), n), dtype=np.complex128)
     row_sums = np.empty(n, dtype=np.complex128)
     col_sum = np.zeros(n, dtype=np.complex128)
     for j0 in range(0, n, step):
-        v = _gabor_rows(f, window, j0, min(j0 + step, n))
-        block = np.conj(v)
+        count = min(step, n - j0)
+        v = _gabor_rows(f, window, j0, rows[:count])
+        block = np.conj(v, out=power[:count])
         block *= v
         row_sums[j0 : j0 + step] = block.sum(axis=1)
         for row in block:
@@ -150,18 +162,6 @@ def spectrogram_marginals(f: Signal, window: Signal) -> tuple[np.ndarray, np.nda
 def tf_norm_lp(m: TFMatrix, p: float) -> float:
     """Quadrature L^p norm on the plane, (dx*dw*sum |m|^p)^(1/p); max at p = inf."""
     return _quadrature_lq(np.abs(m.values), m.cell_weight, p)
-
-
-def spectrogram(f: Signal, g: Signal, window: Signal) -> TFMatrix:
-    """Two-window spectrogram V_w f * conj(V_w g); real and nonnegative for g = f.
-
-    When g is f the transform is computed once and reused.  The product is
-    formed as conj(V_w g) * V_w f at every size, so its rounding does not
-    depend on whether numpy reuses a temporary operand in place.
-    """
-    vf = gabor_transform(f, window)
-    vg = vf if g is f else gabor_transform(g, window)
-    return tfmatrix_from_values(f.grid, np.conj(vg.values) * vf.values)
 
 
 def marginals(m: TFMatrix) -> tuple[np.ndarray, np.ndarray]:

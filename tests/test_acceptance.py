@@ -203,7 +203,7 @@ def test_acceptance_9_reference_algorithms(capsys):
         e = np.abs(f.samples) ** 2
         total = e.sum()
         for eps in (0.0, 0.3, 0.7):
-            greedy = U.minimal_concentration_set(f, eps).mask.count
+            greedy = np.count_nonzero(U.minimal_concentration_set(f, eps).flags)
             best = n
             for bits in itertools.product((0, 1), repeat=n):
                 flags = np.array(bits, dtype=bool)

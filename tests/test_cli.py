@@ -211,9 +211,15 @@ class TestRunCommand:
         assert captured.err.startswith("error: ")
         assert captured.out == ""
 
-    def test_scenario_file_that_is_not_utf8_is_a_usage_error(self, tmp_path, capsys):
-        path = tmp_path / "latin1.json"
-        path.write_bytes(b'{"name": "\xff"}')
+    @pytest.mark.parametrize(
+        ("name", "contents"),
+        [("latin1.json", b'{"name": "\xff"}'), ("deep.json", b"[" * 100_000), ("x" * 5000, None)],
+        ids=["not-utf8", "nested-past-the-parser-depth", "name-past-the-file-name-limit"],
+    )
+    def test_unreadable_scenario_file_is_a_usage_error(self, tmp_path, capsys, name, contents):
+        path = tmp_path / name
+        if contents is not None:
+            path.write_bytes(contents)
         assert main(["run", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")

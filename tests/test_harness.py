@@ -233,8 +233,8 @@ class TestRunScenario:
         assert report.summary["pass"] == 2
 
     def test_explicit_windows_are_half_open(self):
-        # [-1, 1) on a half-unit grid keeps -1.0 and drops 1.0, where the
-        # closed mask_from_axis_window would take both
+        # [-1, 1) on a half-unit grid keeps -1.0 and drops 1.0, where a
+        # closed window would take both
         grid = make_grid(16, 0.5)
         mask = _windows_to_mask(grid, TIME, [[-1.0, 1.0]])
         np.testing.assert_array_equal(grid.times[mask.flags], [-1.0, -0.5, 0.0, 0.5])
@@ -288,7 +288,6 @@ class TestRunScenario:
 
         monkeypatch.setattr(bounds, "cf_bound", counted("cf_bound", traced_search))
         for module, name in (
-            (bounds, "_signal_factor"),
             (bounds, "weighted_moment_norm"),
             (bounds, "_moment_lq"),
             (concentration, "weighted_moment_norm"),
@@ -335,12 +334,6 @@ class TestStandardSuite:
                 assert set(SMOOTHING_CHECKS) <= set(s.checks)
             else:
                 assert not set(SMOOTHING_CHECKS) & set(s.checks)
-
-    def test_custom_defect_grid(self):
-        suite = standard_suite(eps_values=(0.1,))
-        assert len(suite) == 7
-        for s in suite:
-            assert s.sets["eps_t"] == 0.1
 
 
 class TestSignalValidation:
@@ -504,6 +497,21 @@ def _readme_entry(type_name: str, default: str) -> tuple:
 
 
 class TestReadmeTables:
+    def test_library_example_prints_what_its_comments_say(self):
+        lines = _README.read_text(encoding="utf-8").splitlines()
+        start = lines.index("## Library example") + 2
+        assert lines[start] == "```python"
+        code = lines[start + 1 : lines.index("```", start + 1)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(compile("\n".join(code), "README.md", "exec"), {})
+        product_line, improved_line = out.getvalue().splitlines()
+        product_note, improved_note = [line.split("# ")[1] for line in code if line.startswith("print(")]
+        assert product_line == product_note == "2.25 >= 0.6400000000000001"
+        assert improved_note.startswith("2.650...") and improved_line.startswith("2.650")
+        assert float(improved_line) == pytest.approx(2.650168425311579, rel=1e-15)
+
+
     def test_signal_parameter_table_matches_the_defaults(self):
         documented = {}
         for kind, key, type_name, default in _readme_table("| kind | key | type | default |"):

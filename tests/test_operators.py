@@ -29,7 +29,7 @@ from uplab import (
     linear_op,
     localization_operator,
     make_grid,
-    mask_from_axis_window,
+    mask_from_flags,
     operator_norm,
     signal_from_samples,
     smoothed_concentration_ops,
@@ -49,6 +49,12 @@ def noise_signal(grid, rng):
 def unit_gaussian(grid, lam=1.0):
     samples = (2 * lam) ** 0.25 * np.exp(-np.pi * lam * grid.times**2)
     return signal_from_samples(grid, samples)
+
+
+def window_mask(grid, axis, lo, hi):
+    """Mask of the cells whose axis value lies in the closed window [lo, hi]."""
+    values = grid.axis(axis)
+    return mask_from_flags(grid, axis, (values >= lo) & (values <= hi))
 
 
 def rank_one_localization(grid, avals, phi, psi):
@@ -112,8 +118,8 @@ def sharp_concentration_ops(mask_t, mask_w):
 class TestProjections:
     def test_time_projection_is_an_orthogonal_projection(self):
         grid = make_grid(64, 1 / 8)
-        mask_t = mask_from_axis_window(grid, TIME, -1.0, 1.0)
-        p, _ = sharp_concentration_ops(mask_t, mask_from_axis_window(grid, FREQUENCY, -0.5, 0.5))
+        mask_t = window_mask(grid, TIME, -1.0, 1.0)
+        p, _ = sharp_concentration_ops(mask_t, window_mask(grid, FREQUENCY, -0.5, 0.5))
         np.testing.assert_allclose(np.diag(p.matrix), mask_t.flags, atol=1e-14)
         np.testing.assert_allclose(p.matrix @ p.matrix, p.matrix, atol=1e-14)
         np.testing.assert_allclose(p.matrix, p.matrix.conj().T, atol=1e-14)
@@ -121,8 +127,8 @@ class TestProjections:
 
     def test_frequency_projection_composes_transform_mask_inverse(self):
         grid = make_grid(64, 1 / 8)
-        mask = mask_from_axis_window(grid, FREQUENCY, -0.5, 1.5)
-        _, q = sharp_concentration_ops(mask_from_axis_window(grid, TIME, -1.0, 1.0), mask)
+        mask = window_mask(grid, FREQUENCY, -0.5, 1.5)
+        _, q = sharp_concentration_ops(window_mask(grid, TIME, -1.0, 1.0), mask)
         f = noise_signal(grid, np.random.default_rng(0))
         spec = fourier(f)
         masked = signal_from_samples(grid, np.where(mask.flags, spec.samples, 0), FREQUENCY)
@@ -132,8 +138,8 @@ class TestProjections:
     @pytest.mark.parametrize("n", [32, 64, 128])
     def test_frequency_projection_matches_dense_dft_conjugation(self, n):
         grid = make_grid(n, 8.0 / n)
-        mask = mask_from_axis_window(grid, FREQUENCY, -0.5, 1.5)
-        _, q = sharp_concentration_ops(mask_from_axis_window(grid, TIME, -1.0, 1.0), mask)
+        mask = window_mask(grid, FREQUENCY, -0.5, 1.5)
+        _, q = sharp_concentration_ops(window_mask(grid, TIME, -1.0, 1.0), mask)
         want = dft_conjugated_multiplier(grid, mask.flags.astype(float))
         assert max_relative_gap(q.matrix, want) <= 1e-13
 
@@ -142,8 +148,8 @@ class TestProjections:
         # iterative norm estimate converges; the top value must sit strictly
         # below one because the two localizations are incompatible.
         grid = make_grid(64, 1 / 8)
-        flags_t = mask_from_axis_window(grid, TIME, -0.5, 0.5).flags.astype(float)
-        flags_w = mask_from_axis_window(grid, FREQUENCY, -0.5, 0.5).flags.astype(float)
+        flags_t = window_mask(grid, TIME, -0.5, 0.5).flags.astype(float)
+        flags_w = window_mask(grid, FREQUENCY, -0.5, 0.5).flags.astype(float)
         pq = linear_op(grid, np.diag(flags_t) @ dft_conjugated_multiplier(grid, flags_w))
         norm = operator_norm(pq)
         assert 0.5 < norm < 1.0
@@ -156,7 +162,7 @@ class TestSmoothedIndicators:
         # accuracy, the kernel mass over [first edge, last edge]:
         #   (erf(sqrt(2 pi lam) (b - t)) - erf(sqrt(2 pi lam) (a - t))) / 2.
         grid = make_grid(1024, 1 / 64)
-        mask = mask_from_axis_window(grid, TIME, 0.0, 4.0)
+        mask = window_mask(grid, TIME, 0.0, 4.0)
         sym = gaussian_smoothed_indicator(mask, 1.0)
         t = grid.times
         a, b = -grid.dx / 2, 4.0 + grid.dx / 2
@@ -167,20 +173,20 @@ class TestSmoothedIndicators:
     def test_values_stay_in_the_unit_interval(self):
         grid = make_grid(256, 1 / 16)
         for lam in (1.0, 4.0, 64.0):
-            sym = gaussian_smoothed_indicator(mask_from_axis_window(grid, TIME, -1.0, 1.0), lam)
+            sym = gaussian_smoothed_indicator(window_mask(grid, TIME, -1.0, 1.0), lam)
             assert sym.values.min() >= 0.0
             assert sym.values.max() <= 1.0 + 1e-12
 
     def test_kernel_wider_than_the_grid_rejected(self):
         grid = make_grid(64, 1 / 8)
         with pytest.raises(ValueError):
-            gaussian_smoothed_indicator(mask_from_axis_window(grid, TIME, -1.0, 1.0), 1e-4)
+            gaussian_smoothed_indicator(window_mask(grid, TIME, -1.0, 1.0), 1e-4)
 
     def test_frequency_axis_rate_is_reciprocal(self):
         # On the frequency axis small lam sharpens, so a huge lam widens the
         # kernel beyond the grid.
         grid = make_grid(64, 1 / 8)
-        mask = mask_from_axis_window(grid, FREQUENCY, -1.0, 1.0)
+        mask = window_mask(grid, FREQUENCY, -1.0, 1.0)
         gaussian_smoothed_indicator(mask, 1.0 / 64.0)
         with pytest.raises(ValueError):
             gaussian_smoothed_indicator(mask, 1e4)
@@ -188,8 +194,8 @@ class TestSmoothedIndicators:
     def test_sharpening_drives_both_operators_to_projections(self):
         grid = make_grid(256, 1 / 16)
         f = unit_gaussian(grid)
-        mask_t = mask_from_axis_window(grid, TIME, -0.75, 0.75)
-        mask_w = mask_from_axis_window(grid, FREQUENCY, -0.75, 0.75)
+        mask_t = window_mask(grid, TIME, -0.75, 0.75)
+        mask_w = window_mask(grid, FREQUENCY, -0.75, 0.75)
         pf = mask_t.flags * f.samples
         masked = signal_from_samples(grid, np.where(mask_w.flags, fourier(f).samples, 0), FREQUENCY)
         qf = fourier(masked, "inverse").samples
@@ -204,8 +210,8 @@ class TestSmoothedIndicators:
     def test_dense_ops_match_the_symbol_applications(self):
         grid = make_grid(64, 1 / 8)
         f = noise_signal(grid, np.random.default_rng(1))
-        mask_t = mask_from_axis_window(grid, TIME, -1.0, 1.0)
-        mask_w = mask_from_axis_window(grid, FREQUENCY, -1.0, 1.0)
+        mask_t = window_mask(grid, TIME, -1.0, 1.0)
+        mask_w = window_mask(grid, FREQUENCY, -1.0, 1.0)
         l1, l2 = smoothed_concentration_ops(mask_t, mask_w, 2.0, 0.5)
         sym1 = gaussian_smoothed_indicator(mask_t, 2.0)
         sym2 = gaussian_smoothed_indicator(mask_w, 0.5)
@@ -215,8 +221,8 @@ class TestSmoothedIndicators:
     @pytest.mark.parametrize("n", [32, 64, 128])
     def test_frequency_smoother_matches_dense_dft_conjugation(self, n):
         grid = make_grid(n, 8.0 / n)
-        mask_t = mask_from_axis_window(grid, TIME, -1.0, 1.0)
-        mask_w = mask_from_axis_window(grid, FREQUENCY, -1.0, 1.0)
+        mask_t = window_mask(grid, TIME, -1.0, 1.0)
+        mask_w = window_mask(grid, FREQUENCY, -1.0, 1.0)
         _, l2 = smoothed_concentration_ops(mask_t, mask_w, 2.0, 0.5)
         want = dft_conjugated_multiplier(grid, gaussian_smoothed_indicator(mask_w, 0.5).values)
         assert max_relative_gap(l2.matrix, want) <= 1e-13
