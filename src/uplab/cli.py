@@ -112,8 +112,8 @@ def _cmd_constants(args) -> int:
     except (TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    clean = {k: v for k, v in params.items() if v is not None}
-    print(json.dumps({"name": args.which, "params": clean, "value": value}, sort_keys=True))
+    clean = {k: "inf" if v == math.inf else v for k, v in params.items() if v is not None}
+    print(json.dumps({"name": args.which, "params": clean, "value": value}, sort_keys=True, allow_nan=False))
     return 0
 
 
@@ -176,14 +176,17 @@ def _selftest_checks(n: int, seed: int):
 
 
 def _cmd_selftest(args) -> int:
-    if args.n < 64 or args.n % 2:
-        print("error: selftest needs an even grid size of at least 64", file=sys.stderr)
-        return 2
-    if args.seed < 0:
-        print(f"error: selftest needs a nonnegative seed, got {args.seed}", file=sys.stderr)
+    try:
+        if args.n < 64 or args.n % 2:
+            raise ValueError("selftest needs an even grid size of at least 64")
+        if args.seed < 0:
+            raise ValueError(f"selftest needs a nonnegative seed, got {args.seed}")
+        checks = _selftest_checks(args.n, args.seed)  # allocates the n-sample probe signal
+    except (ValueError, MemoryError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     failures = 0
-    for name, fn in _selftest_checks(args.n, args.seed):
+    for name, fn in checks:
         try:
             fn()
         except AssertionError as exc:

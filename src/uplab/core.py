@@ -229,12 +229,14 @@ def read_signal_csv(path) -> Signal:
     n, dx = int(match.group(1)), float(match.group(2))
     domain = match.group(3) or TIME
     grid = make_grid(n, dx)
+    lines = (line.strip() for line in text.splitlines())
+    rows = [line for line in lines if line and not line.startswith(("#", "index"))]
+    # counted before allocating, so a header n the file cannot back is refused at once
+    if len(rows) != n:
+        raise ValueError(f"{path}: expected {n} rows, found {len(rows)}")
     values = np.zeros(n, dtype=np.complex128)
     seen = np.zeros(n, dtype=bool)
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#") or line.startswith("index"):
-            continue
+    for line in rows:
         parts = line.split(",")
         if len(parts) != 4:
             raise ValueError(f"{path}: malformed row {line!r}")
@@ -245,6 +247,4 @@ def read_signal_csv(path) -> Signal:
             raise ValueError(f"{path}: duplicate row index {j}")
         values[j] = float(parts[2]) + 1j * float(parts[3])
         seen[j] = True
-    if not seen.all():
-        raise ValueError(f"{path}: expected {n} rows, found {int(seen.sum())}")
     return signal_from_samples(grid, values, domain)

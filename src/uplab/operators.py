@@ -3,7 +3,9 @@
 Operators are materialized as n-by-n complex matrices acting on time-domain
 sample vectors, g = M f.  With uniform quadrature weights the operator norm
 with respect to the weighted L^2 inner product equals the largest Euclidean
-singular value of M, so norms can be cross-checked against a full SVD.
+singular value of M, so norms can be cross-checked against a full SVD.  Each
+assembly gathers its matrix once from a kernel tabulated by row and cyclic lag
+(``_lag_operator``) and freezes it in place; ``linear_op`` copies its input.
 
 The Weyl quantization evaluates the symbol at half-sample midpoints,
 
@@ -26,7 +28,7 @@ import numpy as np
 
 from .concentration import MaskSet
 from .core import FREQUENCY, TIME, Grid, Signal, _edge_mass, fourier, frozen_array, signal_from_samples
-from .transforms import TFMatrix, tfmatrix_from_values, wigner
+from .transforms import TFMatrix, wigner
 
 
 class PowerIterationError(RuntimeError):
@@ -48,26 +50,17 @@ def linear_op(grid: Grid, matrix) -> LinearOp:
     return LinearOp(grid, arr)
 
 
-def _lags(n: int) -> np.ndarray:
-    # table[a, b] = (a - b) mod n, the cyclic lag between samples a and b
-    m = np.arange(n)
-    return (m[:, None] - m[None, :]) % n
-
-
-def _alternating(n: int) -> np.ndarray:
-    # (-1)^d for d = 0..n-1; consistent with d mod n because n is even
-    return np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-
-
-def _freq_multiplier(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Matrix of F^-1 diag(values) F on time samples, from one inverse FFT.
-
-    The conjugated multiplier is circulant on this grid: entry (m, m') is
-    (-1)^d * ifft(values)[d] with d = (m - m') mod n, since dx * dw = 1/n and
-    the centred frequencies contribute the alternating sign.
-    """
-    column = _alternating(grid.n) * np.fft.ifft(values)
-    return column[_lags(grid.n)]
+def _lag_operator(grid: Grid, kern: np.ndarray, scale: float) -> LinearOp:
+    """Frozen operator with entry (m, m') = scale * (-1)^d * kern[m, d], d = (m - m') mod n
+    (n is even); kern, one row per sample or one row for a circulant, is scaled in place."""
+    n = grid.n
+    kern *= scale * np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    # a view, so the matrix is the only n-by-n array built: window s over
+    # v[k] = (n-1-k) mod n reads v[s + m'] = (m - m') mod n at m = n-1-s
+    lags = np.lib.stride_tricks.sliding_window_view(np.arange(n - 1, -n, -1) % n, n)[::-1]
+    matrix = np.take_along_axis(kern, lags, axis=1)
+    matrix.setflags(write=False)
+    return LinearOp(grid, matrix)
 
 
 @dataclass(frozen=True)
@@ -137,9 +130,10 @@ def smoothed_concentration_ops(
     grid = mask_t.grid
     sym1 = gaussian_smoothed_indicator(mask_t, lam1)
     sym2 = gaussian_smoothed_indicator(mask_w, lam2)
-    l1 = linear_op(grid, np.diag(sym1.values.astype(np.complex128)))
-    l2 = linear_op(grid, _freq_multiplier(grid, sym2.values))
-    return l1, l2
+    l1 = np.diag(sym1.values.astype(np.complex128))
+    l1.setflags(write=False)
+    # F^-1 diag(v) F is the circulant (-1)^d ifft(v)[d]: dx * dw = 1/n, and centring alternates signs
+    return LinearOp(grid, l1), _lag_operator(grid, np.fft.ifft(sym2.values)[None, :], 1.0)
 
 
 def localization_operator(symbol: TFMatrix, phi: Signal, psi: Signal) -> LinearOp:
@@ -160,16 +154,13 @@ def localization_operator(symbol: TFMatrix, phi: Signal, psi: Signal) -> LinearO
         raise ValueError("symbol and windows must share a grid")
     grid = symbol.grid
     n, n2 = grid.n, grid.n // 2
-    lag = _lags(n)
-    # window products G[u, d] = psi[(u+n/2) mod n] conj(phi[(u-d+n/2) mod n])
-    conv = np.conj(np.roll(phi.samples, -n2))[lag]
-    conv *= np.roll(psi.samples, -n2)[:, None]
+    # window products G[u, d] = conj(phi[(u-d+n/2) mod n]) psi[(u+n/2) mod n], as in _gabor_rows
+    cphi = np.conj(np.roll(phi.samples, -n2))
+    shifts = np.lib.stride_tricks.sliding_window_view(np.concatenate((cphi, cphi))[::-1], n)
+    conv = shifts[n - 1 :: -1] * np.roll(psi.samples, -n2)[:, None]
     conv = np.fft.fft(conv, axis=0)
     conv *= np.fft.fft(np.fft.ifft(symbol.values, axis=1), axis=0)
-    conv = np.fft.ifft(conv, axis=0)
-    conv *= (n * grid.dx * grid.dx * grid.dw) * _alternating(n)
-    # conv[m, d] sits at column (m - d) mod n, i.e. L[m, m'] = conv[m, (m - m') mod n]
-    return linear_op(grid, np.take_along_axis(conv, lag, axis=1))
+    return _lag_operator(grid, np.fft.ifft(conv, axis=0), n * grid.dx * grid.dx * grid.dw)
 
 
 def weyl_operator(symbol: TFMatrix) -> LinearOp:
@@ -181,9 +172,12 @@ def weyl_operator(symbol: TFMatrix) -> LinearOp:
     The Nyquist row of that shift is split symmetrically, and symbols with
     more than 1e-8 of their energy in it are rejected.
     """
-    grid = symbol.grid
+    return _weyl_assembly(symbol.grid, np.fft.fft(symbol.values, axis=0))
+
+
+def _weyl_assembly(grid: Grid, spec: np.ndarray) -> LinearOp:
+    """weyl_operator from spec = fft(a, axis=0), the symbol transformed along time."""
     n, n2 = grid.n, grid.n // 2
-    spec = np.fft.fft(symbol.values, axis=0)
     total = float(np.sum(np.abs(spec) ** 2))
     nyq = float(np.sum(np.abs(spec[n2, :]) ** 2))
     if total > 0 and nyq / total > 1e-8:
@@ -201,8 +195,7 @@ def weyl_operator(symbol: TFMatrix) -> LinearOp:
     # lag n/2 takes the wrapped branch -n/2 on rows m < n/2; its shift by +n/4
     # there is the -n/4 shift read n/2 rows further down
     kern[:n2, n2] = kern[n2:, n2]
-    kern *= (n * grid.dx * grid.dw) * _alternating(n)
-    return linear_op(grid, np.take_along_axis(kern, _lags(n), axis=1))
+    return _lag_operator(grid, kern, n * grid.dx * grid.dw)
 
 
 def weyl_from_localization(symbol: TFMatrix, phi: Signal, psi: Signal) -> LinearOp:
@@ -212,10 +205,11 @@ def weyl_from_localization(symbol: TFMatrix, phi: Signal, psi: Signal) -> Linear
         raise ValueError("symbol and windows must share a grid")
     grid = symbol.grid
     smoother = wigner(psi, phi).values
-    spread = np.fft.ifft2(
-        np.fft.fft2(symbol.values) * np.fft.fft2(np.fft.ifftshift(smoother))
+    # the spread symbol's inverse 2-D FFT without its time pass, which the assembly would undo
+    spec = np.fft.ifft(
+        np.fft.fft2(symbol.values) * np.fft.fft2(np.fft.ifftshift(smoother)), axis=1
     ) * (grid.dx * grid.dw)
-    return weyl_operator(tfmatrix_from_values(grid, spread))
+    return _weyl_assembly(grid, spec)
 
 
 # Power iteration for operator_norm: seed of the start vector, relative step

@@ -128,7 +128,9 @@ def gabor_transform(f: Signal, window: Signal) -> TFMatrix:
     """
     _check_gabor_args(f, window)
     n = f.grid.n
-    return tfmatrix_from_values(f.grid, _gabor_rows(f, window, 0, np.empty((n, n), dtype=np.complex128)))
+    values = _gabor_rows(f, window, 0, np.empty((n, n), dtype=np.complex128))
+    values.setflags(write=False)
+    return TFMatrix(f.grid, values)
 
 
 def spectrogram_marginals(f: Signal, window: Signal) -> tuple[np.ndarray, np.ndarray]:
@@ -219,4 +221,5 @@ def wigner(f: Signal, g: Signal | None = None) -> TFMatrix:
     vals = f.grid.dx * np.fft.fft(folded * sign[None, :], axis=1)
     if g is f or g.samples is f.samples:
         vals = vals.real.astype(np.complex128)
-    return tfmatrix_from_values(f.grid, vals)
+    vals.setflags(write=False)
+    return TFMatrix(f.grid, vals)

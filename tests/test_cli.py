@@ -67,6 +67,24 @@ class TestConstantsCommand:
         assert payload["value"] == pytest.approx(0.5**0.25)
 
     @pytest.mark.parametrize(
+        ("args", "key"),
+        [
+            (["--which", "lieb", "--p", "inf"], "p"),
+            (["--which", "ktilde", "--alpha", "2", "--q", "inf"], "q"),
+            (["--which", "locop", "--q", "inf"], "q"),
+        ],
+        ids=["lieb-infinite-p", "ktilde-infinite-q", "locop-infinite-q"],
+    )
+    def test_infinite_exponent_is_written_as_standard_json(self, capsys, args, key):
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        assert main(["constants", *args]) == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert payload["params"][key] == "inf"
+        assert math.isfinite(payload["value"])
+
+    @pytest.mark.parametrize(
         "args",
         [
             ["--which", "k1", "--d", "1", "--alpha", "0.4"],
@@ -226,6 +244,18 @@ class TestRunCommand:
         assert len(captured.err.splitlines()) == 1
         assert captured.out == ""
 
+    def test_signal_file_with_an_impossible_sample_count_is_a_usage_error(self, tmp_path, capsys):
+        # the header's n = 2^50 is refused for want of rows, before n samples are allocated
+        signal = tmp_path / "huge.csv"
+        signal.write_text("# n=1125899906842624 dx=0.0625 domain=time\nindex,t,re,im\n0,0.0,1.0,0.0\n")
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"name": "huge", "signal": {"kind": "csv", "params": {"path": str(signal)}}}))
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+
     @pytest.mark.parametrize("flag", ["--out", "--csv"])
     def test_unwritable_output_is_a_usage_error(self, tmp_path, capsys, flag):
         target = tmp_path / "no-such-dir" / "report"
@@ -272,3 +302,10 @@ class TestSelftestCommand:
         assert main(["selftest", "--n", "64", "--seed", "-1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_grid_that_cannot_be_allocated_is_a_usage_error(self, capsys):
+        # 2^50 samples: far past any memory, so the allocation is refused at once
+        assert main(["selftest", "--n", str(2**50)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+        assert captured.out == ""

@@ -6,6 +6,7 @@ on the centered axes, independent of the FFT path under test.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,11 +19,23 @@ from uplab import (
     boundary_energy_fraction,
     energy,
     fourier,
+    gabor_transform,
+    gaussian_smoothed_indicator,
+    gaussian_window,
     inner,
+    linear_op,
+    localization_operator,
     make_grid,
+    mask_from_flags,
+    minimal_concentration_set,
     norm_lq,
     read_signal_csv,
     signal_from_samples,
+    smoothed_concentration_ops,
+    tfmatrix_from_values,
+    weyl_from_localization,
+    weyl_operator,
+    wigner,
     write_signal_csv,
 )
 from uplab.core import _quadrature_lq
@@ -78,6 +91,65 @@ class TestSignal:
         f = signal_from_samples(grid, np.ones(8), FREQUENCY)
         assert f.spacing == grid.dw
         np.testing.assert_allclose(f.axis, grid.freqs)
+
+
+def _immutability_inputs():
+    grid = make_grid(64, 1 / 8)
+    x, om = np.meshgrid(grid.times, grid.freqs, indexing="ij")
+    return SimpleNamespace(
+        f=noise_signal(grid, 21),
+        g=noise_signal(grid, 22),
+        w=gaussian_window(1.0, grid),
+        symbol=tfmatrix_from_values(grid, np.exp(-np.pi * (x**2 + om**2))),
+        mask_t=mask_from_flags(grid, TIME, np.abs(grid.times) < 1),
+        mask_w=mask_from_flags(grid, FREQUENCY, np.abs(grid.freqs) < 1),
+    )
+
+
+# the array each public function returns, read from the inputs above
+_RESULTS = {
+    "fourier": lambda x: fourier(x.f).samples,
+    "gabor_transform": lambda x: gabor_transform(x.f, x.w).values,
+    "wigner-auto": lambda x: wigner(x.f).values,
+    "wigner-cross": lambda x: wigner(x.f, x.g).values,
+    "localization_operator": lambda x: localization_operator(x.symbol, x.w, x.w).matrix,
+    "weyl_operator": lambda x: weyl_operator(x.symbol).matrix,
+    "weyl_from_localization": lambda x: weyl_from_localization(x.symbol, x.w, x.w).matrix,
+    "smoothed-time-op": lambda x: smoothed_concentration_ops(x.mask_t, x.mask_w, 1.0, 1.0)[0].matrix,
+    "smoothed-freq-op": lambda x: smoothed_concentration_ops(x.mask_t, x.mask_w, 1.0, 1.0)[1].matrix,
+    "gaussian_smoothed_indicator": lambda x: gaussian_smoothed_indicator(x.mask_t, 1.0).values,
+    "minimal_concentration_set": lambda x: minimal_concentration_set(x.f, 0.1).flags,
+}
+
+# constructors from a caller's array on an 8-point grid: (shape, dtype, stored array)
+_CONSTRUCTORS = {
+    "signal_from_samples": ((8,), np.complex128, lambda grid, v: signal_from_samples(grid, v).samples),
+    "mask_from_flags": ((8,), np.bool_, lambda grid, v: mask_from_flags(grid, TIME, v).flags),
+    "tfmatrix_from_values": ((8, 8), np.complex128, lambda grid, v: tfmatrix_from_values(grid, v).values),
+    "linear_op": ((8, 8), np.complex128, lambda grid, v: linear_op(grid, v).matrix),
+}
+
+
+class TestImmutability:
+    """Results are read-only, and the constructors that take a caller's
+    array copy it, as the module docstring promises."""
+
+    @pytest.mark.parametrize("name", list(_RESULTS))
+    def test_results_are_read_only(self, name):
+        arr = _RESULTS[name](_immutability_inputs())
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[1]
+
+    @pytest.mark.parametrize("name", list(_CONSTRUCTORS))
+    def test_constructors_copy_the_callers_array(self, name):
+        # the caller's array already has the stored dtype, so no conversion copies it
+        shape, dtype, stored_array = _CONSTRUCTORS[name]
+        given = np.ones(shape, dtype=dtype)
+        stored = stored_array(make_grid(8, 0.5), given)
+        given[...] = 0
+        np.testing.assert_array_equal(stored, np.ones(shape, dtype=dtype))
+        assert not stored.flags.writeable
 
 
 class TestFourier:

@@ -12,6 +12,7 @@ matrix, and the column-by-column Weyl kernel on the midpoint-lifted symbol.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -352,6 +353,42 @@ class TestWeyl:
         window = unit_gaussian(grid)
         w = wigner(window, window)
         assert np.max(np.abs(w.values.imag)) < 1e-10
+
+    def test_smoothing_route_rejects_a_spread_symbol_with_nyquist_energy(self):
+        # white windows leave energy in the Nyquist row of the spread symbol,
+        # which this route hands to the Weyl assembly without forming it
+        grid = make_grid(32, 0.25)
+        rng = np.random.default_rng(1)
+        avals = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+        phi, psi = noise_signal(grid, rng), noise_signal(grid, rng)
+        with pytest.raises(ValueError, match="Nyquist row"):
+            weyl_from_localization(tfmatrix_from_values(grid, avals), phi, psi)
+
+
+class TestAssemblyMemory:
+    # n-by-n complex arrays held at once, each counted whole (r in wigner is n x 2n, two):
+    # localization_operator: the window products, the symbol's row DFT and its column
+    #   FFT; later the products, the kernel and the gathered matrix.  Three.
+    # weyl_from_localization: wigner's r, its fold, the signed fold and their FFT; in the
+    #   assembly the smoother, the time-transformed spread symbol, the half-lag phases,
+    #   the kernel and the gathered matrix.  Five.
+    # The quarter array of slack covers the length-n vectors and numpy's iteration buffers.
+    @pytest.mark.parametrize(("route", "held"), [("localization", 3), ("weyl", 5)])
+    def test_peak_counts_only_the_arrays_held_at_once(self, route, held):
+        n = 256
+        grid = make_grid(n, 1 / math.sqrt(n))
+        rng = np.random.default_rng(600)
+        symbol = tfmatrix_from_values(grid, time_smooth_symbol(n, rng))
+        window = unit_gaussian(grid)
+        build = localization_operator if route == "localization" else weyl_from_localization
+        build(symbol, window, window)  # FFT plans and caches are made on the first call
+        tracemalloc.start()
+        try:
+            build(symbol, window, window)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (held + 0.25) * n * n * 16
 
 
 class TestOperatorNorm:
