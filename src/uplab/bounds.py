@@ -120,13 +120,13 @@ def improved_bound(eps_t: float, eps_omega: float, d: int = 1) -> BoundValue:
     raises ValueError: an infinite lower bound would be false.
     """
     _check_eps(eps_t, eps_omega)
-    if int(d) != d or d < 1:
-        raise ValueError(f"dimension must be a positive integer, got {d!r}")
+    d = _check_dimension(d)
     eps = eps_t + eps_omega
     if eps > 1.0:
         raise ValueError(f"bound requires eps_t + eps_omega <= 1, got {eps}")
+    params = {"eps_t": eps_t, "eps_omega": eps_omega, "d": d}
     if eps == 0.0:
-        return BoundValue(_bound_exp(2.0 * d, d), {"r": INF}, attained=False)
+        return BoundValue(_finite("improved_bound", params, lambda: math.exp(2.0 * d)), {"r": INF}, attained=False)
     if eps == 1.0:
         return BoundValue(0.0, {"r": 1.0}, attained=True)
 
@@ -134,7 +134,7 @@ def improved_bound(eps_t: float, eps_omega: float, d: int = 1) -> BoundValue:
     u = _stationary_u(math.sqrt(-log1me) / math.sqrt(d))  # sqrt(-log1me / d) underflows to 0 for subnormal eps
     r_star = 1.0 / u
     h = r_star * log1me - 2.0 * d * (r_star - 1.0) * math.log1p(-u)
-    return BoundValue(_bound_exp(h, d), {"r": r_star}, attained=True)
+    return BoundValue(_finite("improved_bound", params, lambda: math.exp(h)), {"r": r_star}, attained=True)
 
 
 def _stationary_u(s: float) -> float:
@@ -188,11 +188,15 @@ def _scaled_log_gap(u: float) -> float:
     return 2.0 / a * (1.0 + 2.0 * u / (a * a) * tail)
 
 
-def _bound_exp(h: float, d: int) -> float:
+def _finite(name: str, params: dict, value) -> float:
+    """value(), the named quantity at params; ValueError naming both where that is not a finite double."""
     try:
-        return math.exp(h)
-    except OverflowError:
-        raise ValueError(f"bound exp({h:.6g}) exceeds the double range at dimension d={d}") from None
+        out = value()
+    except (OverflowError, ValueError):  # exp past the double range; lgamma(0) once a huge alpha rounds x to 0
+        out = math.nan
+    if math.isfinite(out):
+        return out
+    raise ValueError(f"{name}({', '.join(f'{k}={v!r}' for k, v in params.items())}) is not a finite double")
 
 
 def price_k1(d: int, alpha: float) -> float:
@@ -201,7 +205,7 @@ def price_k1(d: int, alpha: float) -> float:
     x = d / (2.0 * alpha)
     if not x < 1.0 - 1e-12:
         raise ValueError(f"constant requires alpha > d/2, got alpha={alpha}, d={d}")
-    log_val = (
+    return _finite("price_k1", {"d": d, "alpha": alpha}, lambda: math.exp(
         (d / 2.0) * math.log(math.pi)
         - math.log(alpha)
         - math.lgamma(d / 2.0)
@@ -209,8 +213,7 @@ def price_k1(d: int, alpha: float) -> float:
         + math.lgamma(1.0 - x)
         + x * math.log(2.0 * alpha / d - 1.0)
         - math.log(1.0 - x)
-    )
-    return float(math.exp(log_val))
+    ))
 
 
 def _check_dimension(d: int) -> int:
@@ -233,39 +236,37 @@ def price_ktilde(d: int, alpha: float, q: float) -> float:
     q = float(q)
     if q <= 1.0:
         raise ValueError(f"constant defined for q > 1, got {q!r}")
+    params = {"d": d, "alpha": alpha, "q": q}
     if math.isinf(q):
         # limit of the finite-q expression as q -> inf (conjugate exponent 1)
         if not alpha > d + 1e-12:
             raise ValueError(f"q = inf requires alpha > d, got alpha={alpha}, d={d}")
-        log_val = (
+        return _finite("price_ktilde", params, lambda: math.exp(
             math.log(2.0)
             + (d / 2.0) * math.log(math.pi)
             - math.lgamma(d / 2.0)
             + math.log(alpha)
             - math.log(d)
             - math.log(alpha - d)
-        )
-        return float(math.exp(log_val))
+        ))
     qp = conjugate_exponent(q)
     x = d / (alpha * q)
     y = 1.0 / (q - 1.0) - x
     if not y > 1e-12 / max(alpha, 1.0):
         raise ValueError(f"constant requires alpha > d/q', got alpha={alpha}, q'={qp}, d={d}")
-    bracket = (
-        math.log(2.0)
-        + (d / 2.0) * math.log(math.pi)
-        - math.lgamma(d / 2.0)
-        - math.log(alpha * q)
-        + math.lgamma(x)
-        + math.lgamma(y)
-        - math.lgamma(x + y)
-    )
-    log_val = (
-        ((q - 1.0) / q) * bracket
+    return _finite("price_ktilde", params, lambda: math.exp(
+        ((q - 1.0) / q) * (
+            math.log(2.0)
+            + (d / 2.0) * math.log(math.pi)
+            - math.lgamma(d / 2.0)
+            - math.log(alpha * q)
+            + math.lgamma(x)
+            + math.lgamma(y)
+            - math.lgamma(x + y)
+        )
         + (d / (q * qp * alpha)) * math.log(alpha * qp / d - 1.0)
         - (1.0 / q) * math.log(1.0 - d / (alpha * qp))
-    )
-    return float(math.exp(log_val))
+    ))
 
 
 def price_k(d: int, alpha: float, q: float) -> float:

@@ -124,12 +124,12 @@ def _selftest_checks(n: int, seed: int):
     f = signal_from_samples(grid, noise, TIME)
 
     def fourier_round_trip():
-        back = fourier(fourier(f, "forward"), "inverse")
+        back = fourier(fourier(f))
         err = math.sqrt(energy(signal_from_samples(grid, f.samples - back.samples, TIME)))
         assert err <= 1e-10 * math.sqrt(energy(f)), f"round-trip error {err:.3e}"
 
     def parseval():
-        lhs, rhs = energy(f), energy(fourier(f, "forward"))
+        lhs, rhs = energy(f), energy(fourier(f))
         assert abs(lhs - rhs) <= 1e-10 * lhs, f"energy mismatch {lhs} vs {rhs}"
 
     def gabor_energy():

@@ -14,6 +14,7 @@ when defect(f, U) <= eps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +34,13 @@ class MaskSet:
     @property
     def measure(self) -> float:
         return float(np.count_nonzero(self.flags) * self.grid.spacing(self.axis))
+
+    @cached_property
+    def flags_fft(self) -> np.ndarray:
+        """Read-only np.fft.fft of the flags as 0/1 floats, taken on first use and kept."""
+        spectrum = np.fft.fft(self.flags.astype(float))
+        spectrum.setflags(write=False)
+        return spectrum
 
 
 def mask_from_flags(grid: Grid, axis: str, flags) -> MaskSet:

@@ -134,26 +134,21 @@ def centered_dft(values: np.ndarray, inverse: bool = False, axis: int = -1) -> n
     return np.fft.fftshift(out, axes=axis)
 
 
-def fourier(f: Signal, direction: str = "forward") -> Signal:
-    """Transform a time signal to the frequency axis or back.
+def fourier(f: Signal) -> Signal:
+    """Transform a signal to the other axis: a time signal forward, a spectrum back.
 
-    forward:  fhat(w_k) = dx * sum_j exp(-2*pi*i*t_j*w_k) f(t_j)
-    inverse:  f(t_j) = dw * sum_k exp(+2*pi*i*t_j*w_k) fhat(w_k)
+    forward (time to frequency):  fhat(w_k) = dx * sum_j exp(-2*pi*i*t_j*w_k) f(t_j)
+    inverse (frequency to time):  f(t_j) = dw * sum_k exp(+2*pi*i*t_j*w_k) fhat(w_k)
 
     The pair is an exact round trip and preserves the quadrature L^2 norm
     exactly (discrete Parseval).
     """
-    if direction == "forward":
-        if f.domain != TIME:
-            raise ValueError("forward transform expects a time-domain signal")
-        vals = f.grid.dx * centered_dft(f.samples)
-        return Signal(f.grid, frozen_array(vals), FREQUENCY)
-    if direction == "inverse":
-        if f.domain != FREQUENCY:
-            raise ValueError("inverse transform expects a frequency-domain signal")
-        vals = f.grid.n * f.grid.dw * centered_dft(f.samples, inverse=True)
-        return Signal(f.grid, frozen_array(vals), TIME)
-    raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+    if f.domain == TIME:
+        vals, domain = f.grid.dx * centered_dft(f.samples), FREQUENCY
+    else:
+        vals, domain = f.grid.n * f.grid.dw * centered_dft(f.samples, inverse=True), TIME
+    vals.setflags(write=False)
+    return Signal(f.grid, vals, domain)
 
 
 def norm_lq(f: Signal, q: float) -> float:

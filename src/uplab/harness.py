@@ -78,7 +78,7 @@ from .core import (
     read_signal_csv,
     signal_from_samples,
 )
-from .operators import apply_freq_symbol, apply_time_symbol, gaussian_smoothed_indicator
+from .operators import SmoothedSymbol, apply_freq_symbol, apply_time_symbol, gaussian_smoothed_indicator
 from .report import (
     Report,
     Verdict,
@@ -211,7 +211,7 @@ def generate_signal(kind: str, params: dict, grid: Grid) -> Signal:
         if not flags.any():
             raise ScenarioError(f"band half-width {band} selects no frequency bin")
         shaped = signal_from_samples(grid, spectrum * flags, FREQUENCY)
-        return _unit(grid, fourier(shaped, "inverse").samples)
+        return _unit(grid, fourier(shaped).samples)
     # kind == "csv"
     path = p["path"]
     if not path:
@@ -517,12 +517,18 @@ def _certified_product(ctx: _RunContext, check_id: str, eps_t: float, eps_w: flo
     return make_verdict(check_id, mt * mw, bv.value, ctx.tol(check_id), notes=notes(bv.witness["r"]))
 
 
+def _projection(ctx: _RunContext, axis: str, lam: float | None) -> Signal:
+    """L f for the axis's mask smoothed at lam (L1 on TIME, L2 on FREQUENCY), as a time
+    signal; at lam=None the sharp projection, through the same symbol route."""
+    mask = ctx.mask_t if axis == TIME else ctx.mask_w
+    sym = SmoothedSymbol(ctx.grid, axis, mask.flags) if lam is None else gaussian_smoothed_indicator(mask, lam)
+    return apply_time_symbol(sym, ctx.f) if axis == TIME else apply_freq_symbol(sym, ctx.fhat)
+
+
 def _check_optimized_product(ctx: _RunContext) -> Verdict:
-    l1 = gaussian_smoothed_indicator(ctx.mask_t, ctx.param("lam1"))
-    l2 = gaussian_smoothed_indicator(ctx.mask_w, ctx.param("lam2"))
     total = energy(ctx.f)
-    eps_t = _certified_eps(energy(apply_time_symbol(l1, ctx.f)) / total)
-    eps_w = _certified_eps(energy(apply_freq_symbol(l2, ctx.fhat)) / total)
+    eps_t = _certified_eps(energy(_projection(ctx, TIME, ctx.param("lam1"))) / total)
+    eps_w = _certified_eps(energy(_projection(ctx, FREQUENCY, ctx.param("lam2"))) / total)
     return _certified_product(
         ctx, "optimized-product", eps_t, eps_w, "smoothed-operator energies",
         lambda r: f"certified eps_t={eps_t:.6f} eps_omega={eps_w:.6f} r={r:.4f}",
@@ -613,31 +619,13 @@ def _check_support(ctx: _RunContext, axis: str) -> Verdict:
     return make_verdict(check_id, lhs, rhs, ctx.tol(check_id))
 
 
-def _sharp_time_projection(ctx: _RunContext) -> Signal:
-    return signal_from_samples(ctx.grid, ctx.f.samples * ctx.mask_t.flags, TIME)
-
-
-def _sharp_freq_projection(ctx: _RunContext) -> Signal:
-    masked = signal_from_samples(ctx.grid, ctx.fhat.samples * ctx.mask_w.flags, FREQUENCY)
-    return fourier(masked, "inverse")
-
-
-def _check_smoothing(ctx: _RunContext, check_id: str) -> Verdict:
-    if check_id == "smoothing-time":
-        sweep = ctx.param("lam1_sweep")
-        sharp = _sharp_time_projection(ctx)
-        smoothed = [
-            apply_time_symbol(gaussian_smoothed_indicator(ctx.mask_t, lam), ctx.f) for lam in sweep
-        ]
-    else:
-        sweep = ctx.param("lam2_sweep")
-        sharp = _sharp_freq_projection(ctx)
-        smoothed = [
-            apply_freq_symbol(gaussian_smoothed_indicator(ctx.mask_w, lam), ctx.fhat) for lam in sweep
-        ]
+def _check_smoothing(ctx: _RunContext, check_id: str, axis: str, sweep_key: str) -> Verdict:
+    """Each width's projection error is taken as its L f is built, so one L f is held at a time."""
+    sweep = ctx.param(sweep_key)
+    sharp = _projection(ctx, axis, None)
+    errors = [_diff_norm(_projection(ctx, axis, lam), sharp) for lam in sweep]
     if len(sweep) < 2:
         return skipped_verdict(check_id, "sweep needs at least two kernel widths")
-    errors = [_diff_norm(lf, sharp) for lf in smoothed]
     drops = [errors[i] - errors[i + 1] for i in range(len(errors) - 1)]
     trail = " -> ".join(f"{e:.3e}" for e in errors)
     return make_verdict(
@@ -660,8 +648,8 @@ CHECKS = {
     "spread-product": _check_spread_product,
     "support-time": lambda ctx: _check_support(ctx, TIME),
     "support-freq": lambda ctx: _check_support(ctx, FREQUENCY),
-    "smoothing-time": lambda ctx: _check_smoothing(ctx, "smoothing-time"),
-    "smoothing-freq": lambda ctx: _check_smoothing(ctx, "smoothing-freq"),
+    "smoothing-time": lambda ctx: _check_smoothing(ctx, "smoothing-time", TIME, "lam1_sweep"),
+    "smoothing-freq": lambda ctx: _check_smoothing(ctx, "smoothing-freq", FREQUENCY, "lam2_sweep"),
 }
 
 
@@ -669,7 +657,7 @@ def run_scenario(s: Scenario) -> Report:
     """Evaluate every requested check once; errors become failed verdicts."""
     grid = make_grid(s.grid_n, s.grid_dx)
     f = generate_signal(s.signal_kind, s.signal_params, grid)
-    fhat = fourier(f, "forward")
+    fhat = fourier(f)
     mask_t, mask_w, eps_t, eps_omega = _resolve_sets(s, f, fhat)
     heavy = boundary_energy_fraction(f) > 1e-6 or boundary_energy_fraction(fhat) > 1e-6
     ctx = _RunContext(

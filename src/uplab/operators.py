@@ -65,7 +65,7 @@ def _lag_operator(grid: Grid, kern: np.ndarray, scale: float) -> LinearOp:
 
 @dataclass(frozen=True)
 class SmoothedSymbol:
-    """Values in [0, 1] of a Gaussian-smoothed mask indicator, one per cell of one grid axis."""
+    """Values in [0, 1] of a Gaussian-smoothed mask indicator, or of the sharp one, one per cell of one axis."""
 
     grid: Grid
     axis: str
@@ -99,7 +99,9 @@ def gaussian_smoothed_indicator(mask: MaskSet, lam: float) -> SmoothedSymbol:
             f"(edge mass fraction {edge:.2e})"
         )
     kernel = kernel / (h * mass)
-    conv = np.fft.ifft(np.fft.fft(mask.flags.astype(float)) * np.fft.fft(np.fft.ifftshift(kernel)))
+    # np.multiply, not *: at large n, * may reuse the kernel's temporary with the operands swapped,
+    # and numpy's SIMD complex product rounds a * b and b * a differently
+    conv = np.fft.ifft(np.multiply(mask.flags_fft, np.fft.fft(np.fft.ifftshift(kernel))))
     values = np.clip(h * conv.real, 0.0, 1.0)
     return SmoothedSymbol(grid, mask.axis, frozen_array(values, dtype=np.float64))
 
@@ -115,7 +117,7 @@ def apply_freq_symbol(sym: SmoothedSymbol, fhat: Signal) -> Signal:
     if sym.axis != FREQUENCY or fhat.domain != FREQUENCY:
         raise ValueError("frequency symbol application requires a spectrum and a frequency symbol")
     shaped = signal_from_samples(fhat.grid, sym.values * fhat.samples, FREQUENCY)
-    return fourier(shaped, "inverse")
+    return fourier(shaped)
 
 
 def smoothed_concentration_ops(
@@ -204,11 +206,13 @@ def weyl_from_localization(symbol: TFMatrix, phi: Signal, psi: Signal) -> Linear
     if symbol.grid != phi.grid or phi.grid != psi.grid:
         raise ValueError("symbol and windows must share a grid")
     grid = symbol.grid
-    smoother = wigner(psi, phi).values
+    spread = np.fft.fft2(symbol.values)
+    # the cross-Wigner matrix is a temporary, freed once transformed
+    spread *= np.fft.fft2(np.fft.ifftshift(wigner(psi, phi).values))
     # the spread symbol's inverse 2-D FFT without its time pass, which the assembly would undo
-    spec = np.fft.ifft(
-        np.fft.fft2(symbol.values) * np.fft.fft2(np.fft.ifftshift(smoother)), axis=1
-    ) * (grid.dx * grid.dw)
+    spec = np.fft.ifft(spread, axis=1)
+    del spread
+    spec *= grid.dx * grid.dw
     return _weyl_assembly(grid, spec)
 
 

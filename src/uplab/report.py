@@ -22,9 +22,11 @@ class Verdict:
 
 
 def make_verdict(check_id: str, lhs: float, rhs: float, rel_tol: float, notes: str = "") -> Verdict:
-    """Judge lhs >= rhs with slack rel_tol * max(|lhs|, |rhs|, 1)."""
+    """Judge lhs >= rhs with slack rel_tol * max(|lhs|, |rhs|, 1); a non-finite side raises ValueError."""
     lhs = float(lhs)
     rhs = float(rhs)
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise ValueError(f"{check_id}: cannot judge a non-finite side (lhs={lhs!r}, rhs={rhs!r})")
     margin = lhs - rhs
     slack = rel_tol * max(abs(lhs), abs(rhs), 1.0)
     status = "pass" if margin >= -slack else "fail"

@@ -217,8 +217,9 @@ def wigner(f: Signal, g: Signal | None = None) -> TFMatrix:
     r = windows(fp, 2 * n)[0 : 2 * n : 2] * windows(gr, 2 * n)[2 * n - 1 :: -2]
     r[:, 0] = 0.0  # unpaired extreme lag, dropped to keep Hermitian symmetry exact
     folded = r[:, :n] + r[:, n:]
-    sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    vals = f.grid.dx * np.fft.fft(folded * sign[None, :], axis=1)
+    del r  # the n-by-2n product is the largest array; free it before the transform
+    folded *= np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    vals = f.grid.dx * np.fft.fft(folded, axis=1)
     if g is f or g.samples is f.samples:
         vals = vals.real.astype(np.complex128)
     vals.setflags(write=False)

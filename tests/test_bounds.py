@@ -298,6 +298,19 @@ class TestSpectralConcentrationConstants:
         with pytest.raises(ValueError):
             price_ktilde(1, 0.9, math.inf)  # needs alpha > d
 
+    @pytest.mark.parametrize(
+        "name, constant, args",
+        [
+            ("price_k1", price_k1, (1, 1e308)),  # 2 * alpha overflows, so lgamma(0)
+            ("price_ktilde", price_ktilde, (1, 1e308, 2.0)),  # alpha * q overflows, so lgamma(0)
+            ("price_ktilde", price_ktilde, (1, 1e308, 1.0000001)),  # 0 * log(inf) is nan
+        ],
+        ids=["k1-domain-error", "ktilde-domain-error", "ktilde-nan"],
+    )
+    def test_a_value_past_the_double_range_names_its_parameters(self, name, constant, args):
+        with pytest.raises(ValueError, match=rf"^{name}\(d=1, alpha=1e\+308.*is not a finite double$"):
+            constant(*args)
+
     def test_gaussian_spectral_window_example(self):
         # d = 1, alpha = 1, q = 2, window [-1/2, 1/2]: the bound value is
         # K * 1 * moment = 2 pi / (2 sqrt(pi)) = sqrt(pi), while the spectral

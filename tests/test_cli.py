@@ -93,6 +93,7 @@ class TestConstantsCommand:
             ["--which", "locop", "--q", "nan"],
             ["--which", "lieb", "--p", "nan"],
             ["--which", "lieb", "--p=-inf"],
+            ["--which", "ktilde", "--alpha", "1e308", "--q", "1.0000001"],
         ],
         ids=[
             "k1-alpha-below-half",
@@ -101,6 +102,7 @@ class TestConstantsCommand:
             "locop-nan-q",
             "lieb-nan-p",
             "lieb-minus-inf-p",
+            "ktilde-nan-past-the-double-range",
         ],
     )
     def test_out_of_domain_parameters_fail_cleanly(self, args, capsys):

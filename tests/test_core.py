@@ -165,7 +165,7 @@ class TestFourier:
     def test_round_trip_is_identity(self):
         grid = make_grid(256, 1 / 16)
         f = noise_signal(grid, 1)
-        back = fourier(fourier(f), "inverse")
+        back = fourier(fourier(f))
         assert back.domain == TIME
         np.testing.assert_allclose(back.samples, f.samples, atol=1e-12)
 
@@ -204,16 +204,6 @@ class TestFourier:
         k = 5
         modulated = signal_from_samples(grid, f.samples * np.exp(2j * np.pi * k * grid.dw * grid.times))
         np.testing.assert_allclose(fourier(modulated).samples, np.roll(fourier(f).samples, k), atol=1e-12)
-
-    def test_direction_must_match_domain(self):
-        grid = make_grid(64, 1 / 8)
-        f = unit_gaussian(grid)
-        with pytest.raises(ValueError):
-            fourier(fourier(f), "forward")
-        with pytest.raises(ValueError):
-            fourier(f, "inverse")
-        with pytest.raises(ValueError):
-            fourier(f, "sideways")
 
 
 class TestNorms:

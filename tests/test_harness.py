@@ -26,6 +26,8 @@ from uplab import (
     inner,
     load_scenario,
     make_grid,
+    make_verdict,
+    minimal_concentration_set,
     report_to_json,
     run_scenario,
     save_scenario,
@@ -246,6 +248,45 @@ class TestRunScenario:
         report = run_scenario(s)
         assert report.summary["fail"] == 1
         assert report.verdicts[0].notes.startswith("error:")
+
+    def test_non_finite_side_becomes_an_error(self):
+        # alpha = 1e300 sends |t|^alpha f past the double range, so the
+        # local-energy bound is nan: no verdict can be made from it
+        s = Scenario(name="huge-alpha", bound_params={"alpha": 1e300, "q": 1.5}, checks=("local-energy",))
+        (v,) = run_scenario(s).verdicts
+        assert v.status == "fail"
+        assert v.notes.startswith("error: local-energy: cannot judge a non-finite side")
+
+    @pytest.mark.parametrize("lhs, rhs", [(math.nan, 1.0), (1.0, math.inf), (-math.inf, 0.0)])
+    def test_make_verdict_refuses_a_non_finite_side(self, lhs, rhs):
+        with pytest.raises(ValueError, match="non-finite side"):
+            make_verdict("ds-product", lhs, rhs, 1e-6)
+
+    def test_each_mask_is_transformed_once(self, monkeypatch):
+        # optimized-product and both smoothing sweeps (five widths per mask)
+        # smooth each mask through the one transform its MaskSet keeps
+        inputs = []
+        fft = np.fft.fft
+
+        def recorded(a, *args, **kwargs):
+            inputs.append(np.array(a, copy=True))
+            return fft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", recorded)
+        s = Scenario(name="masks-once", checks=("optimized-product", *SMOOTHING_CHECKS))
+        report = run_scenario(s)
+        monkeypatch.undo()
+        assert report.summary["pass"] == 3
+        f = generate_signal("gaussian", {}, GRID)
+        for mask in (minimal_concentration_set(f, 0.1), minimal_concentration_set(fourier(f), 0.1)):
+            flags = mask.flags.astype(float)
+            assert sum(np.array_equal(a, flags) for a in inputs) == 1
+
+    def test_one_width_sweep_is_skipped(self):
+        s = Scenario(name="one-width", bound_params={"lam1_sweep": [4.0], "lam2_sweep": [0.25]}, checks=SMOOTHING_CHECKS)
+        for v in run_scenario(s).verdicts:
+            assert v.status == "skipped"
+            assert v.notes == "sweep needs at least two kernel widths"
 
     def test_heavy_tails_are_flagged_on_moment_checks(self):
         s = Scenario(name="wide", signal_params={"lam": 0.002}, checks=("support-time", "ds-product"))
@@ -496,7 +537,28 @@ def _readme_entry(type_name: str, default: str) -> tuple:
     return _README_TYPES[type_name], tuple(value) if isinstance(value, list) else value
 
 
+_BOUND_TABLE_HEADER = (
+    "| scenario | \\|T\\|·\\|Ω\\| | ds-product | optimized-product | ÷ DS | marginal-energy | ÷ DS "
+    "| signal-product | ÷ DS | separate-time | separate-freq |"
+)
+
+
+def _bound_table_row(report) -> list:
+    """One README row: |T||Omega|, each product check's rhs and its ratio to the
+    ds-product rhs, and the separate bounds, at 4 significant digits."""
+    by_id = {v.check_id: v for v in report.verdicts}
+    ds = by_id["ds-product"].rhs
+    row = [report.scenario, f"{by_id['ds-product'].lhs:.4g}", f"{ds:.4g}"]
+    for check_id in ("optimized-product", "marginal-energy", "signal-product"):
+        v = by_id[check_id]
+        row += ["skipped"] * 2 if v.status == "skipped" else [f"{v.rhs:.4g}", f"{v.rhs / ds:.4g}"]
+    return row + [f"{by_id[c].rhs:.4g}" for c in ("separate-time", "separate-freq")]
+
+
 class TestReadmeTables:
+    def test_bound_comparison_table_matches_the_standard_suite(self):
+        assert _readme_table(_BOUND_TABLE_HEADER) == [_bound_table_row(run_scenario(s)) for s in standard_suite()]
+
     def test_library_example_prints_what_its_comments_say(self):
         lines = _README.read_text(encoding="utf-8").splitlines()
         start = lines.index("## Library example") + 2

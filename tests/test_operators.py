@@ -133,7 +133,7 @@ class TestProjections:
         f = noise_signal(grid, np.random.default_rng(0))
         spec = fourier(f)
         masked = signal_from_samples(grid, np.where(mask.flags, spec.samples, 0), FREQUENCY)
-        want = fourier(masked, "inverse")
+        want = fourier(masked)
         np.testing.assert_allclose(q.matrix @ f.samples, want.samples, atol=1e-12)
 
     @pytest.mark.parametrize("n", [32, 64, 128])
@@ -171,6 +171,24 @@ class TestSmoothedIndicators:
         interior = (t > -6) & (t < 6)
         assert np.max(np.abs(sym.values[interior] - want[interior])) < 1e-4
 
+    def test_kept_mask_transform_rounds_as_a_fresh_one(self):
+        # past numpy's temporary-reuse threshold (n = 65536 here) the operand order
+        # of the complex product shows in the last bits: the symbol must round as
+        # fft(flags) * fft(kernel) does, on the call that takes the mask's
+        # transform and on the call that reuses it
+        n = 65536
+        grid = make_grid(n, 1 / math.sqrt(n))
+        rng = np.random.default_rng(11)
+        for axis in (TIME, FREQUENCY):
+            mask = mask_from_flags(grid, axis, rng.random(n) < 0.3)
+            h, x = grid.spacing(axis), grid.axis(axis)
+            kernel = np.sqrt(2.0) * np.exp(-2.0 * np.pi * x * x)  # mu = 2 on both axes at lam = 1
+            kernel = kernel / (h * float(kernel.sum()))
+            conv = np.fft.ifft(np.fft.fft(mask.flags.astype(float)) * np.fft.fft(np.fft.ifftshift(kernel)))
+            want = np.clip(h * conv.real, 0.0, 1.0)
+            for _ in range(2):
+                assert np.array_equal(gaussian_smoothed_indicator(mask, 1.0).values, want)
+
     def test_values_stay_in_the_unit_interval(self):
         grid = make_grid(256, 1 / 16)
         for lam in (1.0, 4.0, 64.0):
@@ -199,7 +217,7 @@ class TestSmoothedIndicators:
         mask_w = window_mask(grid, FREQUENCY, -0.75, 0.75)
         pf = mask_t.flags * f.samples
         masked = signal_from_samples(grid, np.where(mask_w.flags, fourier(f).samples, 0), FREQUENCY)
-        qf = fourier(masked, "inverse").samples
+        qf = fourier(masked).samples
         time_errors, freq_errors = [], []
         for lam1, lam2 in zip((1.0, 4.0, 16.0, 64.0), (1.0, 0.25, 0.0625, 0.015625)):
             l1, l2 = smoothed_concentration_ops(mask_t, mask_w, lam1, lam2)
@@ -315,7 +333,7 @@ class TestWeyl:
         op = weyl_operator(tfmatrix_from_values(grid, np.outer(np.ones(64), gauss)))
         spec = fourier(f)
         shaped = signal_from_samples(grid, gauss * spec.samples, FREQUENCY)
-        want = fourier(shaped, "inverse")
+        want = fourier(shaped)
         np.testing.assert_allclose(op.matrix @ f.samples, want.samples, atol=1e-10)
 
     def test_real_symbol_gives_a_hermitian_operator(self):
@@ -369,22 +387,30 @@ class TestAssemblyMemory:
     # n-by-n complex arrays held at once, each counted whole (r in wigner is n x 2n, two):
     # localization_operator: the window products, the symbol's row DFT and its column
     #   FFT; later the products, the kernel and the gathered matrix.  Three.
-    # weyl_from_localization: wigner's r, its fold, the signed fold and their FFT; in the
-    #   assembly the smoother, the time-transformed spread symbol, the half-lag phases,
-    #   the kernel and the gathered matrix.  Five.
-    # The quarter array of slack covers the length-n vectors and numpy's iteration buffers.
-    @pytest.mark.parametrize(("route", "held"), [("localization", 3), ("weyl", 5)])
+    # wigner: r and its fold; r is freed before the fold is signed in place and
+    #   transformed; the real part of the auto-distribution is taken beside both.  Three.
+    # weyl_from_localization: wigner's three beside the symbol's 2-D FFT; that product
+    #   takes the smoother's FFT in place, and the smoother is freed; in the assembly the
+    #   time-transformed spread symbol, the half-lag phases, the kernel and the gathered
+    #   matrix.  Four.
+    # The quarter array of slack covers the length-n vectors and numpy's iteration
+    # buffers (two of 8192 complex entries, 0.06 of an array at n = 512).
+    @pytest.mark.parametrize(("route", "held"), [("localization", 3), ("wigner", 3), ("weyl", 4)])
     def test_peak_counts_only_the_arrays_held_at_once(self, route, held):
-        n = 256
+        n = 512
         grid = make_grid(n, 1 / math.sqrt(n))
         rng = np.random.default_rng(600)
         symbol = tfmatrix_from_values(grid, time_smooth_symbol(n, rng))
         window = unit_gaussian(grid)
-        build = localization_operator if route == "localization" else weyl_from_localization
-        build(symbol, window, window)  # FFT plans and caches are made on the first call
+        build = {
+            "localization": lambda: localization_operator(symbol, window, window),
+            "wigner": lambda: wigner(window),
+            "weyl": lambda: weyl_from_localization(symbol, window, window),
+        }[route]
+        build()  # FFT plans and caches are made on the first call
         tracemalloc.start()
         try:
-            build(symbol, window, window)
+            build()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -297,7 +297,7 @@ class TestWigner:
         kept = signal_from_samples(
             grid, np.where(np.abs(grid.freqs) <= 4.0, spec.samples, 0), spec.domain
         )
-        filtered = fourier(kept, "inverse")
+        filtered = fourier(kept)
         for f in (unit_gaussian(grid), filtered):
             w = wigner(f)
             time_marginal = grid.dw * w.values.sum(axis=1)
