@@ -89,7 +89,6 @@ from .operators import (
 from .report import (
     Report,
     Verdict,
-    build_summary,
     make_verdict,
     report_to_json,
     verdict_to_dict,

@@ -129,8 +129,12 @@ def _support(f: Signal) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _moment_lq(dist: np.ndarray, mags: np.ndarray, spacing: float, alpha: float, q: float) -> float:
-    """|| dist^alpha * mags ||_q by quadrature, dist the distances to the moment centre."""
-    weighted = dist**alpha
+    """|| dist^alpha * mags ||_q by quadrature, dist the distances to the moment centre.
+
+    A power past the double range is inf, and so is the norm.
+    """
+    with np.errstate(over="ignore"):
+        weighted = dist**alpha
     weighted *= mags
     return _quadrature_lq(weighted, spacing, q)
 

@@ -159,7 +159,7 @@ def norm_lq(f: Signal, q: float) -> float:
 def _quadrature_lq(mags: np.ndarray, spacing: float, q: float) -> float:
     """(spacing * sum mags^q)^(1/q) of nonnegative magnitudes; their max at q = inf.
 
-    An empty array has norm 0 at every q.
+    An empty array has norm 0 at every q; an infinite peak is the norm.
     """
     q = float(q)
     if not (q >= 1.0):
@@ -169,8 +169,8 @@ def _quadrature_lq(mags: np.ndarray, spacing: float, q: float) -> float:
     if math.isinf(q):
         return float(mags.max())
     peak = float(mags.max())
-    if peak == 0.0:
-        return 0.0
+    if peak == 0.0 or math.isinf(peak):
+        return peak
     # scale by the peak so large q cannot overflow
     scaled = mags / peak
     scaled **= q

@@ -35,10 +35,13 @@ smoothing-freq          ||L2 f - Q f||_2 strictly decreases along the
                         lam2 sweep (Q = sharp frequency projection)
 ======================  ======================================================
 
-Every verdict is made here; `bounds` only computes the sides, each once per
-run.  Hypothesis violations produce skipped verdicts; internal errors
-produce failed verdicts carrying the error text — a run never raises
-mid-report.
+Each entry of CHECKS maps a run context to (lhs, rhs, notes) for lhs >= rhs;
+`bounds` only computes the sides, each once per run.  A check whose
+hypothesis fails raises _Skipped with the reason.  `run_scenario` is the one
+place that judges: it makes the verdict at the scenario's tolerance for that
+check, turns _Skipped into a skipped verdict and any other error (a
+non-finite side among them) into a failed verdict carrying the error text —
+a run never raises mid-report.
 """
 
 from __future__ import annotations
@@ -79,14 +82,7 @@ from .core import (
     signal_from_samples,
 )
 from .operators import SmoothedSymbol, apply_freq_symbol, apply_time_symbol, gaussian_smoothed_indicator
-from .report import (
-    Report,
-    Verdict,
-    build_summary,
-    failed_verdict,
-    make_verdict,
-    skipped_verdict,
-)
+from .report import Report, failed_verdict, make_verdict, skipped_verdict
 from .transforms import gaussian_window, spectrogram_marginals
 
 
@@ -453,9 +449,6 @@ class _RunContext:
     def measures(self) -> tuple[float, float]:
         return self.mask_t.measure, self.mask_w.measure
 
-    def tol(self, check_id: str) -> float:
-        return self.scenario.tolerance(check_id)
-
     def param(self, key: str):
         return self.scenario.bound_param(key)
 
@@ -493,28 +486,28 @@ def _certified_eps(value: float) -> float:
     return math.sqrt(1.0 - min(max(value, 0.0), 1.0))
 
 
-def _check_ds_product(ctx: _RunContext) -> Verdict:
+class _Skipped(Exception):
+    """Raised by a check whose hypothesis fails; its message is the skip reason."""
+
+
+def _check_ds_product(ctx: _RunContext) -> tuple[float, float, str]:
     s = ctx.eps_t + ctx.eps_omega
     if s >= 1.0:
-        return skipped_verdict("ds-product", f"hypothesis violated: eps_t + eps_omega = {s:.6g} >= 1")
+        raise _Skipped(f"hypothesis violated: eps_t + eps_omega = {s:.6g} >= 1")
     mt, mw = ctx.measures()
-    return make_verdict(
-        "ds-product",
-        mt * mw,
-        bounds.ds_bound(ctx.eps_t, ctx.eps_omega),
-        ctx.tol("ds-product"),
-        notes=f"eps_t={ctx.eps_t:.6g} eps_omega={ctx.eps_omega:.6g}",
-    )
+    return mt * mw, bounds.ds_bound(ctx.eps_t, ctx.eps_omega), f"eps_t={ctx.eps_t:.6g} eps_omega={ctx.eps_omega:.6g}"
 
 
-def _certified_product(ctx: _RunContext, check_id: str, eps_t: float, eps_w: float, source: str, notes) -> Verdict:
-    """|T||Omega| against improved_bound at a certified defect pair; notes(r) gives the verdict's notes."""
+def _certified_product(
+    ctx: _RunContext, eps_t: float, eps_w: float, source: str, notes
+) -> tuple[float, float, str]:
+    """|T||Omega| against improved_bound at a certified defect pair; notes(r) gives the notes."""
     s = eps_t + eps_w
     if s >= 1.0:
-        return skipped_verdict(check_id, f"hypothesis violated: {source} certify eps_t + eps_omega = {s:.6g} >= 1")
+        raise _Skipped(f"hypothesis violated: {source} certify eps_t + eps_omega = {s:.6g} >= 1")
     bv = bounds.improved_bound(eps_t, eps_w)
     mt, mw = ctx.measures()
-    return make_verdict(check_id, mt * mw, bv.value, ctx.tol(check_id), notes=notes(bv.witness["r"]))
+    return mt * mw, bv.value, notes(bv.witness["r"])
 
 
 def _projection(ctx: _RunContext, axis: str, lam: float | None) -> Signal:
@@ -525,17 +518,17 @@ def _projection(ctx: _RunContext, axis: str, lam: float | None) -> Signal:
     return apply_time_symbol(sym, ctx.f) if axis == TIME else apply_freq_symbol(sym, ctx.fhat)
 
 
-def _check_optimized_product(ctx: _RunContext) -> Verdict:
+def _check_optimized_product(ctx: _RunContext) -> tuple[float, float, str]:
     total = energy(ctx.f)
     eps_t = _certified_eps(energy(_projection(ctx, TIME, ctx.param("lam1"))) / total)
     eps_w = _certified_eps(energy(_projection(ctx, FREQUENCY, ctx.param("lam2"))) / total)
     return _certified_product(
-        ctx, "optimized-product", eps_t, eps_w, "smoothed-operator energies",
+        ctx, eps_t, eps_w, "smoothed-operator energies",
         lambda r: f"certified eps_t={eps_t:.6f} eps_omega={eps_w:.6f} r={r:.4f}",
     )
 
 
-def _check_marginal_energy(ctx: _RunContext) -> Verdict:
+def _check_marginal_energy(ctx: _RunContext) -> tuple[float, float, str]:
     lam1, lam2 = ctx.param("lam1"), ctx.param("lam2")
     time_profile, freq_profile = spectrogram_marginals(ctx.f, gaussian_window(lam1, ctx.grid))
     if lam2 != lam1:
@@ -543,63 +536,42 @@ def _check_marginal_energy(ctx: _RunContext) -> Verdict:
     m_t = min(abs(complex(ctx.grid.dx * np.sum(time_profile[ctx.mask_t.flags]))), 1.0)
     m_w = min(abs(complex(ctx.grid.dw * np.sum(freq_profile[ctx.mask_w.flags]))), 1.0)
     return _certified_product(
-        ctx, "marginal-energy", _certified_eps(m_t**2), _certified_eps(m_w**2), "marginal masses",
+        ctx, _certified_eps(m_t**2), _certified_eps(m_w**2), "marginal masses",
         lambda r: f"witness g=f; marginal masses m_t={m_t:.6f} m_omega={m_w:.6f}",
     )
 
 
-def _check_local_energy(ctx: _RunContext) -> Verdict:
+def _check_local_energy(ctx: _RunContext) -> tuple[float, float, str]:
     alpha, q = ctx.param("alpha"), ctx.param("q")
     if q <= 1.0 or not alpha > 1.0 / bounds.conjugate_exponent(q):
-        return skipped_verdict("local-energy", f"infeasible parameters: need q > 1 and alpha > d/q' (alpha={alpha:g}, q={q:g})")
-    rhs_bound = bounds.price_rhs(
-        norm_lq(ctx.f, q),
-        bounds.weighted_moment_norm(ctx.f, 0.0, alpha, q),
-        ctx.mask_w.measure,
-        1,
-        alpha,
-        q,
-    )
-    return make_verdict(
-        "local-energy",
-        rhs_bound,
-        _masked_energy(ctx.fhat, ctx.mask_w),
-        ctx.tol("local-energy"),
-        notes=f"upper bound on spectral energy in the frequency set (alpha={alpha:g}, q={q:g})",
-    )
+        raise _Skipped(f"infeasible parameters: need q > 1 and alpha > d/q' (alpha={alpha:g}, q={q:g})")
+    norm, moment = norm_lq(ctx.f, q), bounds.weighted_moment_norm(ctx.f, 0.0, alpha, q)
+    upper = bounds.price_rhs(norm, moment, ctx.mask_w.measure, 1, alpha, q)
+    notes = f"upper bound on spectral energy in the frequency set (alpha={alpha:g}, q={q:g})"
+    return upper, _masked_energy(ctx.fhat, ctx.mask_w), notes
 
 
-def _check_signal_product(ctx: _RunContext) -> Verdict:
+def _check_signal_product(ctx: _RunContext) -> tuple[float, float, str]:
     s = ctx.eps_t + ctx.eps_omega
     if s > 1.0:
-        return skipped_verdict("signal-product", f"hypothesis violated: eps_t + eps_omega = {s:.6g} > 1")
+        raise _Skipped(f"hypothesis violated: eps_t + eps_omega = {s:.6g} > 1")
     cf = ctx.cf()
     w = cf.witness
     mt, mw = ctx.measures()
-    return make_verdict(
-        "signal-product",
-        mt * mw,
-        cf.value * (1.0 - s) ** 2,
-        ctx.tol("signal-product"),
-        notes=(
-            f"witness q1={w['q1']:g} alpha1={w['alpha1']:.4g} "
-            f"q2={w['q2']:g} alpha2={w['alpha2']:.4g}"
-        ),
-    )
+    notes = f"witness q1={w['q1']:g} alpha1={w['alpha1']:.4g} q2={w['q2']:g} alpha2={w['alpha2']:.4g}"
+    return mt * mw, cf.value * (1.0 - s) ** 2, notes
 
 
-def _check_separate(ctx: _RunContext, which: str) -> Verdict:
+def _check_separate(ctx: _RunContext, axis: str) -> tuple[float, float, str]:
     lb_t, lb_w = bounds.separate_measure_bounds(ctx.eps_t, ctx.eps_omega, ctx.cf().factors)
     mt, mw = ctx.measures()
-    if which == "separate-time":
-        return make_verdict(which, mt, lb_t, ctx.tol(which))
-    return make_verdict(which, mw, lb_w, ctx.tol(which))
+    return (mt, lb_t, "") if axis == TIME else (mw, lb_w, "")
 
 
-def _check_spread_product(ctx: _RunContext) -> Verdict:
+def _check_spread_product(ctx: _RunContext) -> tuple[float, float, str]:
     mt, mw = ctx.measures()
     if mt <= 0 or mw <= 0:
-        return skipped_verdict("spread-product", "hypothesis violated: a concentration set has zero measure")
+        raise _Skipped("hypothesis violated: a concentration set has zero measure")
     rhs = bounds.delta_bound(ctx.f, mt, mw, ctx.eps_t, ctx.eps_omega)
     floor = bounds.heisenberg_floor(ctx.f)
     interesting = mt * mw <= (1.0 - ctx.eps_t**2) * (1.0 - ctx.eps_omega**2) / math.pi
@@ -609,32 +581,23 @@ def _check_spread_product(ctx: _RunContext) -> Verdict:
         + " the concentration bound; small-measure condition "
         + ("met" if interesting else "not met")
     )
-    lhs = std_dev(ctx.f, 0.0) * std_dev(ctx.fhat, 0.0)
-    return make_verdict("spread-product", lhs, rhs, ctx.tol("spread-product"), notes=notes)
+    return std_dev(ctx.f, 0.0) * std_dev(ctx.fhat, 0.0), rhs, notes
 
 
-def _check_support(ctx: _RunContext, axis: str) -> Verdict:
-    check_id = "support-time" if axis == TIME else "support-freq"
-    lhs, rhs = bounds.support_moment_sides(ctx.f, ctx.fhat, ctx.param("alpha_support"), axis)
-    return make_verdict(check_id, lhs, rhs, ctx.tol(check_id))
+def _check_support(ctx: _RunContext, axis: str) -> tuple[float, float, str]:
+    return (*bounds.support_moment_sides(ctx.f, ctx.fhat, ctx.param("alpha_support"), axis), "")
 
 
-def _check_smoothing(ctx: _RunContext, check_id: str, axis: str, sweep_key: str) -> Verdict:
+def _check_smoothing(ctx: _RunContext, axis: str, sweep_key: str) -> tuple[float, float, str]:
     """Each width's projection error is taken as its L f is built, so one L f is held at a time."""
     sweep = ctx.param(sweep_key)
+    if len(sweep) < 2:
+        raise _Skipped("sweep needs at least two kernel widths")
     sharp = _projection(ctx, axis, None)
     errors = [_diff_norm(_projection(ctx, axis, lam), sharp) for lam in sweep]
-    if len(sweep) < 2:
-        return skipped_verdict(check_id, "sweep needs at least two kernel widths")
     drops = [errors[i] - errors[i + 1] for i in range(len(errors) - 1)]
     trail = " -> ".join(f"{e:.3e}" for e in errors)
-    return make_verdict(
-        check_id,
-        min(drops),
-        0.0,
-        ctx.tol(check_id),
-        notes=f"projection errors along the sweep: {trail}",
-    )
+    return min(drops), 0.0, f"projection errors along the sweep: {trail}"
 
 
 CHECKS = {
@@ -643,18 +606,18 @@ CHECKS = {
     "marginal-energy": _check_marginal_energy,
     "local-energy": _check_local_energy,
     "signal-product": _check_signal_product,
-    "separate-time": lambda ctx: _check_separate(ctx, "separate-time"),
-    "separate-freq": lambda ctx: _check_separate(ctx, "separate-freq"),
+    "separate-time": lambda ctx: _check_separate(ctx, TIME),
+    "separate-freq": lambda ctx: _check_separate(ctx, FREQUENCY),
     "spread-product": _check_spread_product,
     "support-time": lambda ctx: _check_support(ctx, TIME),
     "support-freq": lambda ctx: _check_support(ctx, FREQUENCY),
-    "smoothing-time": lambda ctx: _check_smoothing(ctx, "smoothing-time", TIME, "lam1_sweep"),
-    "smoothing-freq": lambda ctx: _check_smoothing(ctx, "smoothing-freq", FREQUENCY, "lam2_sweep"),
+    "smoothing-time": lambda ctx: _check_smoothing(ctx, TIME, "lam1_sweep"),
+    "smoothing-freq": lambda ctx: _check_smoothing(ctx, FREQUENCY, "lam2_sweep"),
 }
 
 
 def run_scenario(s: Scenario) -> Report:
-    """Evaluate every requested check once; errors become failed verdicts."""
+    """Evaluate every requested check once and judge its sides; skips and errors become verdicts too."""
     grid = make_grid(s.grid_n, s.grid_dx)
     f = generate_signal(s.signal_kind, s.signal_params, grid)
     fhat = fourier(f)
@@ -673,7 +636,10 @@ def run_scenario(s: Scenario) -> Report:
     verdicts = []
     for check_id in dict.fromkeys(s.checks):
         try:
-            v = CHECKS[check_id](ctx)
+            lhs, rhs, notes = CHECKS[check_id](ctx)
+            v = make_verdict(check_id, lhs, rhs, s.tolerance(check_id), notes)
+        except _Skipped as skip:
+            v = skipped_verdict(check_id, str(skip))
         except Exception as exc:  # noqa: BLE001 - every failure must land in the report
             v = failed_verdict(check_id, f"error: {exc}")
         if heavy and check_id in _MOMENT_CHECKS:
@@ -685,6 +651,5 @@ def run_scenario(s: Scenario) -> Report:
         scenario=s.name,
         grid={"n": grid.n, "dx": grid.dx},
         verdicts=tuple(verdicts),
-        summary=build_summary(verdicts),
         timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
     )

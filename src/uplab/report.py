@@ -58,26 +58,25 @@ def verdict_to_dict(v: Verdict) -> dict:
 
 @dataclass(frozen=True)
 class Report:
-    """All verdicts for one scenario run, with grid and summary metadata."""
+    """All verdicts for one scenario run, with grid metadata; the summary is counted from the verdicts."""
 
     scenario: str
     grid: dict
     verdicts: tuple
-    summary: dict
     timestamp: str = ""
 
     @property
     def failed(self) -> int:
         return sum(1 for v in self.verdicts if v.status == "fail")
 
-
-def build_summary(verdicts) -> dict:
-    counts = {"pass": 0, "fail": 0, "skipped": 0}
-    for v in verdicts:
-        counts[v.status] = counts.get(v.status, 0) + 1
-    counts["total"] = len(verdicts)
-    counts["all_passed"] = counts["fail"] == 0
-    return counts
+    @property
+    def summary(self) -> dict:
+        counts = {"pass": 0, "fail": 0, "skipped": 0}
+        for v in self.verdicts:
+            counts[v.status] += 1
+        counts["total"] = len(self.verdicts)
+        counts["all_passed"] = counts["fail"] == 0
+        return counts
 
 
 def report_to_json(report: Report, include_timestamp: bool = True) -> str:

@@ -1,9 +1,9 @@
 """Smoke test of the benchmark worker against this checkout.
 
-`benchmarks/worker.py` reaches the library through its public names and the
-traced `CfSearch.alphas` method.  Running one pass of the two cheapest
-workloads here makes a change that breaks the benchmark fail the unit tests
-first.  The `phase-space` pass at variant 5 guards the frozen marginal
+`benchmarks/worker.py` reaches the library through its public names, the
+traced `CfSearch.alphas` method and the `harness.CHECKS` entries it wraps to
+time each check.  Running one pass of the two cheapest workloads here makes
+a change that breaks the benchmark fail the unit tests first.  The `phase-space` pass at variant 5 guards the frozen marginal
 masses, which the `marginal-energy` rhs magnifies several hundredfold, so a
 one-ulp drift in the spectrogram marginals fails it.  It runs traced and
 counts the moment evaluations, so a check that recomputes `cf_bound`'s
@@ -17,6 +17,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from uplab.harness import CHECKS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -38,6 +40,9 @@ def test_traced_suite_pass_matches_the_reference(tmp_path):
     result = run_worker("--workload", "suite", "--spans", str(tmp_path / "spans.npz"))
     assert result["failed"] == 0, result["failures"]
     assert "bounds.CfSearch.alphas" in result["spans"]
+    # the worker times each check by wrapping its CHECKS entry in place
+    for check_id in CHECKS:
+        assert result["spans"][f"harness.check.{check_id}"]["calls"] > 0, check_id
 
 
 def test_operators_pass_matches_the_reference():

@@ -273,6 +273,17 @@ class TestRunCommand:
         assert main(["run", str(path)]) == 0
         assert "PASS ds-product" in capsys.readouterr().out
 
+    @pytest.mark.filterwarnings("error")
+    def test_moment_past_the_double_range_fails_without_a_warning(self, tmp_path, capsys):
+        # |t|^alpha at alpha = 1e300 overflows: the moment reads inf, which no
+        # verdict judges, and no numpy warning reaches stderr
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"name": "huge", "bound_params": {"alpha": 1e300, "q": 1.5}, "checks": ["local-energy"]}))
+        assert main(["run", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "FAIL local-energy: lhs=nan rhs=nan margin=nan (error: local-energy: cannot judge a non-finite side (lhs=inf," in captured.out
+        assert captured.err == ""
+
     def test_skips_are_reported_but_not_failures(self, capsys):
         rc = main(["run", "bandlimited-demo"])
         text = capsys.readouterr().out

@@ -44,6 +44,8 @@ from uplab.harness import BOUND_DEFAULTS, CHECKS, SIGNAL_DEFAULTS, SIGNAL_KINDS,
 
 
 GRID = make_grid(256, 1 / 16)
+WIDE_SETS = {"mode": "auto", "eps_t": 0.6, "eps_omega": 0.5}
+INFEASIBLE = "infeasible parameters: need q > 1 and alpha > d/q' (alpha=1, q=1)"
 
 
 class TestSignalGeneration:
@@ -251,11 +253,52 @@ class TestRunScenario:
 
     def test_non_finite_side_becomes_an_error(self):
         # alpha = 1e300 sends |t|^alpha f past the double range, so the
-        # local-energy bound is nan: no verdict can be made from it
+        # local-energy bound is inf: no verdict can be made from it
         s = Scenario(name="huge-alpha", bound_params={"alpha": 1e300, "q": 1.5}, checks=("local-energy",))
         (v,) = run_scenario(s).verdicts
         assert v.status == "fail"
         assert v.notes.startswith("error: local-energy: cannot judge a non-finite side")
+
+    @pytest.mark.parametrize(
+        "fields, check_id, note",
+        [
+            ({"sets": WIDE_SETS}, "ds-product", "hypothesis violated: eps_t + eps_omega = 1.1 >= 1"),
+            ({"sets": WIDE_SETS}, "signal-product", "hypothesis violated: eps_t + eps_omega = 1.1 > 1"),
+            (
+                {"sets": WIDE_SETS},
+                "optimized-product",
+                "hypothesis violated: smoothed-operator energies certify eps_t + eps_omega = 1.60884 >= 1",
+            ),
+            (
+                {"sets": WIDE_SETS},
+                "marginal-energy",
+                "hypothesis violated: marginal masses certify eps_t + eps_omega = 1.64555 >= 1",
+            ),
+            (
+                {"sets": {"mode": "auto", "eps_t": 1.0, "eps_omega": 0.1}},
+                "spread-product",
+                "hypothesis violated: a concentration set has zero measure",
+            ),
+            ({"bound_params": {"q": 1.0}}, "local-energy", INFEASIBLE),
+            (
+                {"signal_params": {"lam": 0.002}, "bound_params": {"q": 1.0}},
+                "local-energy",
+                INFEASIBLE + "; truncation-sensitive",
+            ),
+            # a width too narrow for the grid raises if its L f is built
+            ({"bound_params": {"lam1_sweep": [1e-6]}}, "smoothing-time", "sweep needs at least two kernel widths"),
+            ({"bound_params": {"lam2_sweep": []}}, "smoothing-freq", "sweep needs at least two kernel widths"),
+        ],
+        ids=[
+            "ds-product", "signal-product", "optimized-product", "marginal-energy", "spread-product",
+            "local-energy", "local-energy-truncation-sensitive", "smoothing-time-narrow-width",
+            "smoothing-freq-no-width",
+        ],
+    )
+    def test_every_skip_path_gives_its_note_and_no_sides(self, fields, check_id, note):
+        report = run_scenario(Scenario(name="skip", checks=(check_id,), **fields))
+        (v,) = json.loads(report_to_json(report))["verdicts"]
+        assert v == {"check": check_id, "lhs": None, "rhs": None, "margin": None, "status": "skipped", "notes": note}
 
     @pytest.mark.parametrize("lhs, rhs", [(math.nan, 1.0), (1.0, math.inf), (-math.inf, 0.0)])
     def test_make_verdict_refuses_a_non_finite_side(self, lhs, rhs):
