@@ -25,7 +25,6 @@ from .bounds import (
     lieb_constant,
     locop_constant,
     price_k,
-    price_k1,
     price_ktilde,
     price_rhs,
     separate_measure_bounds,

@@ -199,23 +199,6 @@ def _finite(name: str, params: dict, value) -> float:
     raise ValueError(f"{name}({', '.join(f'{k}={v!r}' for k, v in params.items())}) is not a finite double")
 
 
-def price_k1(d: int, alpha: float) -> float:
-    """Sharp local constant for the q = 2 moment family; requires alpha > d/2."""
-    d, alpha = _check_d_alpha(d, alpha)
-    x = d / (2.0 * alpha)
-    if not x < 1.0 - 1e-12:
-        raise ValueError(f"constant requires alpha > d/2, got alpha={alpha}, d={d}")
-    return _finite("price_k1", {"d": d, "alpha": alpha}, lambda: math.exp(
-        (d / 2.0) * math.log(math.pi)
-        - math.log(alpha)
-        - math.lgamma(d / 2.0)
-        + math.lgamma(x)
-        + math.lgamma(1.0 - x)
-        + x * math.log(2.0 * alpha / d - 1.0)
-        - math.log(1.0 - x)
-    ))
-
-
 def _check_dimension(d: int) -> int:
     if int(d) != d or d < 1:
         raise ValueError(f"dimension must be a positive integer, got {d!r}")
@@ -270,7 +253,7 @@ def price_ktilde(d: int, alpha: float, q: float) -> float:
 
 
 def price_k(d: int, alpha: float, q: float) -> float:
-    """Squared local constant K = Ktilde^2; coincides with price_k1 at q = 2."""
+    """Squared local constant K = Ktilde^2; at q = 2 it is 2 pi for d = alpha = 1 and pi^2 for d = alpha = 2."""
     return price_ktilde(d, alpha, q) ** 2
 
 
@@ -284,9 +267,7 @@ def price_rhs(norm_q: float, moment_q: float, omega_measure: float, d: int, alph
     if norm_q < 0 or moment_q < 0:
         raise ValueError("norms must be nonnegative")
     k = price_k(d, alpha, q)
-    e = 2.0 * d / (alpha * conjugate_exponent(q))
-    if e > 2.0:
-        raise ValueError("exponent 2d/(alpha q') exceeds 2; hypotheses violated")
+    e = 2.0 * d / (alpha * conjugate_exponent(q))  # at most 2: price_k refuses alpha <= d/q'
     return float(k * omega_measure * norm_q ** (2.0 - e) * moment_q ** e)
 
 

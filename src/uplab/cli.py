@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -95,24 +96,27 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
+# each constant's command-line parameters and its evaluator, which takes them by name
+_CONSTANTS = {
+    "k1": (("d", "alpha"), partial(bounds_mod.price_k, q=2.0)),
+    "ktilde": (("d", "alpha", "q"), bounds_mod.price_ktilde),
+    "lieb": (("d", "p"), bounds_mod.lieb_constant),
+    "locop": (("d", "q"), bounds_mod.locop_constant),
+}
+
+
 def _cmd_constants(args) -> int:
+    names, evaluate = _CONSTANTS[args.which]
+    params = {name: getattr(args, name) for name in names}
     try:
-        if args.which == "k1":
-            params = {"d": args.d, "alpha": args.alpha}
-            value = bounds_mod.price_k1(args.d, args.alpha)
-        elif args.which == "ktilde":
-            params = {"d": args.d, "alpha": args.alpha, "q": args.q}
-            value = bounds_mod.price_ktilde(args.d, args.alpha, args.q)
-        elif args.which == "lieb":
-            params = {"d": args.d, "p": args.p}
-            value = bounds_mod.lieb_constant(args.p, args.d)
-        else:
-            params = {"d": args.d, "q": args.q}
-            value = bounds_mod.locop_constant(args.q, args.d)
-    except (TypeError, ValueError) as exc:
+        missing = [f"--{name}" for name, v in params.items() if v is None]
+        if missing:
+            raise ValueError(f"constant {args.which} needs {' and '.join(missing)}")
+        value = evaluate(**params)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    clean = {k: "inf" if v == math.inf else v for k, v in params.items() if v is not None}
+    clean = {k: "inf" if v == math.inf else v for k, v in params.items()}
     print(json.dumps({"name": args.which, "params": clean, "value": value}, sort_keys=True, allow_nan=False))
     return 0
 
@@ -154,10 +158,9 @@ def _selftest_checks(n: int, seed: int):
                 assert got >= ref - 1e-12, f"dominance failed at ({eps_t}, {eps_w})"
 
     def price_consistency():
-        for alpha in (0.6, 1.0, 2.0):
-            a = bounds_mod.price_k(1, alpha, 2.0)
-            b = bounds_mod.price_k1(1, alpha)
-            assert abs(a - b) <= 1e-11 * b, f"constant mismatch at alpha={alpha}"
+        for d, alpha, exact in ((1, 1.0, 2.0 * math.pi), (2, 2.0, math.pi**2)):
+            got = bounds_mod.price_k(d, alpha, 2.0)
+            assert abs(got - exact) <= 1e-12 * exact, f"K({d}, {alpha}, 2) = {got!r}, closed form {exact!r}"
 
     def scenario_run():
         s = Scenario(name="selftest-gaussian", grid_n=n, grid_dx=1.0 / 16.0)
@@ -218,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.set_defaults(func=_cmd_bounds)
 
     p_const = sub.add_parser("constants", help="print a closed-form constant as JSON")
-    p_const.add_argument("--which", choices=("k1", "ktilde", "lieb", "locop"), required=True)
+    p_const.add_argument("--which", choices=tuple(_CONSTANTS), required=True)
     p_const.add_argument("--d", type=int, default=1)
     p_const.add_argument("--alpha", type=float, default=None)
     p_const.add_argument("--q", type=float, default=None)

@@ -181,12 +181,13 @@ def generate_signal(kind: str, params: dict, grid: Grid) -> Signal:
     if kind == "hermite":
         k = p["k"]
         if not 0 <= k <= 170:
-            raise ScenarioError(f"hermite index must be in [0, 170], where 2^k k! stays a double, got {k}")
+            raise ScenarioError(f"hermite index must be in [0, 170], where k! stays a double, got {k}")
         coeffs = np.zeros(k + 1)
         coeffs[k] = 1.0
-        poly = np.polynomial.hermite.hermval(math.sqrt(2.0 * math.pi) * t, coeffs)
-        scale = 2.0**0.25 / math.sqrt(2.0**k * math.factorial(k))
-        return _unit(grid, scale * poly * np.exp(-math.pi * t**2))
+        scale = 2.0**0.25 / math.sqrt(2.0**k) / math.sqrt(math.factorial(k))
+        with np.errstate(over="ignore", invalid="ignore"):  # H_k past the double range: _unit refuses it
+            poly = np.polynomial.hermite.hermval(math.sqrt(2.0 * math.pi) * t, coeffs)
+            return _unit(grid, scale * poly * np.exp(-math.pi * t**2))
     if kind == "chirp":
         return _unit(grid, 2.0**0.25 * np.exp(-math.pi * t**2) * np.exp(1j * math.pi * p["rate"] * t**2))
     if kind == "indicator":
@@ -323,8 +324,9 @@ class Scenario:
         store("bound_params", _typed("bound_params", self.bound_params, BOUND_DEFAULTS))
         store("tolerances", _typed("tolerances", self.tolerances, TOLERANCE_DEFAULTS))
         for check_id, tol in self.tolerances.items():
-            if tol <= 0:
-                raise ScenarioError(f"tolerance for {check_id!r} must be positive, got {tol!r}")
+            default = TOLERANCE_DEFAULTS[check_id]
+            if not 0 < tol <= default:
+                raise ScenarioError(f"tolerance for {check_id!r} must lie in (0, {default!r}], got {tol!r}")
 
     def tolerance(self, check_id: str) -> float:
         return self.tolerances.get(check_id, TOLERANCE_DEFAULTS[check_id])

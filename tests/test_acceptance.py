@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import uplab as U
+from test_bounds import k1_closed_form
 
 
 def announce(capsys, number, ok, text):
@@ -55,10 +56,10 @@ def test_acceptance_1_product_bound_family(capsys):
 
 
 def test_acceptance_2_constant_consistency(capsys):
-    ok = abs(U.price_k1(1, 1.0) - 2 * math.pi) <= 1e-12 * 2 * math.pi
-    ok &= abs(U.price_k1(2, 2.0) - math.pi**2) <= 1e-12 * math.pi**2
+    ok = abs(U.price_k(1, 1.0, 2.0) - 2 * math.pi) <= 1e-12 * 2 * math.pi
+    ok &= abs(U.price_k(2, 2.0, 2.0) - math.pi**2) <= 1e-12 * math.pi**2
     for alpha in (0.6, 0.75, 1.0, 2.0, 5.0):
-        a, b = U.price_k(1, alpha, 2.0), U.price_k1(1, alpha)
+        a, b = U.price_k(1, alpha, 2.0), k1_closed_form(1, alpha)
         ok &= abs(a - b) <= 1e-12 * abs(b)
     announce(
         capsys,

@@ -1,8 +1,9 @@
 """Bound constant and inequality tests.
 
 Oracles: closed forms for the special constants (2 pi, pi^2, Stirling-free
-gamma identities), 40-digit mpmath log-gamma and Beta values for every scan
-row's constant, a dense-grid maximization, the stationarity condition, the
+gamma identities, the q = 2 constant's own formula `k1_closed_form`),
+40-digit mpmath log-gamma and Beta values for every scan row's constant, a
+dense-grid maximization, the stationarity condition, the
 small-defect expansion 2d - 2 sqrt(d eps) of the log-supremum and the 50-digit
 mpmath Lambert W maximizer, exact Gaussian moments, hand-derived special cases of the
 measure bounds, a brute-force scan of cf_quotient over the full witness
@@ -44,7 +45,6 @@ from uplab import (
     minimal_concentration_set,
     norm_lq,
     price_k,
-    price_k1,
     price_ktilde,
     price_rhs,
     separate_measure_bounds,
@@ -275,14 +275,33 @@ class TestProductBounds:
         assert mt * mw > ds_bound(0.1, 0.1)
 
 
+def k1_closed_form(d, alpha):
+    """K(d, alpha, 2) in its own closed form, with x = d / (2 alpha) < 1:
+
+        pi^(d/2) / alpha * Gamma(x) Gamma(1 - x) / Gamma(d/2) * (1/x - 1)^x / (1 - x)
+    """
+    x = d / (2.0 * alpha)
+    return math.exp(
+        (d / 2.0) * math.log(math.pi)
+        - math.log(alpha)
+        - math.lgamma(d / 2.0)
+        + math.lgamma(x)
+        + math.lgamma(1.0 - x)
+        + x * math.log(2.0 * alpha / d - 1.0)
+        - math.log(1.0 - x)
+    )
+
+
 class TestSpectralConcentrationConstants:
     def test_closed_form_values(self):
-        assert price_k1(1, 1.0) == pytest.approx(2 * math.pi, rel=1e-12)
-        assert price_k1(2, 2.0) == pytest.approx(math.pi**2, rel=1e-12)
+        assert k1_closed_form(1, 1.0) == pytest.approx(2 * math.pi, rel=1e-12)
+        assert k1_closed_form(2, 2.0) == pytest.approx(math.pi**2, rel=1e-12)
+        assert price_k(1, 1.0, 2.0) == pytest.approx(2 * math.pi, rel=1e-12)
+        assert price_k(2, 2.0, 2.0) == pytest.approx(math.pi**2, rel=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.6, 0.75, 1.0, 2.0, 5.0])
     def test_quadratic_case_collapses_to_the_simple_constant(self, alpha):
-        assert price_k(1, alpha, 2.0) == pytest.approx(price_k1(1, alpha), rel=1e-12)
+        assert price_k(1, alpha, 2.0) == pytest.approx(k1_closed_form(1, alpha), rel=1e-12)
 
     @pytest.mark.parametrize("alpha", [1.5, 2.0, 5.0])
     def test_sup_norm_limit_continues_the_finite_family(self, alpha):
@@ -292,7 +311,7 @@ class TestSpectralConcentrationConstants:
 
     def test_domain_restrictions(self):
         with pytest.raises(ValueError):
-            price_k1(1, 0.5)  # needs alpha > d/2
+            price_k(1, 0.5, 2.0)  # needs alpha > d/2
         with pytest.raises(ValueError):
             price_ktilde(1, 0.4, 2.0)
         with pytest.raises(ValueError):
@@ -301,11 +320,10 @@ class TestSpectralConcentrationConstants:
     @pytest.mark.parametrize(
         "name, constant, args",
         [
-            ("price_k1", price_k1, (1, 1e308)),  # 2 * alpha overflows, so lgamma(0)
             ("price_ktilde", price_ktilde, (1, 1e308, 2.0)),  # alpha * q overflows, so lgamma(0)
             ("price_ktilde", price_ktilde, (1, 1e308, 1.0000001)),  # 0 * log(inf) is nan
         ],
-        ids=["k1-domain-error", "ktilde-domain-error", "ktilde-nan"],
+        ids=["ktilde-domain-error", "ktilde-nan"],
     )
     def test_a_value_past_the_double_range_names_its_parameters(self, name, constant, args):
         with pytest.raises(ValueError, match=rf"^{name}\(d=1, alpha=1e\+308.*is not a finite double$"):

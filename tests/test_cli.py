@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from uplab import Scenario, save_scenario
+from uplab import Scenario, price_k, save_scenario
 from uplab.cli import main
 
 
@@ -51,8 +51,25 @@ class TestConstantsCommand:
     def test_simple_constant_as_json(self, capsys):
         assert main(["constants", "--which", "k1", "--d", "1", "--alpha", "1"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["name"] == "k1"
-        assert payload["value"] == pytest.approx(2 * math.pi)
+        assert payload == {"name": "k1", "params": {"alpha": 1.0, "d": 1}, "value": price_k(1, 1.0, 2.0)}
+        assert payload["value"] == pytest.approx(2 * math.pi, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        ("args", "flags"),
+        [
+            (["--which", "k1"], "--alpha"),
+            (["--which", "lieb", "--d", "2"], "--p"),
+            (["--which", "ktilde", "--alpha", "2"], "--q"),
+            (["--which", "ktilde"], "--alpha and --q"),
+            (["--which", "locop"], "--q"),
+        ],
+        ids=["k1-alpha", "lieb-p", "ktilde-q", "ktilde-alpha-and-q", "locop-q"],
+    )
+    def test_a_missing_parameter_is_named(self, capsys, args, flags):
+        assert main(["constants", *args]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: constant {args[1]} needs {flags}\n"
 
     def test_general_constant_prints_the_single_power(self, capsys):
         assert main(["constants", "--which", "ktilde", "--d", "1", "--alpha", "2", "--q", "4"]) == 0
@@ -161,6 +178,7 @@ class TestRunCommand:
             {"bound_params": {"lam1_sweep": 4}},
             {"tolerances": {"ds-product": True}},
             {"tolerances": {"ds-product": math.inf}},
+            {"tolerances": {"ds-product": 2e-6}},
             {"signal": {"kind": "gaussian", "params": [["lam", 2]]}},
             {"sets": [["mode", "auto"], ["eps_t", 0.1], ["eps_omega", 0.1]]},
             {"bound_params": [["alpha", 2]]},
@@ -203,6 +221,7 @@ class TestRunCommand:
             "scalar-sweep",
             "boolean-tolerance",
             "infinite-tolerance",
+            "tolerance-looser-than-its-default",
             "pair-list-params",
             "pair-list-sets",
             "pair-list-bound-params",

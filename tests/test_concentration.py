@@ -3,7 +3,8 @@
 Oracles: the Gaussian tail defect against the complementary error function,
 greedy set selection against exhaustive subset enumeration at small n and
 against the cell-by-cell admission loop, closed-form moments of the standard
-Gaussian, and moment norms against the quadrature over all n samples.
+Gaussian, moment norms against the quadrature over all n samples, and the
+Gaussian's continuum set measures and spread product under grid refinement.
 """
 
 import itertools
@@ -11,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import erfc
+from scipy.special import erfc, erfcinv
 
 from uplab import (
     FREQUENCY,
@@ -296,6 +297,54 @@ class TestMoments:
         grid = make_grid(16, 0.5)
         f = signal_from_samples(grid, np.zeros(grid.n))
         assert weighted_moment_norm(f, 0.3, 1.5, q) == 0.0
+
+
+class TestGaussianGridRefinement:
+    """The unit Gaussian 2^(1/4) e^(-pi t^2) at n = 256 ... 65536 with n dx^2 = 1.
+
+    dx = dw = 1/sqrt(n) is a power of two, so every t_j and t_j^2 is exact.
+    The grid reaches |t| = sqrt(n)/2 >= 8, so truncation leaves out less than
+    e^(-2 pi 64) of any sum below, and by Poisson summation the aliasing of
+    these Gaussian sums is below e^(-pi / (2 dx^2)) <= e^(-400).  Only the
+    cell quantisation of set measures and rounding remain.
+    """
+
+    @staticmethod
+    def gaussian(n):
+        return unit_gaussian(make_grid(n, 1 / math.sqrt(n)))
+
+    @pytest.mark.parametrize("n", [256, 1024, 4096, 16384, 65536])
+    def test_minimal_set_measures_the_continuum_interval(self, n):
+        # The continuum set is [-a, a] with erfc(a sqrt(2 pi)) = eps^2.  The
+        # greedy set is the m cells nearest 0, measure m dx: one cell of error
+        # comes from the count's granularity (m - 1 cells leave too much out),
+        # one from the tail's midpoint sum, whose error moves the crossing by
+        # about (dx^2 / 24) 4 pi a (a < 0.86), plus half a cell when m is even
+        # and the set leans one way.  The error is not monotone in n: cells
+        # quantise it (eps = 0.1 reads -0.008 cells at n = 4096, 0.98 at 16384).
+        f = self.gaussian(n)
+        for g in (f, fourier(f)):
+            for eps in (0.05, 0.1, 0.25):
+                a = erfcinv(eps * eps) / math.sqrt(2 * math.pi)
+                measure = minimal_concentration_set(g, eps).measure
+                assert abs(measure - 2 * a) <= 2 * g.spacing, (g.domain, eps)
+
+    @pytest.mark.parametrize("n", [256, 1024, 4096, 16384, 65536])
+    def test_spread_product_is_the_continuum_floor_to_rounding(self, n):
+        # Rounding budget, in units u = 2^-53, to first order.  A sample with
+        # x = pi t^2 <= 10 (the rest carry under e^-20 of the energy) is within
+        # 1 + 2 + (1 + 2x) <= 24 u from 2^(1/4), pi t^2 and exp; the FFT adds
+        # its normwise 2 log2(n) u to the spectrum.  std_dev^2 is a ratio of two
+        # positive sums whose terms carry twice that, so std_dev moves by at
+        # most twice the sample error.  numpy's pairwise sum of n positive terms
+        # errs by at most (12 + log2 n) u, the scaling by the peak, the square
+        # and the spacing add 4 u, and the square root halves the quotient's
+        # error: (17 + log2 n) u per factor.  With u for the product, the total
+        # is (48 + 17 + log2 n) + (48 + 4 log2 n + 17 + log2 n) + 1.
+        f = self.gaussian(n)
+        product = std_dev(f, 0.0) * std_dev(fourier(f), 0.0)
+        bound = (131 + 6 * math.log2(n)) * 2.0**-53
+        assert product == pytest.approx(1 / (4 * math.pi), rel=bound, abs=0)
 
 
 class TestSupport:

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +41,7 @@ from uplab import (
 )
 from uplab import bounds, concentration
 from uplab.cli import main
-from uplab.harness import BOUND_DEFAULTS, CHECKS, SIGNAL_DEFAULTS, SIGNAL_KINDS, _windows_to_mask
+from uplab.harness import BOUND_DEFAULTS, CHECKS, SIGNAL_DEFAULTS, SIGNAL_KINDS, TOLERANCE_DEFAULTS, _windows_to_mask
 
 
 GRID = make_grid(256, 1 / 16)
@@ -56,6 +57,7 @@ class TestSignalGeneration:
             ("gaussian", {}),
             ("hermite", {"k": 1}),
             ("hermite", {"k": 3}),
+            ("hermite", {"k": 170}),  # 2^k k! overflows from k = 151 on; k! alone does not
             ("chirp", {"rate": 2.0}),
             ("indicator", {"lo": -1.0, "hi": 1.0}),
             ("modulated_gaussian", {"lam": 2.0, "omega0": 1.5}),
@@ -87,6 +89,14 @@ class TestSignalGeneration:
             h1.samples[(GRID.n - idx) % GRID.n], -h1.samples, atol=1e-12
         )
         assert abs(inner(h1, g0)) < 1e-10
+
+    def test_hermite_values_past_the_double_range_are_refused_without_a_warning(self):
+        # the grid reaches |t| = 45, where H_150(sqrt(2 pi) t) ~ (2 sqrt(2 pi) 45)^150 ~ 1e353
+        grid = make_grid(8192, 1 / math.sqrt(8192))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScenarioError, match="zero or non-finite energy"):
+                generate_signal("hermite", {"k": 150}, grid)
 
     def test_indicator_matches_its_window(self):
         f = generate_signal("indicator", {"lo": -1.0, "hi": 1.0}, GRID)
@@ -181,10 +191,15 @@ class TestScenarioSchema:
             load_scenario(tmp_path / "nope.json")
 
     def test_tolerance_accessor(self):
-        s = Scenario(name="x", tolerances={"ds-product": 1e-3})
-        assert s.tolerance("ds-product") == 1e-3
+        s = Scenario(name="x", tolerances={"ds-product": 1e-8})
+        assert s.tolerance("ds-product") == 1e-8
         assert s.tolerance("local-energy") == 1e-6
         assert s.tolerance("smoothing-time") == 1e-10
+
+    def test_a_tolerance_may_equal_its_default_but_not_exceed_it(self):
+        assert Scenario(name="x", tolerances={"smoothing-time": 1e-10}).tolerance("smoothing-time") == 1e-10
+        with pytest.raises(ScenarioError, match=r"must lie in \(0, 1e-06\], got 2e-06"):
+            Scenario(name="x", tolerances={"ds-product": 2e-6})
 
     def test_bundled_names_and_loading(self):
         names = bundled_scenario_names()
@@ -503,7 +518,9 @@ def scenario_dicts(draw):
     if draw(st.booleans()):
         data["checks"] = draw(st.lists(st.sampled_from(sorted(CHECKS)), max_size=len(CHECKS), unique=True))
     if draw(_ONE_IN_EIGHT):
-        data["tolerances"] = obj({draw(st.sampled_from(sorted(CHECKS))): value(st.floats(1e-9, 1e-3))})
+        check_id = draw(st.sampled_from(sorted(CHECKS)))
+        default = TOLERANCE_DEFAULTS[check_id]
+        data["tolerances"] = obj({check_id: value(st.floats(default / 1e3, default))})
     return data
 
 
