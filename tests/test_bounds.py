@@ -8,7 +8,7 @@ small-defect expansion 2d - 2 sqrt(d eps) of the log-supremum and the 50-digit
 mpmath Lambert W maximizer, exact Gaussian moments, hand-derived special cases of the
 measure bounds, a brute-force scan of cf_quotient over the full witness
 grid in place of the factored cf_bound search, and the row-by-row factor scan
-(`exhaustive_best_factor`) in place of the ranked one.
+(`exhaustive_best_factor`) in place of the ranked and bracketed one.
 """
 
 import itertools
@@ -17,10 +17,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
 import uplab
@@ -216,8 +219,24 @@ class TestProductBounds:
 
     @pytest.mark.parametrize(
         "eps_t, eps_omega, d",
-        [(-0.1, 0.2, 1), (0.1, math.nan, 1), (0.1, 0.2, 0), (0.1, 0.2, 1.5), (0.6, 0.5, 1)],
-        ids=["negative-defect", "nan-defect", "zero-dimension", "fractional-dimension", "defect-sum-above-one"],
+        [
+            (-0.1, 0.2, 1),
+            (0.1, math.nan, 1),
+            (0.1, 0.2, 0),
+            (0.1, 0.2, 1.5),
+            (0.1, 0.2, math.inf),
+            (0.1, 0.2, 10**400),
+            (0.6, 0.5, 1),
+        ],
+        ids=[
+            "negative-defect",
+            "nan-defect",
+            "zero-dimension",
+            "fractional-dimension",
+            "infinite-dimension",
+            "dimension-past-the-double-range",
+            "defect-sum-above-one",
+        ],
     )
     def test_invalid_arguments_raise(self, eps_t, eps_omega, d):
         with pytest.raises(ValueError):
@@ -443,8 +462,10 @@ class TestSignalAdaptedBounds:
                         return landscape(domain, center, alpha, q)
             return 1.0
 
-        def ranks_from_landscape(g, centers, table, norms):
-            # with unit norms and constants the log-factor is -e log M
+        def ranks_from_landscape(g, centers, table, norms, rows):
+            # with unit norms and constants the log-factor is -e log M; at
+            # n = 64 the support is below the bracket's size, so every row is ranked
+            assert rows.size == len(centers) * len(table)
             return np.array([-e * math.log(landscape(g.domain, c, a, q)) for c in centers for q, a, e, _ in table])
 
         # cf_quotient (the brute force) reads weighted_moment_norm; the factor
@@ -544,9 +565,135 @@ def scan_signals():
 SCAN_SIGNALS = scan_signals()
 
 
+def n65536_signals():
+    """Gaussian, indicator and seeded random_bandlimited signals at the refine size n = 65536, n dx^2 = 1."""
+    grid = make_grid(65536, math.sqrt(1 / 65536))
+    return [
+        ("gaussian-n65536", generate_signal("gaussian", {"lam": 1.0}, grid)),
+        ("indicator-n65536", generate_signal("indicator", {"lo": -1.0, "hi": 1.0}, grid)),
+        ("bandlimited-v0-n65536", generate_signal("random_bandlimited", {"seed": 0, "band": 2.0}, grid)),
+    ]
+
+
+N65536_SIGNALS = n65536_signals()
+BRACKET_SIGNALS = SCAN_SIGNALS + N65536_SIGNALS
+
+
 def scan_inputs(g, search=None):
     search = search or CfSearch()
     return g, bounds._scan_centers(g, search.center_count), bounds._scan_table(search)
+
+
+@st.composite
+def random_signals(draw):
+    """1-5 spikes, a random-support indicator, a modulated Gaussian or white noise, n in 64..4096, dx in 1/4..1/64."""
+    n = draw(st.sampled_from([64, 128, 256, 512, 1024, 2048, 4096]))
+    grid = make_grid(n, draw(st.sampled_from([1 / 4, 1 / 8, 1 / 16, 1 / 32, 1 / 64])))
+    kind = draw(st.sampled_from(["spikes", "indicator", "modulated-gaussian", "noise"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = grid.times
+    if kind == "spikes":
+        count = draw(st.integers(1, 5))
+        samples = np.zeros(n, dtype=complex)
+        samples[rng.choice(n, count, replace=False)] = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    elif kind == "indicator":
+        samples = (rng.random(n) < draw(st.sampled_from([0.01, 0.1, 0.5, 0.9]))).astype(float)
+        samples[rng.integers(n)] = 1.0
+    elif kind == "modulated-gaussian":
+        center, width = rng.uniform(-0.25, 0.25) * t[-1], rng.uniform(0.05, 0.5) * t[-1]
+        samples = np.exp(-np.pi * ((t - center) / width) ** 2 + 2j * np.pi * rng.uniform(-0.25, 0.25) / grid.dx * t)
+    else:
+        samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return signal_from_samples(grid, samples)
+
+
+class TestRankBracket:
+    """lo <= rank <= up on every row; lo and up already hold the bracket's rounding slack."""
+
+    @pytest.fixture(autouse=True)
+    def bracket_at_every_support(self, monkeypatch):
+        # the bracket's soundness at every support size, not only where it pays
+        monkeypatch.setattr(bounds, "_BRACKET_MIN_SUPPORT", 1)
+
+    @staticmethod
+    def assert_sound(g, search=None, centers=None):
+        g, scan_centers, table = scan_inputs(g, search)
+        centers = scan_centers if centers is None else centers
+        norms = {q: norm_lq(g, q) for q in {2.0, *(row[0] for row in table)}}
+        lo, up = bounds._rank_bracket(*_support(g), g.spacing, centers, table, norms)
+        ranks = bounds._ranked_log_factors(g, centers, table, norms, np.arange(lo.size))
+        assert not np.isnan(lo).any() and not np.isnan(up).any()
+        assert np.all(lo <= ranks) and np.all(ranks <= up)
+        # M = 0 (every sample on the centre) ranks -inf, and so does the whole bracket
+        assert np.array_equal(ranks == -np.inf, up == -np.inf)
+        return lo, up, ranks
+
+    @pytest.mark.parametrize("name, f", BRACKET_SIGNALS, ids=[name for name, _ in BRACKET_SIGNALS])
+    def test_holds_on_every_row(self, name, f):
+        # the default table has q = inf rows; the centroid of a symmetric
+        # signal sits inside the block around 0
+        assert math.inf in CfSearch().qs
+        for g in (f, fourier(f)):
+            lo, _, _ = self.assert_sound(g)
+            assert np.isfinite(lo).any()
+
+    def test_holds_for_centres_on_samples_inside_and_between_blocks_and_off_the_axis(self):
+        grid = make_grid(1024, 1 / 32)
+        t, b = grid.times, bounds._BRACKET_BLOCK  # the second block is t[b], ..., t[2b - 1]
+        inside, last, first = b + b // 2, 2 * b - 1, 2 * b
+        centers = [
+            t[inside],
+            0.5 * (t[inside] + t[inside + 1]),
+            t[last],
+            t[first],
+            0.5 * (t[last] + t[first]),
+            t[0],
+            t[-1],
+            3 * t[-1],
+        ]
+        spread = generate_signal("random_bandlimited", {"seed": 5, "band": 2.0}, grid)
+        assert np.all(spread.samples != 0)
+        # a pulse a few samples wide inside that block: its own block dominates each moment
+        pulse = signal_from_samples(grid, np.exp(-np.pi * ((t - t[inside]) / (4 * grid.dx)) ** 2))
+        for f in (spread, pulse):
+            _, up, _ = self.assert_sound(f, centers=centers)
+            assert np.isfinite(up).all()
+
+    def test_a_two_sample_support_around_the_centre_brackets_up_to_inf(self):
+        # both samples share one block whose span holds the centre, so log M
+        # has no lower bound: up = +inf, never nan
+        grid = make_grid(64, 1 / 8)
+        samples = np.zeros(grid.n)
+        samples[[40, 41]] = 1.0
+        between = 0.5 * (grid.times[40] + grid.times[41])
+        lo, up, ranks = self.assert_sound(signal_from_samples(grid, samples), centers=[between])
+        assert np.all(up == np.inf)
+        assert np.isfinite(ranks).all() and np.isfinite(lo).all()
+
+    def test_a_single_spike_ranks_minus_inf_about_itself(self):
+        grid = make_grid(64, 1 / 8)
+        samples = np.zeros(grid.n)
+        samples[40] = 1.0
+        f = signal_from_samples(grid, samples)
+        assert energy_centroid(f) == grid.times[40]
+        _, up, _ = self.assert_sound(f)
+        table_size = len(bounds._scan_table(CfSearch()))
+        assert np.all(up[:table_size] == -np.inf)  # the centroid is the spike: M = 0
+        assert np.isfinite(up[table_size:]).all()
+        self.assert_sound(fourier(f))
+
+    def test_holds_on_a_sparse_indicator(self):
+        grid = make_grid(256, 1 / 16)
+        self.assert_sound(generate_signal("indicator", {"lo": -0.1, "hi": 0.1}, grid))
+        self.assert_sound(generate_signal("indicator", {"lo": 0.3, "hi": 5.0}, grid))
+
+    def test_holds_on_the_underflow_spike(self):
+        # every centre within 2e-9 of a unit spike: dist^40 underflows while
+        # its logarithm, the rank and the bracket stay finite
+        grid = make_grid(64, 1e-10)
+        samples = np.zeros(grid.n)
+        samples[40] = 1.0
+        self.assert_sound(signal_from_samples(grid, samples), CfSearch(qs=(2.0, math.inf), alpha_max=40.0))
 
 
 class TestRankedFactorScan:
@@ -556,17 +703,45 @@ class TestRankedFactorScan:
             assert bounds._best_factor(*scan_inputs(g)) == exhaustive_best_factor(*scan_inputs(g))
 
     def test_matches_the_exhaustive_scan_on_a_full_support_n65536_signal(self):
-        grid = make_grid(65536, math.sqrt(1 / 65536))
-        f = generate_signal("random_bandlimited", {"seed": 0, "band": 2.0}, grid)
+        f = dict(N65536_SIGNALS)["bandlimited-v0-n65536"]
         assert np.all(f.samples != 0)
         assert bounds._best_factor(*scan_inputs(f)) == exhaustive_best_factor(*scan_inputs(f))
+
+    def test_the_bracket_leaves_few_rows_of_a_full_support_n65536_factor_to_rank(self, monkeypatch):
+        # a work count, not a timing: the bracket left 1 (time) and 6
+        # (frequency) of the 234 rows here, so a change that stops it from
+        # pruning fails this
+        ranked_rows = []
+        ranked = bounds._ranked_log_factors
+
+        def counted(g, centers, table, norms, rows):
+            ranked_rows.append(rows.size)
+            return ranked(g, centers, table, norms, rows)
+
+        monkeypatch.setattr(bounds, "_ranked_log_factors", counted)
+        f = dict(N65536_SIGNALS)["bandlimited-v0-n65536"]
+        for g in (f, fourier(f)):
+            ranked_rows.clear()
+            g, centers, table = scan_inputs(g)
+            bounds._best_factor(g, centers, table)
+            assert 1 <= sum(ranked_rows) <= 0.1 * len(centers) * len(table)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_matches_the_exhaustive_scan_on_random_signals(self, data):
+        f = data.draw(random_signals())
+        for g in (f, fourier(f)):
+            expected = exhaustive_best_factor(*scan_inputs(g))
+            assert bounds._best_factor(*scan_inputs(g)) == expected
+            with mock.patch.object(bounds, "_BRACKET_MIN_SUPPORT", 1):
+                assert bounds._best_factor(*scan_inputs(g)) == expected
 
     @pytest.mark.parametrize("name, f", SCAN_SIGNALS, ids=[name for name, _ in SCAN_SIGNALS])
     def test_ranks_sit_well_inside_the_band_of_the_exact_log_factors(self, name, f):
         for g in (f, fourier(f)):
             g, centers, table = scan_inputs(g)
             norms = {q: norm_lq(g, q) for q in {row[0] for row in table}}
-            ranks = bounds._ranked_log_factors(g, centers, table, norms)
+            ranks = bounds._ranked_log_factors(g, centers, table, norms, np.arange(len(centers) * len(table)))
             axis, mags = _support(g)
             rows = [(c, row) for c in centers for row in table]
             assert len(rows) == ranks.size
@@ -581,16 +756,18 @@ class TestRankedFactorScan:
         expected = exhaustive_best_factor(g, centers, table)
         lift = 5e-10  # inside the band, far above the ranking error
         assert lift < bounds._RANK_BAND
-        ranked = bounds._ranked_log_factors
+        norms = {q: norm_lq(g, q) for q in {2.0, *(row[0] for row in table)}}
+        ranks = bounds._ranked_log_factors(g, centers, table, norms, np.arange(len(centers) * len(table)))
+        # put the runner-up (2.9e-3 below the top row) just above it
+        first, runner_up = np.argsort(-ranks, kind="stable")[:2]
+        ranks[runner_up] = ranks[first] + lift
 
-        def misranked(g, centers, table, norms):
-            # put the runner-up (2.9e-3 below the top row) just above it
-            ranks = ranked(g, centers, table, norms)
-            first, runner_up = np.argsort(-ranks, kind="stable")[:2]
-            ranks[runner_up] = ranks[first] + lift
-            return ranks
-
-        monkeypatch.setattr(bounds, "_ranked_log_factors", misranked)
+        monkeypatch.setattr(bounds, "_ranked_log_factors", lambda g, centers, table, norms, rows: ranks[rows])
+        assert bounds._best_factor(g, centers, table) == expected
+        # the same misranking under an exact bracket: the true top row's up
+        # lies below max(lo), and the stop rule's band must keep it
+        monkeypatch.setattr(bounds, "_BRACKET_MIN_SUPPORT", 1)
+        monkeypatch.setattr(bounds, "_rank_bracket", lambda *args: (ranks.copy(), ranks.copy()))
         assert bounds._best_factor(g, centers, table) == expected
 
     def test_a_checked_row_whose_moment_underflows_is_dropped_and_the_rows_ranked_again(self):
@@ -603,13 +780,35 @@ class TestRankedFactorScan:
         search = CfSearch(qs=(2.0, math.inf), alpha_max=40.0)
         g, centers, table = scan_inputs(signal_from_samples(grid, samples), search)
         norms = {q: norm_lq(g, q) for q in search.qs}
-        ranks = bounds._ranked_log_factors(g, centers, table, norms)
+        ranks = bounds._ranked_log_factors(g, centers, table, norms, np.arange(len(centers) * len(table)))
         top = int(np.argmax(ranks))
         c, (q, a, _, _) = centers[top // len(table)], table[top % len(table)]
         axis, mags = _support(g)
         assert np.isfinite(ranks[top])
         assert _moment_lq(np.abs(axis - c), mags, g.spacing, a, q) == 0.0
+        expected = exhaustive_best_factor(g, centers, table)
+        assert bounds._best_factor(g, centers, table) == expected
+
+    def test_rows_pruned_against_a_dropped_row_are_ranked_again(self, monkeypatch):
+        # the underflow spike with the bracket on: its top row prunes the
+        # rest, then drops out, so the rows it pruned must be ranked after all
+        grid = make_grid(64, 1e-10)
+        samples = np.zeros(grid.n)
+        samples[40] = 1.0
+        search = CfSearch(qs=(2.0, math.inf), alpha_max=40.0)
+        g, centers, table = scan_inputs(signal_from_samples(grid, samples), search)
+        monkeypatch.setattr(bounds, "_BRACKET_MIN_SUPPORT", 1)
+        ranked_rows = []
+        ranked = bounds._ranked_log_factors
+
+        def counted(g, centers, table, norms, rows):
+            ranked_rows.append(rows.size)
+            return ranked(g, centers, table, norms, rows)
+
+        monkeypatch.setattr(bounds, "_ranked_log_factors", counted)
         assert bounds._best_factor(g, centers, table) == exhaustive_best_factor(g, centers, table)
+        assert len(ranked_rows) >= 2
+        assert ranked_rows[0] < len(centers) * len(table)
 
     def test_the_zero_signal_admits_no_feasible_witness(self):
         grid = make_grid(64, 1 / 8)

@@ -38,6 +38,12 @@ class TestBoundsCommand:
         assert len(captured.err.splitlines()) == 1
         assert captured.out == ""
 
+    def test_an_integer_dimension_past_the_double_range_is_a_usage_error(self, capsys):
+        assert main(["bounds", "--eps-t", "0.1", "--eps-omega", "0.1", "--dim", "1" + "0" * 400]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: dimension d must be a positive integer within the double range, got a larger one\n"
+
     @pytest.mark.parametrize("eps_t", ["0", "0.1"])
     def test_dimension_past_the_double_range_is_a_usage_error(self, capsys, eps_t):
         assert main(["bounds", "--eps-t", eps_t, "--eps-omega", "0", "--dim", "400"]) == 2
@@ -70,6 +76,22 @@ class TestConstantsCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: constant {args[1]} needs {flags}\n"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--which", "lieb", "--p", "4"],
+            ["--which", "k1", "--alpha", "1e300"],
+            ["--which", "ktilde", "--alpha", "1e300", "--q", "2"],
+            ["--which", "locop", "--q", "2"],
+        ],
+        ids=["lieb", "k1", "ktilde", "locop"],
+    )
+    def test_an_integer_dimension_past_the_double_range_is_a_usage_error(self, capsys, args):
+        assert main(["constants", *args, "--d", "1" + "0" * 400]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: dimension d must be a positive integer within the double range, got a larger one\n"
 
     def test_general_constant_prints_the_single_power(self, capsys):
         assert main(["constants", "--which", "ktilde", "--d", "1", "--alpha", "2", "--q", "4"]) == 0
