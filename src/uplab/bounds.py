@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concentration import _moment_lq, _support, energy_centroid, support_mask, weighted_moment_norm
-from .core import _BLOCK_BYTES, FREQUENCY, TIME, Signal, norm_lq
+from .concentration import _moment_lq, energy_centroid, support_mask, weighted_moment_norm
+from .core import _BLOCK_BYTES, FREQUENCY, TIME, Signal, _quadrature_lq, norm_lq
 
 INF = float("inf")
 
@@ -313,9 +313,11 @@ def cf_bound(f: Signal, fhat: Signal, search: CfSearch | None = None) -> BoundVa
     row's log-factor (blocks of samples, widened for rounding), a log-domain
     ranking of only the rows whose up comes within `_RANK_BAND` of the best
     lo, and an exact evaluation of only the ranked rows within the band of
-    the top.  A row it skips provably ranks, and so evaluates, below the
-    maximum, so the value and witness are those of evaluating every row, bit
-    for bit.  On a full n = 65536 support it ranks 1-50 of the 234 rows.
+    the top.  The bracket and the ranking are one log-moment kernel,
+    `_FactorScan.log_moments`, run on blocks and on samples.  A row it skips
+    provably ranks, and so evaluates, below the maximum, so the value and
+    witness are those of evaluating every row, bit for bit.  On a full
+    n = 65536 support it ranks 1-50 of the 234 rows.
     """
     if f.domain != TIME or fhat.domain != FREQUENCY:
         raise ValueError("expected a time signal and its frequency transform")
@@ -354,7 +356,7 @@ def _factor(norm_q: float, k: float, moment: float, e: float) -> float:
 # band always holds every exact maximiser.
 _RANK_BAND = 1e-9
 
-# `_rank_bracket` summarises the sorted support in blocks of this many
+# `_FactorScan.bracket` summarises the sorted support in blocks of this many
 # consecutive samples.  Finer blocks prune more rows and cost more to bracket:
 # at n = 65536, blocks of 16 to 256 gave the same `_best_factor` time.
 _BRACKET_BLOCK = 64
@@ -376,11 +378,12 @@ def _best_factor(g: Signal, centers: list, table: list) -> tuple[float, tuple, f
     """First maximiser of `_factor` over (center, q, alpha), in that scan order, and ||g||_2.
 
     The moment M is the one `weighted_moment_norm` computes.  The scan
-    brackets, ranks, then verifies:
+    brackets, ranks, then verifies, with each row's rank the log-factor that
+    `_FactorScan.log_moments` gives on the support's own samples
+    (`_FactorScan.ranks`):
 
-    1. `_rank_bracket` gives every row an interval [lo, up] that holds its
-       rank, the log-factor `_ranked_log_factors` would return for it, with
-       the rounding of both included.
+    1. `_FactorScan.bracket` gives every row an interval [lo, up] that holds
+       its rank, with the rounding of both passes included.
     2. Stop rule: only the rows with up >= max(lo) - `_RANK_BAND` are ranked.
     3. The ranked rows within `_RANK_BAND` of the top rank are evaluated
        exactly, by `_moment_lq` and `_factor`, and the first exact maximiser
@@ -401,14 +404,15 @@ def _best_factor(g: Signal, centers: list, table: list) -> tuple[float, tuple, f
     and steps 2 and 3 run again, so rows pruned against its lo are ranked if
     they can now reach the top.
     """
-    norms = {q: norm_lq(g, q) for q in {2.0, *(row[0] for row in table)}}
-    axis, mags = _support(g)
-    lo, up = _rank_bracket(axis, mags, g.spacing, centers, table, norms)
+    if not g.samples.any():  # every moment of the zero signal vanishes
+        raise ValueError("search grids admitted no feasible witness")
+    scan = _FactorScan(g, centers, table)
+    lo, up = scan.bracket()
     ranks = np.full(lo.size, -np.inf)
     unranked = np.ones(lo.size, dtype=bool)
     while True:
         todo = np.flatnonzero(unranked & (up >= lo.max(initial=-np.inf) - _RANK_BAND))
-        ranks[todo] = _ranked_log_factors(g, centers, table, norms, todo)
+        ranks[todo] = scan.ranks(todo)
         unranked[todo] = False
         top = ranks.max(initial=-np.inf)
         if top == -np.inf:
@@ -417,169 +421,144 @@ def _best_factor(g: Signal, centers: list, table: list) -> tuple[float, tuple, f
         for row in np.flatnonzero(ranks >= top - _RANK_BAND):
             c = centers[row // len(table)]
             q, a, e, k = table[row % len(table)]
-            m = _moment_lq(np.abs(axis - float(c)), mags, g.spacing, a, q)
+            m = _moment_lq(np.abs(scan.axis - float(c)), scan.mags, g.spacing, a, q)
             if m == 0.0:
                 ranks[row] = lo[row] = -np.inf
                 dropped = True
                 continue
-            val = _factor(norms[q], k, m, e)
+            val = _factor(scan.norms[q], k, m, e)
             if best is None or val > best:
                 best, arg = val, (c, q, a)
         if not dropped:
-            return best, arg, norms[2.0]
+            return best, arg, scan.norms[2.0]
 
 
-def _rank_bracket(
-    axis: np.ndarray, mags: np.ndarray, spacing: float, centers: list, table: list, norms: dict
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds lo <= rank <= up on the `_ranked_log_factors` rank of every row, in scan order.
+class _FactorScan:
+    """The (center, q, alpha) rows of one factor's scan, in scan order, on the support of g.
 
-    axis and mags are the signal's support (`_support`), spacing its h.
-
-    The support, sorted along the axis, is cut into blocks of
-    `_BRACKET_BLOCK` consecutive samples.  On block j, log|x - c| lies
-    between dmin_j and dmax_j, the smaller and the larger of its values at the
-    block's two end points; dmin_j = -inf when the block's span holds c.  With
-    S_j = log sum_block |g|^q and h the spacing, a finite-q row's log M lies
-    between
-
-        (log h + LSE_j(q alpha dmin_j + S_j)) / q
-        and (log h + LSE_j(q alpha dmax_j + S_j)) / q,
-
-    LSE_j the log-sum-exp over the blocks.  At q = inf, with S_j the block
-    maximum of log|g|, it lies between max_j(alpha dmin_j + S_j) and
-    max_j(alpha dmax_j + S_j).  Each bound B is widened by `_BRACKET_RTOL`
-    (1 + |log h| + log n + |B|), n the support size, which covers the rounding
-    of the bracket and of the ranked pass (each errs by a few units of
-    rounding of the magnitudes that enter log M).  It is then mapped to a rank
-    by the ranked pass's own formula, offset - e log M, which falls as log M
-    grows in floating point too.
-    A log M that may be -inf (every block's span holds c) gives up = +inf; a
-    row whose log M is certainly -inf (every sample on the centre, M = 0)
-    gets lo = up = -inf.  The cost is O(rows * n / block) and one O(n) pass
-    per q.  Below `_BRACKET_MIN_SUPPORT` samples every row gets (-inf, inf).
+    Built once per factor: |g| gives the norms (by `_quadrature_lq`, as
+    `norm_lq` takes them) and the support, and log|g|, the rows' (q, alpha, e)
+    columns and their rank offsets (e - 2) log ||g||_q - log K are taken once.
     """
-    size = len(centers) * len(table)
-    if mags.size < _BRACKET_MIN_SUPPORT:
-        return np.full(size, -np.inf), np.full(size, np.inf)
-    starts = np.arange(0, mags.size, _BRACKET_BLOCK)
-    first, last = axis[starts], axis[np.append(starts[1:], mags.size) - 1]
-    c = np.asarray(centers, dtype=float)[:, None]
-    with np.errstate(divide="ignore"):  # a block end on the centre
-        at_first, at_last = np.log(np.abs(first - c)), np.log(np.abs(last - c))
-    # dmin of each centre's blocks, then dmax
-    dist = np.concatenate(
-        (np.where((first <= c) & (c <= last), -np.inf, np.minimum(at_first, at_last)), np.maximum(at_first, at_last))
-    )
-    level = np.log(mags)
-    peak = np.maximum.reduceat(level, starts)
-    below_peak = level - np.repeat(peak, np.diff(starts, append=mags.size))
-    qs = sorted({row[0] for row in table})
-    block_level = np.array(
-        [peak if math.isinf(q) else q * peak + np.log(np.add.reduceat(np.exp(q * below_peak), starts)) for q in qs]
-    )
-    row_c, row_t = np.divmod(np.arange(size), len(table))
-    columns = np.array(table).T
-    row_q, row_a, row_e = columns[:3, row_t]
-    scale = np.where(np.isinf(row_q), 1.0, row_q)
-    # each row twice: against dmin (its lower log M bound), then against dmax (its upper)
-    dist_row = np.concatenate((row_c, row_c + len(centers)))
-    level_row = np.tile(np.searchsorted(qs, row_q), 2)
-    weight = np.tile(scale * row_a, 2)
-    top, total = np.empty((2, 2 * size))
-    step = max(1, _BLOCK_BYTES // (16 * starts.size))
-    work, gathered = np.empty((2, min(step, 2 * size), starts.size))
-    for b in range(0, 2 * size, step):
-        r = slice(b, min(b + step, 2 * size))
-        x, s = work[: r.stop - b], gathered[: r.stop - b]
-        np.take(dist, dist_row[r], axis=0, out=x, mode="clip")  # in range; "clip" skips the buffered copy
-        x *= weight[r, None]
-        np.take(block_level, level_row[r], axis=0, out=s, mode="clip")
-        x += s
-        top[r] = x.max(axis=1)
-        x -= np.where(top[r] > -np.inf, top[r], 0.0)[:, None]
-        np.exp(x, out=x)
-        total[r] = x.sum(axis=1)
-    with np.errstate(divide="ignore"):  # every block -inf: the bound is -inf
-        lse = top + (math.log(spacing) + np.log(total))
-    lower, upper = np.where(np.isinf(row_q), top.reshape(2, size), lse.reshape(2, size) / scale)
-    magnitude = 1.0 + abs(math.log(spacing)) + math.log(mags.size)
-    feasible = upper > -np.inf
-    lower -= _BRACKET_RTOL * (magnitude + np.abs(lower))  # -inf stays -inf
-    np.add(upper, _BRACKET_RTOL * (magnitude + np.abs(upper)), out=upper, where=feasible)
-    offsets = _rank_offsets(columns, norms)[row_t]
-    lo = np.where(feasible, offsets - row_e * upper, -np.inf)
-    up = np.where(feasible, offsets - row_e * lower, -np.inf)
-    return lo, up
 
+    def __init__(self, g: Signal, centers: list, table: list):
+        mags = np.abs(g.samples)
+        self.norms = {q: _quadrature_lq(mags, g.spacing, q) for q in {2.0, *(row[0] for row in table)}}
+        nonzero = mags > 0
+        self.axis, self.mags = (g.axis, mags) if nonzero.all() else (g.axis[nonzero], mags[nonzero])
+        self.level, self.log_h, self.centers = np.log(self.mags), math.log(g.spacing), np.asarray(centers, dtype=float)
+        self.qs = sorted({row[0] for row in table})
+        q, _, e, k = columns = np.array(table).T
+        self.row_c, row_t = np.divmod(np.arange(len(centers) * len(table)), len(table))
+        self.q, self.alpha, self.e = columns[:3, row_t]
+        self.offset = ((e - 2.0) * np.log([self.norms[x] for x in q.tolist()]) - np.log(k))[row_t]
 
-def _ranked_log_factors(g: Signal, centers: list, table: list, norms: dict, rows: np.ndarray) -> np.ndarray:
-    """log `_factor` of the given rows (indices in the (center, q, alpha) scan order), without a power.
+    def rank(self, log_m: np.ndarray, rows, feasible: np.ndarray) -> np.ndarray:
+        """offset - e log M of the given rows, the log `_factor` without a power; -inf where not feasible.
 
-    On the nonzero samples, u = q (alpha log|x - c| + log|g|) is q times the
-    log of the moment integrand, so with h the spacing
+        It falls as log M grows, in floating point too.
+        """
+        return np.where(feasible, self.offset[rows] - self.e[rows] * log_m, -np.inf)
 
-        log M = (max u + log h + log sum exp(u - max u)) / q,
+    def bracket(self) -> np.ndarray:
+        """Bounds lo <= rank <= up on the `ranks` rank of every row, as the rows (lo, up).
 
-    and log M is the maximum of alpha log|x - c| + log|g| at q = inf.
-    log|x - c| is taken only for the centres that have a row to rank, a group
-    of at most `_BLOCK_BYTES` of them at a time.  A group's rows of one q are
-    stacked in blocks of at most `_BLOCK_BYTES` of u.  Each row is reduced on
-    its own contiguous row of the block, so a row's rank does not depend on
-    which rows are ranked with it.  Rows with M = 0 (every sample on the
-    centre) rank -inf.
-    """
-    axis, mags = _support(g)
-    rank = np.full(rows.size, -np.inf)
-    if mags.size == 0 or rows.size == 0:
-        return rank
-    row_c, row_t = np.divmod(rows, len(table))
-    columns = np.array(table).T
-    row_q, row_a, row_e = columns[:3, row_t]
-    level = np.log(mags)
-    log_h = math.log(g.spacing)
-    log_m = np.empty(rows.size)
-    step = max(1, _BLOCK_BYTES // (8 * mags.size))
-    used = np.flatnonzero(np.bincount(row_c, minlength=len(centers)))
-    log_dist = np.empty((min(step, used.size), mags.size))
-    block = np.empty((min(step, rows.size), mags.size))
-    for first in range(0, used.size, step):
-        group = used[first : first + step]
-        dist = log_dist[: group.size]
-        np.abs(np.subtract(axis, np.asarray(centers, dtype=float)[group, None], out=dist), out=dist)
-        with np.errstate(divide="ignore"):
-            np.log(dist, out=dist)
-        in_group = (group[0] <= row_c) & (row_c <= group[-1])
-        for q in sorted(set(row_q[in_group].tolist())):  # np.unique would import numpy.ma on first use
-            picked = np.flatnonzero(in_group & (row_q == q))
-            scale = 1.0 if math.isinf(q) else q
-            scaled_level = scale * level
-            for b in range(0, picked.size, step):
-                r = picked[b : b + step]
-                u = block[: r.size]
-                # in range; "clip" skips the buffered copy
-                np.take(dist, group.searchsorted(row_c[r]), axis=0, out=u, mode="clip")
-                u *= (scale * row_a[r])[:, None]
-                u += scaled_level
-                top = u.max(axis=1)
-                if not math.isinf(q):
-                    with np.errstate(invalid="ignore"):  # top = -inf: the row is masked below
-                        u -= top[:, None]
-                    np.exp(u, out=u)
-                    top += log_h + np.log(u.sum(axis=1))
-                log_m[r] = top / scale
-    feasible = log_m > -np.inf
-    rank[feasible] = (_rank_offsets(columns, norms)[row_t] - row_e * log_m)[feasible]
-    return rank
+        The support, sorted along the axis, is cut into blocks of
+        `_BRACKET_BLOCK` consecutive samples.  On block j, log|x - c| lies
+        between dmin_j and dmax_j, the smaller and the larger of its values at
+        the block's two end points; dmin_j = -inf when the block's span holds c.
+        `log_moments` on the blocks, with dmin or dmax as the distance and
+        S_j = log sum_block |g|^q (the block maximum of log|g| at q = inf) as
+        the level, bounds each row's log M from below and from above; on
+        blocks of one sample both bounds are the ranked pass's log M, bit for
+        bit.  Each bound B is widened by `_BRACKET_RTOL` (1 + |log h| + log n
+        + |B|), n the support size, which covers the rounding of the bracket
+        and of the ranked pass (each errs by a few units of rounding of the
+        magnitudes that enter log M), then mapped to a rank by `rank`.
+        A log M that may be -inf (every block's span holds c) gives up = +inf; a
+        row whose log M is certainly -inf (every sample on the centre, M = 0)
+        gets lo = up = -inf.  The cost is O(rows * n / block) and one O(n) pass
+        per q.  Below `_BRACKET_MIN_SUPPORT` samples every row gets (-inf, inf).
+        """
+        if self.axis.size < _BRACKET_MIN_SUPPORT:
+            return np.array([np.full(self.q.size, -np.inf), np.full(self.q.size, np.inf)])
+        starts = np.arange(0, self.axis.size, _BRACKET_BLOCK)
+        first, last = self.axis[starts], self.axis[np.append(starts[1:], self.axis.size) - 1]
+        c = self.centers[:, None]
+        with np.errstate(divide="ignore"):  # a block end on the centre
+            at_first, at_last = np.log(np.abs(first - c)), np.log(np.abs(last - c))
+        dmin = np.where((first <= c) & (c <= last), -np.inf, np.minimum(at_first, at_last))
+        peak = np.maximum.reduceat(self.level, starts)
+        below = self.level - np.repeat(peak, np.diff(starts, append=self.axis.size))  # log|g| less its block's peak
+        block_level = np.array(
+            [peak if math.isinf(q) else q * peak + np.log(np.add.reduceat(np.exp(q * below), starts)) for q in self.qs]
+        )
+        every, dmax = np.arange(self.centers.size), np.maximum(at_first, at_last)
+        lower, upper = (self.log_moments(d, every, block_level, slice(None)) for d in (dmin, dmax))
+        magnitude = 1.0 + abs(self.log_h) + math.log(self.axis.size)
+        feasible = upper > -np.inf
+        lower -= _BRACKET_RTOL * (magnitude + np.abs(lower))  # -inf stays -inf
+        np.add(upper, _BRACKET_RTOL * (magnitude + np.abs(upper)), out=upper, where=feasible)
+        return self.rank(np.array([upper, lower]), slice(None), feasible)
 
+    def ranks(self, rows: np.ndarray) -> np.ndarray:
+        """The rank of each given row (indices in the scan order): `log_moments` on the samples.
 
-def _rank_offsets(columns: np.ndarray, norms: dict) -> np.ndarray:
-    """(e - 2) log ||g||_q - log K of each row of the table's columns (q, alpha, e, K).
+        The distance is log|x - c|, taken only for the centres that have a row
+        to rank, a group of at most `_BLOCK_BYTES` of them at a time, and the
+        level is q log|g| (log|g| at q = inf).  Rows with M = 0 (every sample
+        on the centre) rank -inf.
+        """
+        log_m, row_c = np.empty(rows.size), self.row_c[rows]
+        level = np.array([self.level if math.isinf(q) else q * self.level for q in self.qs])
+        step = max(1, _BLOCK_BYTES // (8 * self.axis.size))
+        used = np.flatnonzero(np.bincount(row_c, minlength=self.centers.size))
+        for first in range(0, used.size, step):
+            group = used[first : first + step]
+            dist = self.axis - self.centers[group, None]
+            with np.errstate(divide="ignore"):  # a sample on the centre
+                np.log(np.abs(dist, out=dist), out=dist)
+            mine = (group[0] <= row_c) & (row_c <= group[-1])
+            log_m[mine] = self.log_moments(dist, group, level, rows[mine])
+        return self.rank(log_m, rows, log_m > -np.inf)
 
-    A row's log `_factor` is this offset minus e log M.
-    """
-    q, _, e, k = columns
-    return (e - 2.0) * np.log([norms[x] for x in q.tolist()]) - np.log(k)
+    def log_moments(self, dist: np.ndarray, dist_centers: np.ndarray, level: np.ndarray, rows) -> np.ndarray:
+        """log M of the given rows from a table of cells j: a distance row D per centre, a level row L per q.
+
+        dist has a row for each of the sorted centre indices `dist_centers`, and
+        level a row for each q of `qs`.  With h the spacing, a row reads
+
+            log M = (log h + LSE_j(q alpha D_j + L_j)) / q,  and max_j(alpha D_j + L_j) at q = inf,
+
+        LSE_j the log-sum-exp over the cells.  This is the one place that
+        forms it: the bracket runs it on blocks, the ranked pass on samples.
+        The rows are streamed in blocks of at most `_BLOCK_BYTES`, and each is
+        reduced on its own contiguous row of the block, so a row's log M does
+        not depend on which rows are reduced with it.  A row whose every cell
+        is -inf has log M = -inf.
+        """
+        q = self.q[rows]
+        scale = np.where(np.isinf(q), 1.0, q)
+        weight, log_m = scale * self.alpha[rows], np.empty(q.size)
+        dist_row, level_row = dist_centers.searchsorted(self.row_c[rows]), np.searchsorted(self.qs, q)
+        step = max(1, _BLOCK_BYTES // (16 * dist.shape[1]))
+        work, gathered = np.empty((2, min(step, q.size), dist.shape[1]))
+        for b in range(0, q.size, step):
+            r = slice(b, min(b + step, q.size))
+            x, s = work[: r.stop - b], gathered[: r.stop - b]
+            np.take(dist, dist_row[r], axis=0, out=x, mode="clip")  # in range; "clip" skips the buffered copy
+            x *= weight[r, None]
+            np.take(level, level_row[r], axis=0, out=s, mode="clip")
+            x += s
+            top = x.max(axis=1)
+            finite_q = q[r] < np.inf
+            if finite_q.any():  # a q = inf row needs only the maximum
+                x -= np.where(top > -np.inf, top, 0.0)[:, None]
+                np.exp(x, out=x)
+                with np.errstate(divide="ignore"):  # every cell -inf: log M = -inf
+                    top = np.where(finite_q, (top + (self.log_h + np.log(x.sum(axis=1)))) / scale[r], top)
+            log_m[r] = top
+        return log_m
 
 
 def separate_measure_bounds(eps_t: float, eps_omega: float, factors: tuple) -> tuple[float, float]:

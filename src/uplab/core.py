@@ -33,7 +33,9 @@ FREQUENCY = "frequency"
 _DOMAINS = (TIME, FREQUENCY)
 
 # working-set cap of one block in the row-blocked passes
-# (transforms.spectrogram_marginals, bounds._ranked_log_factors)
+# (transforms.spectrogram_marginals, and in bounds the log-distance groups of
+# _FactorScan.ranks and the row blocks of _FactorScan.log_moments, which
+# serves both _FactorScan.bracket and _FactorScan.ranks)
 _BLOCK_BYTES = 1 << 20
 
 

@@ -637,13 +637,14 @@ def run_scenario(s: Scenario) -> Report:
     )
     verdicts = []
     for check_id in dict.fromkeys(s.checks):
+        rel_tol = s.tolerance(check_id)
         try:
             lhs, rhs, notes = CHECKS[check_id](ctx)
-            v = make_verdict(check_id, lhs, rhs, s.tolerance(check_id), notes)
+            v = make_verdict(check_id, lhs, rhs, rel_tol, notes)
         except _Skipped as skip:
-            v = skipped_verdict(check_id, str(skip))
+            v = skipped_verdict(check_id, str(skip), rel_tol)
         except Exception as exc:  # noqa: BLE001 - every failure must land in the report
-            v = failed_verdict(check_id, f"error: {exc}")
+            v = failed_verdict(check_id, f"error: {exc}", rel_tol)
         if heavy and check_id in _MOMENT_CHECKS:
             note = "truncation-sensitive" if not v.notes else v.notes + "; truncation-sensitive"
             v = replace(v, notes=note)

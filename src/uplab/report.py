@@ -11,11 +11,12 @@ from pathlib import Path
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of one inequality check: lhs >= rhs up to a relative slack."""
+    """Outcome of one inequality check: lhs >= rhs up to the relative slack rel_tol it was judged at."""
 
     check_id: str
     lhs: float
     rhs: float
+    rel_tol: float
     margin: float
     status: str  # pass | fail | skipped
     notes: str = ""
@@ -30,15 +31,15 @@ def make_verdict(check_id: str, lhs: float, rhs: float, rel_tol: float, notes: s
     margin = lhs - rhs
     slack = rel_tol * max(abs(lhs), abs(rhs), 1.0)
     status = "pass" if margin >= -slack else "fail"
-    return Verdict(check_id, lhs, rhs, margin, status, notes)
+    return Verdict(check_id, lhs, rhs, rel_tol, margin, status, notes)
 
 
-def skipped_verdict(check_id: str, reason: str) -> Verdict:
-    return Verdict(check_id, math.nan, math.nan, math.nan, "skipped", reason)
+def skipped_verdict(check_id: str, reason: str, rel_tol: float) -> Verdict:
+    return Verdict(check_id, math.nan, math.nan, rel_tol, math.nan, "skipped", reason)
 
 
-def failed_verdict(check_id: str, reason: str) -> Verdict:
-    return Verdict(check_id, math.nan, math.nan, math.nan, "fail", reason)
+def failed_verdict(check_id: str, reason: str, rel_tol: float) -> Verdict:
+    return Verdict(check_id, math.nan, math.nan, rel_tol, math.nan, "fail", reason)
 
 
 def _num(x: float):
@@ -50,6 +51,7 @@ def verdict_to_dict(v: Verdict) -> dict:
         "check": v.check_id,
         "lhs": _num(v.lhs),
         "rhs": _num(v.rhs),
+        "rel_tol": v.rel_tol,
         "margin": _num(v.margin),
         "status": v.status,
         "notes": v.notes,
@@ -103,6 +105,6 @@ def write_report_json(report: Report, path) -> None:
 def write_verdicts_csv(report: Report, path) -> None:
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["check", "lhs", "rhs", "margin", "status", "notes"])
+        writer.writerow(["check", "lhs", "rhs", "rel_tol", "margin", "status", "notes"])
         for v in sorted(report.verdicts, key=lambda v: v.check_id):
-            writer.writerow([v.check_id, _num(v.lhs), _num(v.rhs), _num(v.margin), v.status, v.notes])
+            writer.writerow([v.check_id, _num(v.lhs), _num(v.rhs), v.rel_tol, _num(v.margin), v.status, v.notes])

@@ -462,18 +462,24 @@ class TestSignalAdaptedBounds:
                         return landscape(domain, center, alpha, q)
             return 1.0
 
-        def ranks_from_landscape(g, centers, table, norms, rows):
+        def ranks_from_landscape(scan, rows):
             # with unit norms and constants the log-factor is -e log M; at
             # n = 64 the support is below the bracket's size, so every row is ranked
-            assert rows.size == len(centers) * len(table)
-            return np.array([-e * math.log(landscape(g.domain, c, a, q)) for c in centers for q, a, e, _ in table])
+            assert rows.size == scan.row_c.size
+            moments = [
+                moment_from_distances(np.abs(scan.axis - scan.centers[c]), None, None, a, q)
+                for c, q, a in zip(scan.row_c, scan.q, scan.alpha)
+            ]
+            return -scan.e * np.log(moments)
 
-        # cf_quotient (the brute force) reads weighted_moment_norm; the factor
-        # scan ranks rows by _ranked_log_factors and checks the top by _moment_lq
+        # cf_quotient (the brute force) reads weighted_moment_norm and norm_lq;
+        # the factor scan takes its norms by _quadrature_lq, ranks rows by
+        # _FactorScan.ranks and checks the top by _moment_lq
         monkeypatch.setattr(bounds, "weighted_moment_norm", lambda g, c, a, q: landscape(g.domain, c, a, q))
-        monkeypatch.setattr(bounds, "_ranked_log_factors", ranks_from_landscape)
+        monkeypatch.setattr(bounds._FactorScan, "ranks", ranks_from_landscape)
         monkeypatch.setattr(bounds, "_moment_lq", moment_from_distances)
         monkeypatch.setattr(bounds, "norm_lq", lambda g, q: 1.0)
+        monkeypatch.setattr(bounds, "_quadrature_lq", lambda mags, spacing, q: 1.0)
         monkeypatch.setattr(bounds, "price_k", lambda d, alpha, q: 1.0)
         witness = self._assert_matches_brute_force(f)
         assert witness == {
@@ -511,19 +517,20 @@ class TestSignalAdaptedBounds:
         return got.witness
 
     def test_the_l2_norm_of_f_is_taken_once(self, monkeypatch):
-        # the scan's norm table holds q = 2, and cf_bound's ||f||_2 factor is that entry
+        # each factor's scan takes its norm table, q = 2 included, once from
+        # |g|, and cf_bound's ||f||_2 factor is the time scan's entry
         grid = make_grid(256, 1 / 16)
         f = unit_gaussian(grid)
         calls = []
-        norm = bounds.norm_lq
+        norm = bounds._quadrature_lq
 
-        def counted(g, q):
-            calls.append((g.domain, q))
-            return norm(g, q)
+        def counted(mags, spacing, q):
+            calls.append(q)
+            return norm(mags, spacing, q)
 
-        monkeypatch.setattr(bounds, "norm_lq", counted)
+        monkeypatch.setattr(bounds, "_quadrature_lq", counted)
         cf = cf_bound(f, fourier(f))
-        assert calls.count((TIME, 2.0)) == 1
+        assert sorted(calls) == sorted(2 * [*{2.0, *CfSearch().qs}])
         assert cf.factors[0] == norm_lq(f, 2.0)
 
     def test_separate_bounds_multiply_to_the_product_form(self):
@@ -544,6 +551,80 @@ class TestSignalAdaptedBounds:
         loose_t, loose_w = separate_measure_bounds(0.5, 0.5, cf.factors)
         assert loose_t < tight_t
         assert loose_w < tight_w
+
+
+class TestGaussianFactorGridRefinement:
+    """`_factor` of f = 2^(1/4) exp(-pi t^2) about 0 against its closed form, at n dx^2 = 1.
+
+    ||f||_q = 2^(1/4) q^(-1/(2q)), and the moment M = || |t|^alpha f ||_q is
+    2^(1/4) (Gamma((beta + 1)/2) / (pi q)^((beta + 1)/2))^(1/q) with
+    beta = alpha q, or 2^(1/4) (alpha / (2 pi e))^(alpha/2) at q = inf.
+
+    The bounds, derived before the run:
+    * Aliasing and truncation are exponentially small (Poisson summation: the
+      first alias sits at 1/dx = sqrt(n) >= 16; the axis reaches sqrt(n)/2 >= 8).
+      So the norms are exact to rounding.
+    * |t|^beta is not smooth at 0, and 0 is a node.  By the generalized
+      Euler-Maclaurin formula (Navot, J. Math. Phys. 40, 1961) the rectangle
+      rule on |t|^beta phi(t), phi(t) = 2^(q/4) exp(-pi q t^2), errs by
+      2 sum_j zeta(-beta - 2j) phi^(2j)(0) / (2j)! h^(beta + 2j + 1).  The
+      factor holds M^-e, so its relative error is about e/q times that of
+      M^q: the bound is twice the first two terms of that, relative to the
+      integral.  At even integer beta every term vanishes.
+    * At q = inf the sampled maximum of t^alpha f sits within dx/2 of
+      t* = sqrt(alpha / (2 pi)), where log(t^alpha f) falls as 2 pi s^2 and the
+      higher terms of alpha log(1 + s/t*) are under half of that for
+      |s| <= t*/2; so the factor is at most exp(1.5 e 2 pi (dx/2)^2) - 1 above
+      its closed form, and never below it but for rounding.
+    * Rounding: each term of the quadrature sum within |t| <= 3 carries about
+      q (pi 9 + 8) + 4 <= 150 units, the pairwise sum log2 n more, and the
+      factor's two powers multiply by at most e + |2 - e| each way.
+    The errors are quantised to the grid, so nothing here asserts that they
+    fall monotonically in n: at q = inf, alpha = 2 the nearest sample to t* is
+    t = 0.5625 from n = 256 to n = 65536.
+    """
+
+    @staticmethod
+    def closed_form(q, alpha, e, k):
+        root2 = mpmath.mpf(2) ** 0.25
+        alpha = mpmath.mpf(alpha)
+        if math.isinf(q):
+            norm, moment = root2, root2 * (alpha / (2 * mpmath.pi * mpmath.e)) ** (alpha / 2)
+        else:
+            beta = alpha * q
+            norm = root2 * mpmath.mpf(q) ** (-1 / mpmath.mpf(2 * q))
+            moment = root2 * (mpmath.gamma((beta + 1) / 2) / (mpmath.pi * q) ** ((beta + 1) / 2)) ** (1 / mpmath.mpf(q))
+        return norm**e / (k * norm**2 * moment**e)
+
+    @staticmethod
+    def quadrature_bound(q, alpha, e, dx):
+        if math.isinf(q):
+            return math.expm1(1.5 * e * 2 * math.pi * (dx / 2) ** 2)
+        beta, h = mpmath.mpf(alpha) * q, mpmath.mpf(dx)
+        integral = mpmath.gamma((beta + 1) / 2) / (mpmath.pi * q) ** ((beta + 1) / 2)
+        terms = [
+            2 * mpmath.zeta(-beta - 2 * j) * (-mpmath.pi * q) ** j / mpmath.factorial(j) * h ** (beta + 2 * j + 1)
+            for j in range(2)
+        ]
+        return float(2 * e / q * sum(abs(t) for t in terms) / integral)
+
+    @pytest.mark.parametrize("n", [256, 1024, 4096, 16384, 65536])
+    def test_every_scan_row_meets_its_closed_form(self, n):
+        dx = 1 / math.sqrt(n)
+        f = unit_gaussian(make_grid(n, dx))
+        worst = 0.0
+        for q, alpha, e, k in bounds._scan_table(CfSearch()):
+            got = bounds._factor(norm_lq(f, q), k, weighted_moment_norm(f, 0.0, alpha, q), e)
+            with mpmath.workdps(30):
+                exact = self.closed_form(q, alpha, e, k)
+                rel = float((got - exact) / exact)
+                bound = self.quadrature_bound(q, alpha, e, dx)
+            rounding = 2 * (e + abs(2 - e)) * (150 + math.log2(n)) * 2.0**-53
+            assert abs(rel) <= bound + rounding, (q, alpha, rel)
+            if math.isinf(q):
+                assert rel >= -rounding
+            worst = max(worst, abs(rel))
+        print(f"n = {n}: largest relative error {worst:.3e}")
 
 
 def scan_signals():
@@ -619,9 +700,9 @@ class TestRankBracket:
     def assert_sound(g, search=None, centers=None):
         g, scan_centers, table = scan_inputs(g, search)
         centers = scan_centers if centers is None else centers
-        norms = {q: norm_lq(g, q) for q in {2.0, *(row[0] for row in table)}}
-        lo, up = bounds._rank_bracket(*_support(g), g.spacing, centers, table, norms)
-        ranks = bounds._ranked_log_factors(g, centers, table, norms, np.arange(lo.size))
+        scan = bounds._FactorScan(g, centers, table)
+        lo, up = scan.bracket()
+        ranks = scan.ranks(np.arange(lo.size))
         assert not np.isnan(lo).any() and not np.isnan(up).any()
         assert np.all(lo <= ranks) and np.all(ranks <= up)
         # M = 0 (every sample on the centre) ranks -inf, and so does the whole bracket
@@ -687,6 +768,38 @@ class TestRankBracket:
         self.assert_sound(generate_signal("indicator", {"lo": -0.1, "hi": 0.1}, grid))
         self.assert_sound(generate_signal("indicator", {"lo": 0.3, "hi": 5.0}, grid))
 
+    @pytest.mark.parametrize("n", [256, 8192])
+    def test_one_sample_blocks_are_the_ranked_pass_to_within_the_widening(self, n, monkeypatch):
+        # a block of one sample has level q log|g| + log 1 and dmin = dmax =
+        # log|x - c|, so the kernel's two bracket reductions and its ranked
+        # reduction agree bit for bit and only the rounding allowance is left
+        monkeypatch.setattr(bounds, "_BRACKET_BLOCK", 1)
+        reduced = []
+        kernel = bounds._FactorScan.log_moments
+
+        def recorded(*args):
+            reduced.append(kernel(*args))
+            return reduced[-1].copy()  # the bracket widens its copy in place
+
+        monkeypatch.setattr(bounds._FactorScan, "log_moments", recorded)
+        grid = make_grid(n, math.sqrt(1 / n))
+        kinds = [
+            ("gaussian", {"lam": 1.0}),
+            ("indicator", {"lo": -1.0, "hi": 1.0}),
+            ("chirp", {"rate": 2.0}),
+            ("random_bandlimited", {"seed": 0, "band": 2.0}),
+        ]
+        for kind, params in kinds:
+            f = generate_signal(kind, params, grid)
+            for g in (f, fourier(f)):
+                reduced.clear()
+                lo, up, ranks = self.assert_sound(g)
+                lower, upper, ranked = reduced
+                assert np.array_equal(lower, upper) and np.array_equal(lower, ranked)
+                finite = np.isfinite(ranks)
+                assert finite.any()
+                assert np.all(up[finite] - lo[finite] <= bounds._RANK_BAND / 10)
+
     def test_holds_on_the_underflow_spike(self):
         # every centre within 2e-9 of a unit spike: dist^40 underflows while
         # its logarithm, the rank and the bracket stay finite
@@ -710,21 +823,25 @@ class TestRankedFactorScan:
     def test_the_bracket_leaves_few_rows_of_a_full_support_n65536_factor_to_rank(self, monkeypatch):
         # a work count, not a timing: the bracket left 1 (time) and 6
         # (frequency) of the 234 rows here, so a change that stops it from
-        # pruning fails this
-        ranked_rows = []
-        ranked = bounds._ranked_log_factors
+        # pruning fails this.  The kernel reduces every row twice on the
+        # n / 64 blocks, and only the ranked rows on the n samples.
+        reduced = []
+        kernel = bounds._FactorScan.log_moments
 
-        def counted(g, centers, table, norms, rows):
-            ranked_rows.append(rows.size)
-            return ranked(g, centers, table, norms, rows)
+        def counted(scan, dist, dist_centers, level, rows):
+            reduced.append((dist.shape[1], scan.q[rows].size))
+            return kernel(scan, dist, dist_centers, level, rows)
 
-        monkeypatch.setattr(bounds, "_ranked_log_factors", counted)
+        monkeypatch.setattr(bounds._FactorScan, "log_moments", counted)
         f = dict(N65536_SIGNALS)["bandlimited-v0-n65536"]
         for g in (f, fourier(f)):
-            ranked_rows.clear()
+            reduced.clear()
             g, centers, table = scan_inputs(g)
             bounds._best_factor(g, centers, table)
-            assert 1 <= sum(ranked_rows) <= 0.1 * len(centers) * len(table)
+            rows, support = len(centers) * len(table), np.count_nonzero(g.samples)
+            assert reduced[:2] == [(-(-support // bounds._BRACKET_BLOCK), rows)] * 2
+            assert {cells for cells, _ in reduced[2:]} == {support}
+            assert 1 <= sum(size for _, size in reduced[2:]) <= 0.1 * rows
 
     @given(data=st.data())
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -741,7 +858,7 @@ class TestRankedFactorScan:
         for g in (f, fourier(f)):
             g, centers, table = scan_inputs(g)
             norms = {q: norm_lq(g, q) for q in {row[0] for row in table}}
-            ranks = bounds._ranked_log_factors(g, centers, table, norms, np.arange(len(centers) * len(table)))
+            ranks = bounds._FactorScan(g, centers, table).ranks(np.arange(len(centers) * len(table)))
             axis, mags = _support(g)
             rows = [(c, row) for c in centers for row in table]
             assert len(rows) == ranks.size
@@ -756,18 +873,16 @@ class TestRankedFactorScan:
         expected = exhaustive_best_factor(g, centers, table)
         lift = 5e-10  # inside the band, far above the ranking error
         assert lift < bounds._RANK_BAND
-        norms = {q: norm_lq(g, q) for q in {2.0, *(row[0] for row in table)}}
-        ranks = bounds._ranked_log_factors(g, centers, table, norms, np.arange(len(centers) * len(table)))
+        ranks = bounds._FactorScan(g, centers, table).ranks(np.arange(len(centers) * len(table)))
         # put the runner-up (2.9e-3 below the top row) just above it
         first, runner_up = np.argsort(-ranks, kind="stable")[:2]
         ranks[runner_up] = ranks[first] + lift
 
-        monkeypatch.setattr(bounds, "_ranked_log_factors", lambda g, centers, table, norms, rows: ranks[rows])
+        monkeypatch.setattr(bounds._FactorScan, "ranks", lambda scan, rows: ranks[rows])
         assert bounds._best_factor(g, centers, table) == expected
         # the same misranking under an exact bracket: the true top row's up
         # lies below max(lo), and the stop rule's band must keep it
-        monkeypatch.setattr(bounds, "_BRACKET_MIN_SUPPORT", 1)
-        monkeypatch.setattr(bounds, "_rank_bracket", lambda *args: (ranks.copy(), ranks.copy()))
+        monkeypatch.setattr(bounds._FactorScan, "bracket", lambda scan: (ranks.copy(), ranks.copy()))
         assert bounds._best_factor(g, centers, table) == expected
 
     def test_a_checked_row_whose_moment_underflows_is_dropped_and_the_rows_ranked_again(self):
@@ -779,8 +894,7 @@ class TestRankedFactorScan:
         samples[40] = 1.0
         search = CfSearch(qs=(2.0, math.inf), alpha_max=40.0)
         g, centers, table = scan_inputs(signal_from_samples(grid, samples), search)
-        norms = {q: norm_lq(g, q) for q in search.qs}
-        ranks = bounds._ranked_log_factors(g, centers, table, norms, np.arange(len(centers) * len(table)))
+        ranks = bounds._FactorScan(g, centers, table).ranks(np.arange(len(centers) * len(table)))
         top = int(np.argmax(ranks))
         c, (q, a, _, _) = centers[top // len(table)], table[top % len(table)]
         axis, mags = _support(g)
@@ -799,13 +913,13 @@ class TestRankedFactorScan:
         g, centers, table = scan_inputs(signal_from_samples(grid, samples), search)
         monkeypatch.setattr(bounds, "_BRACKET_MIN_SUPPORT", 1)
         ranked_rows = []
-        ranked = bounds._ranked_log_factors
+        ranked = bounds._FactorScan.ranks
 
-        def counted(g, centers, table, norms, rows):
+        def counted(scan, rows):
             ranked_rows.append(rows.size)
-            return ranked(g, centers, table, norms, rows)
+            return ranked(scan, rows)
 
-        monkeypatch.setattr(bounds, "_ranked_log_factors", counted)
+        monkeypatch.setattr(bounds._FactorScan, "ranks", counted)
         assert bounds._best_factor(g, centers, table) == exhaustive_best_factor(g, centers, table)
         assert len(ranked_rows) >= 2
         assert ranked_rows[0] < len(centers) * len(table)
