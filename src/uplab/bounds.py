@@ -210,17 +210,11 @@ def _check_dimension(d: int) -> int:
     return int(d)
 
 
-def _check_d_alpha(d: int, alpha: float):
-    d = _check_dimension(d)
-    alpha = float(alpha)
-    if not (np.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"moment exponent must be positive and finite, got {alpha!r}")
-    return d, alpha
-
-
 def price_ktilde(d: int, alpha: float, q: float) -> float:
     """Unsquared local constant for general q in (1, inf]; requires alpha > d/q'."""
-    d, alpha = _check_d_alpha(d, alpha)
+    d, alpha = _check_dimension(d), float(alpha)
+    if not (np.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"moment exponent must be positive and finite, got {alpha!r}")
     q = float(q)
     if q <= 1.0:
         raise ValueError(f"constant defined for q > 1, got {q!r}")
@@ -276,26 +270,32 @@ def price_rhs(norm_q: float, moment_q: float, omega_measure: float, d: int, alph
     return float(k * omega_measure * norm_q ** (2.0 - e) * moment_q ** e)
 
 
-@dataclass(frozen=True)
 class CfSearch:
-    """Finite search grids for the signal-adapted constant."""
+    """The fixed search grid of the signal-adapted constant, tabulated once into `_SCAN_TABLE`."""
 
-    qs: tuple = (1.5, 2.0, 3.0, 4.0, INF)
-    alpha_count: int = 6
-    alpha_max: float = 8.0
-    center_count: int = 5
+    qs = (1.5, 2.0, 3.0, 4.0, INF)
+    alpha_count = 6
+    alpha_max = 8.0
+    center_count = 5
 
-    def alphas(self, q: float) -> tuple:
+    @classmethod
+    def alphas(cls, q: float) -> tuple:
         lo = 1.0 / conjugate_exponent(q)
-        vals = set(np.geomspace(max(lo * 1.25, 1e-3), self.alpha_max, self.alpha_count).tolist())
+        vals = set(np.geomspace(max(lo * 1.25, 1e-3), cls.alpha_max, cls.alpha_count).tolist())
         for extra in (1.0, 2.0):
-            if extra > lo * (1.0 + 1e-9) and extra <= self.alpha_max:
+            if extra > lo * (1.0 + 1e-9) and extra <= cls.alpha_max:
                 vals.add(extra)
         return tuple(sorted(vals))
 
 
-def cf_bound(f: Signal, fhat: Signal, search: CfSearch | None = None) -> BoundValue:
-    """Best lower bound for the signal-adapted constant over the finite search grids.
+# The (q, alpha, e, K) rows of one factor's scan in scan order, shared by both factors: 39 rows.
+_SCAN_TABLE = tuple(
+    (q, a, 2.0 / (a * conjugate_exponent(q)), price_k(1, a, q)) for q in CfSearch.qs for a in CfSearch.alphas(q)
+)
+
+
+def cf_bound(f: Signal, fhat: Signal) -> BoundValue:
+    """Best lower bound for the signal-adapted constant over the fixed `CfSearch` grid.
 
     At a witness (t_bar, w_bar, q1, alpha1, q2, alpha2) the quotient is
     ||f||_2^4 * A * B, with A the `_factor` of fhat about w_bar at (q1, alpha1)
@@ -321,29 +321,16 @@ def cf_bound(f: Signal, fhat: Signal, search: CfSearch | None = None) -> BoundVa
     """
     if f.domain != TIME or fhat.domain != FREQUENCY:
         raise ValueError("expected a time signal and its frequency transform")
-    search = search or CfSearch()
-    t_centers = _scan_centers(f, search.center_count)
-    w_centers = _scan_centers(fhat, search.center_count)
-    table = _scan_table(search)
-    best_w, (wb, q1, a1), _ = _best_factor(fhat, w_centers, table)
-    best_t, (tb, q2, a2), norm2 = _best_factor(f, t_centers, table)
+    best_w, (wb, q1, a1), _ = _best_factor(fhat, _scan_centers(fhat), _SCAN_TABLE)
+    best_t, (tb, q2, a2), norm2 = _best_factor(f, _scan_centers(f), _SCAN_TABLE)
     witness = {"t_bar": tb, "w_bar": wb, "q1": q1, "alpha1": a1, "q2": q2, "alpha2": a2}
     return BoundValue(float(norm2**4 * best_w * best_t), witness, factors=(norm2, best_w, best_t))
 
 
-def _scan_table(search: CfSearch) -> list:
-    """The (q, alpha, e, K) rows of one factor's scan in scan order, shared by both factors."""
-    table = []
-    for q in search.qs:
-        qp = conjugate_exponent(q)
-        table += [(q, a, 2.0 / (a * qp), price_k(1, a, q)) for a in search.alphas(q)]
-    return table
-
-
-def _scan_centers(g: Signal, count: int) -> list:
-    """The energy centroid of g, then `count` points across the middle half of its axis."""
+def _scan_centers(g: Signal) -> list:
+    """The energy centroid of g, then `CfSearch.center_count` points across the middle half of its axis."""
     axis = g.axis
-    return [energy_centroid(g)] + np.linspace(axis[0] / 2.0, axis[-1] / 2.0, count).tolist()
+    return [energy_centroid(g)] + np.linspace(axis[0] / 2.0, axis[-1] / 2.0, CfSearch.center_count).tolist()
 
 
 def _factor(norm_q: float, k: float, moment: float, e: float) -> float:

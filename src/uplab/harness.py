@@ -82,7 +82,7 @@ from .core import (
     signal_from_samples,
 )
 from .operators import SmoothedSymbol, apply_freq_symbol, apply_time_symbol, gaussian_smoothed_indicator
-from .report import Report, failed_verdict, make_verdict, skipped_verdict
+from .report import Report, make_verdict, unjudged_verdict
 from .transforms import gaussian_window, spectrogram_marginals
 
 
@@ -322,6 +322,10 @@ class Scenario:
                         f"explicit sets need a nonempty list of {key} windows [lo, hi), got {windows!r}"
                     )
         store("bound_params", _typed("bound_params", self.bound_params, BOUND_DEFAULTS))
+        for key in ("lam1", "lam2", "lam1_sweep", "lam2_sweep"):
+            widths = self.bound_param(key)
+            if not np.all(np.asarray(widths) > 0):
+                raise ScenarioError(f"bound_params.{key} takes positive smoothing widths only, got {widths!r}")
         store("tolerances", _typed("tolerances", self.tolerances, TOLERANCE_DEFAULTS))
         for check_id, tol in self.tolerances.items():
             default = TOLERANCE_DEFAULTS[check_id]
@@ -368,16 +372,33 @@ def scenario_from_dict(data: dict) -> Scenario:
     return Scenario(**data, **nested)
 
 
-def load_scenario(path) -> Scenario:
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a repeated key raises ScenarioError, where json alone keeps the last value."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ScenarioError(f"repeats the JSON key {key!r}")
+        data[key] = value
+    return data
+
+
+def _read_scenario(source, where: str) -> Scenario:
+    """The scenario in the UTF-8 JSON file source (a Path or a package resource); where names it in errors."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(source.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except OSError as exc:
-        raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
+        raise ScenarioError(f"cannot read {where}: {exc}") from exc
+    except ScenarioError as exc:  # a repeated key
+        raise ScenarioError(f"{where} {exc}") from None
     except ValueError as exc:  # UnicodeDecodeError or json.JSONDecodeError
-        raise ScenarioError(f"scenario file {path} is not UTF-8 JSON: {exc}") from exc
+        raise ScenarioError(f"{where} is not UTF-8 JSON: {exc}") from exc
     except RecursionError as exc:
-        raise ScenarioError(f"scenario file {path} nests too deeply to parse: {exc}") from exc
+        raise ScenarioError(f"{where} nests too deeply to parse: {exc}") from exc
     return scenario_from_dict(data)
+
+
+def load_scenario(path) -> Scenario:
+    return _read_scenario(Path(path), f"scenario file {path}")
 
 
 def save_scenario(s: Scenario, path) -> None:
@@ -394,7 +415,7 @@ def bundled_scenario(name: str) -> Scenario:
     candidate = root.joinpath(f"{name}.json")
     if not candidate.is_file():
         raise ScenarioError(f"no bundled scenario {name!r}; available: {list(bundled_scenario_names())}")
-    return scenario_from_dict(json.loads(candidate.read_text(encoding="utf-8")))
+    return _read_scenario(candidate, f"bundled scenario {name}")
 
 
 def standard_suite(grid_n: int = 256, grid_dx: float = 1.0 / 16.0) -> tuple:
@@ -587,7 +608,10 @@ def _check_spread_product(ctx: _RunContext) -> tuple[float, float, str]:
 
 
 def _check_support(ctx: _RunContext, axis: str) -> tuple[float, float, str]:
-    return (*bounds.support_moment_sides(ctx.f, ctx.fhat, ctx.param("alpha_support"), axis), "")
+    alpha = ctx.param("alpha_support")
+    if not alpha > 0.5:
+        raise _Skipped(f"infeasible parameters: need alpha > 1/2 (alpha_support={alpha:g})")
+    return (*bounds.support_moment_sides(ctx.f, ctx.fhat, alpha, axis), "")
 
 
 def _check_smoothing(ctx: _RunContext, axis: str, sweep_key: str) -> tuple[float, float, str]:
@@ -623,18 +647,8 @@ def run_scenario(s: Scenario) -> Report:
     grid = make_grid(s.grid_n, s.grid_dx)
     f = generate_signal(s.signal_kind, s.signal_params, grid)
     fhat = fourier(f)
-    mask_t, mask_w, eps_t, eps_omega = _resolve_sets(s, f, fhat)
+    ctx = _RunContext(s, grid, f, fhat, *_resolve_sets(s, f, fhat))
     heavy = boundary_energy_fraction(f) > 1e-6 or boundary_energy_fraction(fhat) > 1e-6
-    ctx = _RunContext(
-        scenario=s,
-        grid=grid,
-        f=f,
-        fhat=fhat,
-        mask_t=mask_t,
-        mask_w=mask_w,
-        eps_t=eps_t,
-        eps_omega=eps_omega,
-    )
     verdicts = []
     for check_id in dict.fromkeys(s.checks):
         rel_tol = s.tolerance(check_id)
@@ -642,9 +656,9 @@ def run_scenario(s: Scenario) -> Report:
             lhs, rhs, notes = CHECKS[check_id](ctx)
             v = make_verdict(check_id, lhs, rhs, rel_tol, notes)
         except _Skipped as skip:
-            v = skipped_verdict(check_id, str(skip), rel_tol)
+            v = unjudged_verdict(check_id, "skipped", str(skip), rel_tol)
         except Exception as exc:  # noqa: BLE001 - every failure must land in the report
-            v = failed_verdict(check_id, f"error: {exc}", rel_tol)
+            v = unjudged_verdict(check_id, "fail", f"error: {exc}", rel_tol)
         if heavy and check_id in _MOMENT_CHECKS:
             note = "truncation-sensitive" if not v.notes else v.notes + "; truncation-sensitive"
             v = replace(v, notes=note)

@@ -34,12 +34,9 @@ def make_verdict(check_id: str, lhs: float, rhs: float, rel_tol: float, notes: s
     return Verdict(check_id, lhs, rhs, rel_tol, margin, status, notes)
 
 
-def skipped_verdict(check_id: str, reason: str, rel_tol: float) -> Verdict:
-    return Verdict(check_id, math.nan, math.nan, rel_tol, math.nan, "skipped", reason)
-
-
-def failed_verdict(check_id: str, reason: str, rel_tol: float) -> Verdict:
-    return Verdict(check_id, math.nan, math.nan, rel_tol, math.nan, "fail", reason)
+def unjudged_verdict(check_id: str, status: str, reason: str, rel_tol: float) -> Verdict:
+    """A verdict without sides: a skipped check, or a failed one whose sides could not be judged."""
+    return Verdict(check_id, math.nan, math.nan, rel_tol, math.nan, status, reason)
 
 
 def _num(x: float):

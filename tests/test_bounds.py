@@ -365,7 +365,7 @@ class TestSpectralConcentrationConstants:
         assert inside == pytest.approx(erf(math.sqrt(2 * math.pi) * (0.5 + grid.dw / 2)), rel=1e-3)
         assert inside < rhs
 
-    @pytest.mark.parametrize("q", CfSearch().qs)
+    @pytest.mark.parametrize("q", CfSearch.qs)
     def test_every_scan_row_matches_40_digit_gamma_values(self, q):
         # log Ktilde is a sum of terms t_j: logs and log-gammas, the log-Beta
         # taken as lgamma(x) + lgamma(y) - lgamma(x + y).  Each carries at most
@@ -373,7 +373,7 @@ class TestSpectralConcentrationConstants:
         # to two from the rounding of its argument and one from its product and
         # the sum.  K = Ktilde^2 doubles that, and exp and the square add two.
         with mpmath.workdps(40):
-            for alpha in CfSearch().alphas(q):
+            for alpha in CfSearch.alphas(q):
                 a = mpmath.mpf(alpha)
                 head = [mpmath.log(2), mpmath.log(mpmath.pi) / 2, -mpmath.loggamma(0.5)]
                 if math.isinf(q):
@@ -481,6 +481,7 @@ class TestSignalAdaptedBounds:
         monkeypatch.setattr(bounds, "norm_lq", lambda g, q: 1.0)
         monkeypatch.setattr(bounds, "_quadrature_lq", lambda mags, spacing, q: 1.0)
         monkeypatch.setattr(bounds, "price_k", lambda d, alpha, q: 1.0)
+        monkeypatch.setattr(bounds, "_SCAN_TABLE", [(q, a, e, 1.0) for q, a, e, _ in bounds._SCAN_TABLE])
         witness = self._assert_matches_brute_force(f)
         assert witness == {
             "t_bar": first[TIME],
@@ -493,25 +494,40 @@ class TestSignalAdaptedBounds:
 
     @staticmethod
     def _assert_matches_brute_force(f):
-        search = CfSearch(qs=(1.5, 2.0, math.inf), alpha_count=2, center_count=2)
+        # A over (w_bar, q1, alpha1) and B over (t_bar, q2, alpha2) are
+        # tabulated once each, None where a moment vanishes; every witness is
+        # then met in the full-grid scan order t_bar, w_bar, (q1, alpha1),
+        # (q2, alpha2), and strict > keeps the first maximiser
         fhat = fourier(f)
+        pairs = [(q, a) for q in CfSearch.qs for a in CfSearch.alphas(q)]
 
         def centers(g):
             axis = g.axis
-            return [energy_centroid(g)] + np.linspace(axis[0] / 2, axis[-1] / 2, search.center_count).tolist()
+            return [energy_centroid(g)] + np.linspace(axis[0] / 2, axis[-1] / 2, CfSearch.center_count).tolist()
 
-        pairs = [(q, a) for q in search.qs for a in search.alphas(q)]
+        def tabulate(g):
+            rows = []
+            for c, (q, a) in itertools.product(centers(g), pairs):
+                try:
+                    rows.append((c, q, a, _signal_factor(g, c, q, a)))
+                except ValueError:
+                    rows.append((c, q, a, None))
+            return rows
+
+        a_rows, b_rows = tabulate(fhat), tabulate(f)
+        assert len(a_rows) == len(b_rows) == 234
+        norm4 = bounds.norm_lq(f, 2.0) ** 4
         best, best_witness = None, None
-        # full-grid scan order t_bar, w_bar, (q1, alpha1), (q2, alpha2); strict > keeps the first maximiser
-        for tb, wb, (q1, a1), (q2, a2) in itertools.product(centers(f), centers(fhat), pairs, pairs):
-            witness = {"t_bar": tb, "w_bar": wb, "q1": q1, "alpha1": a1, "q2": q2, "alpha2": a2}
-            try:
-                val = cf_quotient(f, fhat, witness)
-            except ValueError:
-                continue
-            if best is None or val > best:
-                best, best_witness = val, witness
-        got = cf_bound(f, fhat, search)
+        for t_row in range(0, len(b_rows), len(pairs)):
+            for wb, q1, a1, a in a_rows:
+                for tb, q2, a2, b in b_rows[t_row : t_row + len(pairs)]:
+                    if a is None or b is None:
+                        continue
+                    val = float(norm4 * a * b)  # the product cf_quotient forms
+                    if best is None or val > best:
+                        best = val
+                        best_witness = {"t_bar": tb, "w_bar": wb, "q1": q1, "alpha1": a1, "q2": q2, "alpha2": a2}
+        got = cf_bound(f, fhat)
         assert got.witness == best_witness
         assert got.value == pytest.approx(best, rel=1e-14)
         return got.witness
@@ -530,8 +546,26 @@ class TestSignalAdaptedBounds:
 
         monkeypatch.setattr(bounds, "_quadrature_lq", counted)
         cf = cf_bound(f, fourier(f))
-        assert sorted(calls) == sorted(2 * [*{2.0, *CfSearch().qs}])
+        assert sorted(calls) == sorted(2 * [*{2.0, *CfSearch.qs}])
         assert cf.factors[0] == norm_lq(f, 2.0)
+
+    def test_cf_bound_only_scans_the_table_built_at_import(self, monkeypatch):
+        # the 39 (q, alpha, e, K) rows are priced once per process, not per call
+        calls = []
+        monkeypatch.setattr(bounds, "price_k", lambda *args: calls.append(("price_k", args)))
+        monkeypatch.setattr(CfSearch, "alphas", lambda *args: calls.append(("alphas", args)))
+        grid = make_grid(256, 1 / 16)
+        f = unit_gaussian(grid)
+        cf_bound(f, fourier(f))
+        assert calls == []
+        assert len(bounds._SCAN_TABLE) == 39
+
+    def test_the_grid_is_fixed(self):
+        f = unit_gaussian(make_grid(64, 1 / 8))
+        with pytest.raises(TypeError):
+            CfSearch(qs=(2.0,))
+        with pytest.raises(TypeError):
+            cf_bound(f, fourier(f), CfSearch)
 
     def test_separate_bounds_multiply_to_the_product_form(self):
         grid = make_grid(256, 1 / 16)
@@ -613,7 +647,7 @@ class TestGaussianFactorGridRefinement:
         dx = 1 / math.sqrt(n)
         f = unit_gaussian(make_grid(n, dx))
         worst = 0.0
-        for q, alpha, e, k in bounds._scan_table(CfSearch()):
+        for q, alpha, e, k in bounds._SCAN_TABLE:
             got = bounds._factor(norm_lq(f, q), k, weighted_moment_norm(f, 0.0, alpha, q), e)
             with mpmath.workdps(30):
                 exact = self.closed_form(q, alpha, e, k)
@@ -660,9 +694,17 @@ N65536_SIGNALS = n65536_signals()
 BRACKET_SIGNALS = SCAN_SIGNALS + N65536_SIGNALS
 
 
-def scan_inputs(g, search=None):
-    search = search or CfSearch()
-    return g, bounds._scan_centers(g, search.center_count), bounds._scan_table(search)
+def scan_inputs(g, table=None):
+    return g, bounds._scan_centers(g), bounds._SCAN_TABLE if table is None else table
+
+
+def underflow_table():
+    """Scan rows for q in (2, inf) with alpha up to 40, where dist^alpha underflows near a spike."""
+
+    class Wide(CfSearch):
+        qs, alpha_max = (2.0, math.inf), 40.0
+
+    return [(q, a, 2.0 / (a * conjugate_exponent(q)), price_k(1, a, q)) for q in Wide.qs for a in Wide.alphas(q)]
 
 
 @st.composite
@@ -697,8 +739,8 @@ class TestRankBracket:
         monkeypatch.setattr(bounds, "_BRACKET_MIN_SUPPORT", 1)
 
     @staticmethod
-    def assert_sound(g, search=None, centers=None):
-        g, scan_centers, table = scan_inputs(g, search)
+    def assert_sound(g, table=None, centers=None):
+        g, scan_centers, table = scan_inputs(g, table)
         centers = scan_centers if centers is None else centers
         scan = bounds._FactorScan(g, centers, table)
         lo, up = scan.bracket()
@@ -713,7 +755,7 @@ class TestRankBracket:
     def test_holds_on_every_row(self, name, f):
         # the default table has q = inf rows; the centroid of a symmetric
         # signal sits inside the block around 0
-        assert math.inf in CfSearch().qs
+        assert math.inf in CfSearch.qs
         for g in (f, fourier(f)):
             lo, _, _ = self.assert_sound(g)
             assert np.isfinite(lo).any()
@@ -758,7 +800,7 @@ class TestRankBracket:
         f = signal_from_samples(grid, samples)
         assert energy_centroid(f) == grid.times[40]
         _, up, _ = self.assert_sound(f)
-        table_size = len(bounds._scan_table(CfSearch()))
+        table_size = len(bounds._SCAN_TABLE)
         assert np.all(up[:table_size] == -np.inf)  # the centroid is the spike: M = 0
         assert np.isfinite(up[table_size:]).all()
         self.assert_sound(fourier(f))
@@ -806,7 +848,7 @@ class TestRankBracket:
         grid = make_grid(64, 1e-10)
         samples = np.zeros(grid.n)
         samples[40] = 1.0
-        self.assert_sound(signal_from_samples(grid, samples), CfSearch(qs=(2.0, math.inf), alpha_max=40.0))
+        self.assert_sound(signal_from_samples(grid, samples), underflow_table())
 
 
 class TestRankedFactorScan:
@@ -892,8 +934,7 @@ class TestRankedFactorScan:
         grid = make_grid(64, 1e-10)
         samples = np.zeros(grid.n)
         samples[40] = 1.0
-        search = CfSearch(qs=(2.0, math.inf), alpha_max=40.0)
-        g, centers, table = scan_inputs(signal_from_samples(grid, samples), search)
+        g, centers, table = scan_inputs(signal_from_samples(grid, samples), underflow_table())
         ranks = bounds._FactorScan(g, centers, table).ranks(np.arange(len(centers) * len(table)))
         top = int(np.argmax(ranks))
         c, (q, a, _, _) = centers[top // len(table)], table[top % len(table)]
@@ -909,8 +950,7 @@ class TestRankedFactorScan:
         grid = make_grid(64, 1e-10)
         samples = np.zeros(grid.n)
         samples[40] = 1.0
-        search = CfSearch(qs=(2.0, math.inf), alpha_max=40.0)
-        g, centers, table = scan_inputs(signal_from_samples(grid, samples), search)
+        g, centers, table = scan_inputs(signal_from_samples(grid, samples), underflow_table())
         monkeypatch.setattr(bounds, "_BRACKET_MIN_SUPPORT", 1)
         ranked_rows = []
         ranked = bounds._FactorScan.ranks
@@ -928,7 +968,7 @@ class TestRankedFactorScan:
         grid = make_grid(64, 1 / 8)
         zero = signal_from_samples(grid, np.zeros(grid.n))
         with pytest.raises(ValueError, match="no feasible witness"):
-            bounds._best_factor(zero, [0.0, 1.0], bounds._scan_table(CfSearch()))
+            bounds._best_factor(zero, [0.0, 1.0], bounds._SCAN_TABLE)
 
 
 class TestUncertaintyFloors:

@@ -219,6 +219,8 @@ class TestRunCommand:
             {"sets": {"mode": "auto", "eps_t": 0.1, "eps_omgea": 0.1}},
             {"name": 5},
             {"grid": {"n": 1e20}},
+            {"bound_params": {"lam1": -1.0}},
+            {"bound_params": {"lam2_sweep": [1.0, 0.0]}},
         ],
         ids=[
             "odd-grid",
@@ -262,6 +264,8 @@ class TestRunCommand:
             "misspelt-defect",
             "numeric-name",
             "grid-past-the-array-limit",
+            "negative-smoothing-width",
+            "zero-sweep-width",
         ],
     )
     def test_malformed_scenario_is_a_usage_error(self, tmp_path, capsys, fields):
@@ -270,6 +274,24 @@ class TestRunCommand:
         assert main(["run", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        ("text", "key"),
+        [
+            ('{"name": "dup", "name": "dup2"}', "name"),
+            ('{"name": "dup", "bound_params": {"lam1": 1.0, "lam1": 4.0}}', "lam1"),
+            # objects are built innermost first, so the nested repeat is met first
+            ('{"name": "dup", "name": "dup2", "bound_params": {"lam1": 1.0, "lam1": 4.0}}', "lam1"),
+        ],
+        ids=["top-level", "nested", "both"],
+    )
+    def test_a_repeated_json_key_is_a_usage_error_that_names_it(self, tmp_path, capsys, text, key):
+        path = tmp_path / "dup.json"
+        path.write_text(text)
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: scenario file {path} repeats the JSON key {key!r}\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize(

@@ -156,8 +156,15 @@ class TestScenarioSchema:
             {"grid_dx": "0.125"},
             {"name": 5},
             {"signal_kind": "random_bandlimited", "signal_params": {"seed": 2.5}},
+            {"bound_params": {"lam1": -1.0}},
+            {"bound_params": {"lam2": 0.0}},
+            {"bound_params": {"lam1_sweep": [1.0, -4.0]}},
+            {"bound_params": {"lam2_sweep": [0.0, 1.0]}},
         ],
-        ids=["boolean-grid-spacing", "string-grid-spacing", "numeric-name", "fractional-seed"],
+        ids=[
+            "boolean-grid-spacing", "string-grid-spacing", "numeric-name", "fractional-seed",
+            "negative-lam1", "zero-lam2", "negative-sweep-width", "zero-sweep-width",
+        ],
     )
     def test_scenario_built_in_python_is_checked_like_a_file(self, fields):
         with pytest.raises(ScenarioError):
@@ -261,12 +268,12 @@ class TestRunScenario:
         np.testing.assert_array_equal(grid.times[mask.flags], [-1.0, -0.5, 0.0, 0.5])
 
     def test_check_errors_become_failed_verdicts(self):
-        # alpha below the admissible range for the support bound: the check
-        # raises internally and the runner must record it, not crash.
-        s = Scenario(name="bad-alpha", bound_params={"alpha_support": 0.4}, checks=("support-time",))
+        # a smoothing kernel too wide for the grid: the check raises
+        # internally and the runner must record it, not crash.
+        s = Scenario(name="wide-kernel", bound_params={"lam1": 1e-6}, checks=("optimized-product",))
         report = run_scenario(s)
         assert report.summary["fail"] == 1
-        assert report.verdicts[0].notes.startswith("error:")
+        assert report.verdicts[0].notes.startswith("error: smoothing kernel (mu=2e-06) is not contained")
 
     def test_non_finite_side_becomes_an_error(self):
         # alpha = 1e300 sends |t|^alpha f past the double range, so the
@@ -305,11 +312,21 @@ class TestRunScenario:
             # a width too narrow for the grid raises if its L f is built
             ({"bound_params": {"lam1_sweep": [1e-6]}}, "smoothing-time", "sweep needs at least two kernel widths"),
             ({"bound_params": {"lam2_sweep": []}}, "smoothing-freq", "sweep needs at least two kernel widths"),
+            (
+                {"bound_params": {"alpha_support": 0.4}},
+                "support-time",
+                "infeasible parameters: need alpha > 1/2 (alpha_support=0.4)",
+            ),
+            (
+                {"bound_params": {"alpha_support": 0.5}},
+                "support-freq",
+                "infeasible parameters: need alpha > 1/2 (alpha_support=0.5)",
+            ),
         ],
         ids=[
             "ds-product", "signal-product", "optimized-product", "marginal-energy", "spread-product",
             "local-energy", "local-energy-truncation-sensitive", "smoothing-time-narrow-width",
-            "smoothing-freq-no-width",
+            "smoothing-freq-no-width", "support-time", "support-freq",
         ],
     )
     def test_every_skip_path_gives_its_note_and_no_sides(self, fields, check_id, note):
@@ -436,10 +453,10 @@ class TestRunScenario:
         # skipped and failed verdicts carry it too
         skipped = Scenario(name="wide", sets=WIDE_SETS, checks=("ds-product",), tolerances={"ds-product": 1e-9})
         failed = Scenario(
-            name="bad-alpha",
-            bound_params={"alpha_support": 0.4},
-            checks=("support-time",),
-            tolerances={"support-time": 1e-8},
+            name="wide-kernel",
+            bound_params={"lam1": 1e-6},
+            checks=("optimized-product",),
+            tolerances={"optimized-product": 1e-8},
         )
         for scenario, status, rel_tol in ((skipped, "skipped", 1e-9), (failed, "fail", 1e-8)):
             (row,) = json.loads(report_to_json(run_scenario(scenario)))["verdicts"]
