@@ -15,6 +15,7 @@ constants, and a scenario harness that verifies every inequality end to end.
 from .bounds import (
     BoundValue,
     CfSearch,
+    HypothesisError,
     alpha_k_profile,
     cf_bound,
     conjugate_exponent,

@@ -14,7 +14,9 @@ Conventions for the exponents:
 
 Product bounds for the measures |T| * |Omega| of a (eps_T, eps_Omega)
 concentration pair come in several strengths; each function documents the
-hypotheses it needs and validates them.
+hypotheses it needs and validates them.  An input that breaks a theorem's
+hypothesis raises HypothesisError; any other invalid input (a value outside
+the domain of a formula, or a non-finite result) raises a plain ValueError.
 """
 
 from __future__ import annotations
@@ -28,6 +30,10 @@ from .concentration import _moment_lq, energy_centroid, support_mask, weighted_m
 from .core import _BLOCK_BYTES, FREQUENCY, TIME, Signal, _quadrature_lq, norm_lq
 
 INF = float("inf")
+
+
+class HypothesisError(ValueError):
+    """An input for which the inequality's hypothesis fails, so the bound makes no claim."""
 
 
 def conjugate_exponent(q: float) -> float:
@@ -77,7 +83,7 @@ def ds_bound(eps_t: float, eps_omega: float) -> float:
     _check_eps(eps_t, eps_omega)
     s = eps_t + eps_omega
     if s >= 1.0:
-        raise ValueError(f"bound requires eps_t + eps_omega < 1, got {s}")
+        raise HypothesisError(f"ds_bound requires eps_t + eps_omega < 1, got {s}")
     return (1.0 - s) ** 2
 
 
@@ -123,7 +129,7 @@ def improved_bound(eps_t: float, eps_omega: float, d: int = 1) -> BoundValue:
     d = _check_dimension(d)
     eps = eps_t + eps_omega
     if eps > 1.0:
-        raise ValueError(f"bound requires eps_t + eps_omega <= 1, got {eps}")
+        raise HypothesisError(f"improved_bound requires eps_t + eps_omega <= 1, got {eps}")
     params = {"eps_t": eps_t, "eps_omega": eps_omega, "d": d}
     if eps == 0.0:
         return BoundValue(_finite("improved_bound", params, lambda: math.exp(2.0 * d)), {"r": INF}, attained=False)
@@ -211,18 +217,23 @@ def _check_dimension(d: int) -> int:
 
 
 def price_ktilde(d: int, alpha: float, q: float) -> float:
-    """Unsquared local constant for general q in (1, inf]; requires alpha > d/q'."""
-    d, alpha = _check_dimension(d), float(alpha)
-    if not (np.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"moment exponent must be positive and finite, got {alpha!r}")
-    q = float(q)
+    """Unsquared local constant for general q in (1, inf]; requires alpha > d/q'.
+
+    The hypothesis is decided relatively, as alpha q' > d (1 + 1e-12), so it
+    holds at every q where alpha exceeds d/q' by that factor (at q = inf,
+    q' = 1 and alpha > d).  A finite alpha <= 0 fails it too.
+    """
+    d, alpha, q = _check_dimension(d), float(alpha), float(q)
+    if not math.isfinite(alpha):
+        raise ValueError(f"moment exponent must be finite, got {alpha!r}")
     if q <= 1.0:
-        raise ValueError(f"constant defined for q > 1, got {q!r}")
+        raise HypothesisError(f"price_ktilde requires q > 1, got {q!r}")
+    qp = conjugate_exponent(q)
+    if not alpha * qp > d * (1.0 + 1e-12):
+        raise HypothesisError(f"price_ktilde requires alpha > d/q', got alpha={alpha!r}, q'={qp!r}, d={d}")
     params = {"d": d, "alpha": alpha, "q": q}
     if math.isinf(q):
         # limit of the finite-q expression as q -> inf (conjugate exponent 1)
-        if not alpha > d + 1e-12:
-            raise ValueError(f"q = inf requires alpha > d, got alpha={alpha}, d={d}")
         return _finite("price_ktilde", params, lambda: math.exp(
             math.log(2.0)
             + (d / 2.0) * math.log(math.pi)
@@ -231,11 +242,8 @@ def price_ktilde(d: int, alpha: float, q: float) -> float:
             - math.log(d)
             - math.log(alpha - d)
         ))
-    qp = conjugate_exponent(q)
     x = d / (alpha * q)
     y = 1.0 / (q - 1.0) - x
-    if not y > 1e-12 / max(alpha, 1.0):
-        raise ValueError(f"constant requires alpha > d/q', got alpha={alpha}, q'={qp}, d={d}")
     return _finite("price_ktilde", params, lambda: math.exp(
         ((q - 1.0) / q) * (
             math.log(2.0)
@@ -566,7 +574,7 @@ def delta_bound(f: Signal, meas_t: float, meas_omega: float, eps_t: float, eps_o
     """Spread-product floor: (1-eps_T^2)(1-eps_Omega^2) ||f||_2^2 / (4 pi^2 |T||Omega|)."""
     _check_eps(eps_t, eps_omega)
     if not (meas_t > 0 and meas_omega > 0):
-        raise ValueError("measures must be positive")
+        raise HypothesisError(f"delta_bound requires positive measures, got {meas_t} and {meas_omega}")
     n2 = norm_lq(f, 2.0)
     return float((1.0 - eps_t**2) * (1.0 - eps_omega**2) * n2**2 / (4.0 * math.pi**2 * meas_t * meas_omega))
 
@@ -585,17 +593,16 @@ def support_moment_sides(f: Signal, fhat: Signal, alpha: float, axis: str) -> tu
     where Mw / Mt is the L^2 moment of order alpha of the other-domain signal
     about its energy centroid and K = K(1, alpha, 2).  Support is measured at
     the fixed relative magnitude threshold 1e-12 of `support_mask`.  The zero
-    signal raises ValueError.
+    signal raises ValueError.  An alpha that breaks K's hypothesis at q = 2,
+    alpha > 1/2, raises HypothesisError before any side is measured.
     """
-    alpha = float(alpha)
-    if not alpha > 0.5:
-        raise ValueError(f"support bound requires alpha > 1/2, got {alpha!r}")
     if axis not in (TIME, FREQUENCY):
         raise ValueError(f"axis must be 'time' or 'frequency', got {axis!r}")
+    k = price_k(1, alpha, 2.0)
     n2 = norm_lq(f, 2.0)
     if n2 == 0.0:
         raise ValueError("support bound of the zero signal is undefined")
     supported, other = (f, fhat) if axis == TIME else (fhat, f)
     supp = support_mask(supported).measure
     moment = weighted_moment_norm(other, energy_centroid(other), alpha, 2.0)
-    return supp * moment ** (1.0 / alpha), n2 ** (1.0 / alpha) / price_k(1, alpha, 2.0)
+    return supp * moment ** (1.0 / alpha), n2 ** (1.0 / alpha) / k

@@ -36,10 +36,14 @@ smoothing-freq          ||L2 f - Q f||_2 strictly decreases along the
 ======================  ======================================================
 
 Each entry of CHECKS maps a run context to (lhs, rhs, notes) for lhs >= rhs;
-`bounds` only computes the sides, each once per run.  A check whose
-hypothesis fails raises _Skipped with the reason.  `run_scenario` is the one
-place that judges: it makes the verdict at the scenario's tolerance for that
-check, turns _Skipped into a skipped verdict and any other error (a
+`bounds` computes the sides, each once per run, and is the one place that
+decides a theorem's hypothesis: a bound whose hypothesis fails raises
+`bounds.HypothesisError`, and the checks test none of them themselves.  Two
+rules belong to the harness alone, signal-product's eps_T + eps_Omega <= 1
+and a smoothing sweep of at least two widths; they raise the same error.
+`run_scenario` is the one place that judges: it makes the verdict at the
+scenario's tolerance for that check, turns a HypothesisError into a skipped
+verdict noted "hypothesis violated: <its message>", and any other error (a
 non-finite side among them) into a failed verdict carrying the error text —
 a run never raises mid-report.
 """
@@ -509,28 +513,16 @@ def _certified_eps(value: float) -> float:
     return math.sqrt(1.0 - min(max(value, 0.0), 1.0))
 
 
-class _Skipped(Exception):
-    """Raised by a check whose hypothesis fails; its message is the skip reason."""
-
-
 def _check_ds_product(ctx: _RunContext) -> tuple[float, float, str]:
-    s = ctx.eps_t + ctx.eps_omega
-    if s >= 1.0:
-        raise _Skipped(f"hypothesis violated: eps_t + eps_omega = {s:.6g} >= 1")
     mt, mw = ctx.measures()
     return mt * mw, bounds.ds_bound(ctx.eps_t, ctx.eps_omega), f"eps_t={ctx.eps_t:.6g} eps_omega={ctx.eps_omega:.6g}"
 
 
-def _certified_product(
-    ctx: _RunContext, eps_t: float, eps_w: float, source: str, notes
-) -> tuple[float, float, str]:
-    """|T||Omega| against improved_bound at a certified defect pair; notes(r) gives the notes."""
-    s = eps_t + eps_w
-    if s >= 1.0:
-        raise _Skipped(f"hypothesis violated: {source} certify eps_t + eps_omega = {s:.6g} >= 1")
+def _certified_product(ctx: _RunContext, eps_t: float, eps_w: float) -> tuple[float, float, float]:
+    """|T||Omega|, improved_bound at a certified defect pair, and the bound's witness r."""
     bv = bounds.improved_bound(eps_t, eps_w)
     mt, mw = ctx.measures()
-    return mt * mw, bv.value, notes(bv.witness["r"])
+    return mt * mw, bv.value, bv.witness["r"]
 
 
 def _projection(ctx: _RunContext, axis: str, lam: float | None) -> Signal:
@@ -545,10 +537,8 @@ def _check_optimized_product(ctx: _RunContext) -> tuple[float, float, str]:
     total = energy(ctx.f)
     eps_t = _certified_eps(energy(_projection(ctx, TIME, ctx.param("lam1"))) / total)
     eps_w = _certified_eps(energy(_projection(ctx, FREQUENCY, ctx.param("lam2"))) / total)
-    return _certified_product(
-        ctx, eps_t, eps_w, "smoothed-operator energies",
-        lambda r: f"certified eps_t={eps_t:.6f} eps_omega={eps_w:.6f} r={r:.4f}",
-    )
+    lhs, rhs, r = _certified_product(ctx, eps_t, eps_w)
+    return lhs, rhs, f"certified eps_t={eps_t:.6f} eps_omega={eps_w:.6f} r={r:.4f}"
 
 
 def _check_marginal_energy(ctx: _RunContext) -> tuple[float, float, str]:
@@ -558,16 +548,13 @@ def _check_marginal_energy(ctx: _RunContext) -> tuple[float, float, str]:
         _, freq_profile = spectrogram_marginals(ctx.f, gaussian_window(lam2, ctx.grid))
     m_t = min(abs(complex(ctx.grid.dx * np.sum(time_profile[ctx.mask_t.flags]))), 1.0)
     m_w = min(abs(complex(ctx.grid.dw * np.sum(freq_profile[ctx.mask_w.flags]))), 1.0)
-    return _certified_product(
-        ctx, _certified_eps(m_t**2), _certified_eps(m_w**2), "marginal masses",
-        lambda r: f"witness g=f; marginal masses m_t={m_t:.6f} m_omega={m_w:.6f}",
-    )
+    lhs, rhs, _ = _certified_product(ctx, _certified_eps(m_t**2), _certified_eps(m_w**2))
+    return lhs, rhs, f"witness g=f; marginal masses m_t={m_t:.6f} m_omega={m_w:.6f}"
 
 
 def _check_local_energy(ctx: _RunContext) -> tuple[float, float, str]:
     alpha, q = ctx.param("alpha"), ctx.param("q")
-    if q <= 1.0 or not alpha > 1.0 / bounds.conjugate_exponent(q):
-        raise _Skipped(f"infeasible parameters: need q > 1 and alpha > d/q' (alpha={alpha:g}, q={q:g})")
+    bounds.price_k(1, alpha, q)  # decides the hypothesis before norm_lq refuses a q below 1
     norm, moment = norm_lq(ctx.f, q), bounds.weighted_moment_norm(ctx.f, 0.0, alpha, q)
     upper = bounds.price_rhs(norm, moment, ctx.mask_w.measure, 1, alpha, q)
     notes = f"upper bound on spectral energy in the frequency set (alpha={alpha:g}, q={q:g})"
@@ -577,7 +564,7 @@ def _check_local_energy(ctx: _RunContext) -> tuple[float, float, str]:
 def _check_signal_product(ctx: _RunContext) -> tuple[float, float, str]:
     s = ctx.eps_t + ctx.eps_omega
     if s > 1.0:
-        raise _Skipped(f"hypothesis violated: eps_t + eps_omega = {s:.6g} > 1")
+        raise bounds.HypothesisError(f"eps_t + eps_omega = {s:.6g} > 1")
     cf = ctx.cf()
     w = cf.witness
     mt, mw = ctx.measures()
@@ -593,8 +580,6 @@ def _check_separate(ctx: _RunContext, axis: str) -> tuple[float, float, str]:
 
 def _check_spread_product(ctx: _RunContext) -> tuple[float, float, str]:
     mt, mw = ctx.measures()
-    if mt <= 0 or mw <= 0:
-        raise _Skipped("hypothesis violated: a concentration set has zero measure")
     rhs = bounds.delta_bound(ctx.f, mt, mw, ctx.eps_t, ctx.eps_omega)
     floor = bounds.heisenberg_floor(ctx.f)
     interesting = mt * mw <= (1.0 - ctx.eps_t**2) * (1.0 - ctx.eps_omega**2) / math.pi
@@ -608,17 +593,14 @@ def _check_spread_product(ctx: _RunContext) -> tuple[float, float, str]:
 
 
 def _check_support(ctx: _RunContext, axis: str) -> tuple[float, float, str]:
-    alpha = ctx.param("alpha_support")
-    if not alpha > 0.5:
-        raise _Skipped(f"infeasible parameters: need alpha > 1/2 (alpha_support={alpha:g})")
-    return (*bounds.support_moment_sides(ctx.f, ctx.fhat, alpha, axis), "")
+    return (*bounds.support_moment_sides(ctx.f, ctx.fhat, ctx.param("alpha_support"), axis), "")
 
 
 def _check_smoothing(ctx: _RunContext, axis: str, sweep_key: str) -> tuple[float, float, str]:
     """Each width's projection error is taken as its L f is built, so one L f is held at a time."""
     sweep = ctx.param(sweep_key)
     if len(sweep) < 2:
-        raise _Skipped("sweep needs at least two kernel widths")
+        raise bounds.HypothesisError("sweep needs at least two kernel widths")
     sharp = _projection(ctx, axis, None)
     errors = [_diff_norm(_projection(ctx, axis, lam), sharp) for lam in sweep]
     drops = [errors[i] - errors[i + 1] for i in range(len(errors) - 1)]
@@ -655,8 +637,8 @@ def run_scenario(s: Scenario) -> Report:
         try:
             lhs, rhs, notes = CHECKS[check_id](ctx)
             v = make_verdict(check_id, lhs, rhs, rel_tol, notes)
-        except _Skipped as skip:
-            v = unjudged_verdict(check_id, "skipped", str(skip), rel_tol)
+        except bounds.HypothesisError as exc:
+            v = unjudged_verdict(check_id, "skipped", f"hypothesis violated: {exc}", rel_tol)
         except Exception as exc:  # noqa: BLE001 - every failure must land in the report
             v = unjudged_verdict(check_id, "fail", f"error: {exc}", rel_tol)
         if heavy and check_id in _MOMENT_CHECKS:

@@ -311,6 +311,34 @@ def k1_closed_form(d, alpha):
     )
 
 
+def ktilde_40_digit_error(got, alpha, q, power=1):
+    """The relative error of got against Ktilde(1, alpha, q)^power by 40-digit mpmath, and its scale.
+
+    log Ktilde is a sum of terms t_j: logs and log-gammas, the log-Beta taken
+    as lgamma(x) + lgamma(y) - lgamma(x + y).  Each carries at most 4 units of
+    2^-53 of max(|t_j|, 1): one from its library function, up to two from the
+    rounding of its argument and one from its product and the sum.  The scale
+    is the sum of max(|t_j|, 1), so Ktilde errs by at most 2^-53 (4 scale + 1)
+    relative, exp adding the one.
+    """
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        head = [mpmath.log(2), mpmath.log(mpmath.pi) / 2, -mpmath.loggamma(0.5)]
+        if math.isinf(q):
+            terms = head + [mpmath.log(a), -mpmath.log(a - 1)]
+            log_k = mpmath.fsum(terms)
+        else:
+            qm, qp = mpmath.mpf(q), 1 / (1 - 1 / mpmath.mpf(q))
+            x, y = 1 / (a * qm), 1 / (qm - 1) - 1 / (a * qm)
+            bracket = head + [-mpmath.log(a * qm)]
+            tail = [mpmath.log(a * qp - 1) / (qm * qp * a), -mpmath.log(1 - 1 / (a * qp)) / qm]
+            log_k = (qm - 1) / qm * (mpmath.fsum(bracket) + mpmath.log(mpmath.beta(x, y))) + mpmath.fsum(tail)
+            log_gammas = [mpmath.loggamma(x), mpmath.loggamma(y), -mpmath.loggamma(x + y)]
+            terms = [(qm - 1) / qm * t for t in bracket + log_gammas] + tail
+        want = mpmath.exp(power * log_k)
+        return float(abs(got - want) / want), float(mpmath.fsum(max(abs(t), 1) for t in terms))
+
+
 class TestSpectralConcentrationConstants:
     def test_closed_form_values(self):
         assert k1_closed_form(1, 1.0) == pytest.approx(2 * math.pi, rel=1e-12)
@@ -367,30 +395,20 @@ class TestSpectralConcentrationConstants:
 
     @pytest.mark.parametrize("q", CfSearch.qs)
     def test_every_scan_row_matches_40_digit_gamma_values(self, q):
-        # log Ktilde is a sum of terms t_j: logs and log-gammas, the log-Beta
-        # taken as lgamma(x) + lgamma(y) - lgamma(x + y).  Each carries at most
-        # 4 units of 2^-53 of max(|t_j|, 1): one from its library function, up
-        # to two from the rounding of its argument and one from its product and
-        # the sum.  K = Ktilde^2 doubles that, and exp and the square add two.
-        with mpmath.workdps(40):
-            for alpha in CfSearch.alphas(q):
-                a = mpmath.mpf(alpha)
-                head = [mpmath.log(2), mpmath.log(mpmath.pi) / 2, -mpmath.loggamma(0.5)]
-                if math.isinf(q):
-                    log_k = mpmath.fsum(head) + mpmath.log(a) - mpmath.log(a - 1)
-                    terms = head + [mpmath.log(a), -mpmath.log(a - 1)]
-                else:
-                    qm, qp = mpmath.mpf(q), 1 / (1 - 1 / mpmath.mpf(q))
-                    x, y = 1 / (a * qm), 1 / (qm - 1) - 1 / (a * qm)
-                    bracket = head + [-mpmath.log(a * qm)]
-                    tail = [mpmath.log(a * qp - 1) / (qm * qp * a), -mpmath.log(1 - 1 / (a * qp)) / qm]
-                    log_k = (qm - 1) / qm * (mpmath.fsum(bracket) + mpmath.log(mpmath.beta(x, y))) + mpmath.fsum(tail)
-                    log_gammas = [mpmath.loggamma(x), mpmath.loggamma(y), -mpmath.loggamma(x + y)]
-                    terms = [(qm - 1) / qm * t for t in bracket + log_gammas] + tail
-                want = mpmath.exp(2 * log_k)
-                scale = float(mpmath.fsum(max(abs(t), 1) for t in terms))
-                err = float(abs(price_k(1, alpha, q) - want) / want)
-                assert err <= 2.0**-53 * (8 * scale + 2), (alpha, err, scale)
+        # K = Ktilde^2 doubles the error of `ktilde_40_digit_error`'s rule, and exp
+        # and the square add two units
+        for alpha in CfSearch.alphas(q):
+            err, scale = ktilde_40_digit_error(price_k(1, alpha, q), alpha, q, power=2)
+            assert err <= 2.0**-53 * (8 * scale + 2), (alpha, err, scale)
+
+    @pytest.mark.parametrize("q", [1e13, 1e15, 1e20, 1e300])
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 5.0])
+    def test_huge_q_matches_40_digit_gamma_values(self, alpha, q):
+        # alpha exceeds d/q' ~ 1 by a fixed factor, so the hypothesis holds at
+        # every q; an absolute margin on y = (alpha q' - d)/(alpha q) refused
+        # them all once q reached ~1e13
+        err, scale = ktilde_40_digit_error(price_ktilde(1, alpha, q), alpha, q)
+        assert err <= 2.0**-53 * (4 * scale + 1), (err, scale)
 
 
 class TestSignalAdaptedBounds:
@@ -1030,3 +1048,84 @@ class TestSupportMomentBound:
         f = unit_gaussian(grid)
         with pytest.raises(ValueError):
             support_moment_sides(f, fourier(f), 0.5, TIME)
+
+
+def _gaussian_pair():
+    f = unit_gaussian(make_grid(256, 1 / 16))
+    return f, fourier(f)
+
+
+def _zero_signal():
+    return signal_from_samples(make_grid(256, 1 / 16), np.zeros(256))
+
+
+class TestHypothesisErrors:
+    """A broken hypothesis raises HypothesisError; any other refusal a plain ValueError."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: ds_bound(0.6, 0.5),
+            lambda: ds_bound(0.5, 0.5),  # the classical floor needs eps_T + eps_Omega < 1
+            lambda: improved_bound(0.6, 0.6),
+            lambda: delta_bound(_gaussian_pair()[0], 0.0, 1.0, 0.1, 0.1),
+            lambda: delta_bound(_gaussian_pair()[0], 1.0, -1.0, 0.1, 0.1),
+            lambda: price_k(1, 1.0, 1.0),
+            lambda: price_k(1, 1.0, 0.5),
+            lambda: price_k(1, 1.0, -2.0),
+            lambda: price_k(1, 0.5, 2.0),
+            lambda: price_k(1, 0.5 + 4e-13, 2.0),  # within the relative margin 1e-12 of d/q'
+            lambda: price_k(2, 1.0, 2.0),
+            lambda: price_ktilde(1, 0.9, math.inf),
+            lambda: price_ktilde(1, 1.0, math.inf),
+            lambda: price_ktilde(1, 0.0, 2.0),
+            lambda: price_ktilde(1, -3.0, math.inf),
+            lambda: price_rhs(1.0, 1.0, 1.0, 1, 0.5, 2.0),
+            lambda: support_moment_sides(*_gaussian_pair(), 0.5, TIME),
+            lambda: support_moment_sides(*_gaussian_pair(), -1.0, FREQUENCY),
+        ],
+    )
+    def test_each_hypothesis_raises_hypothesis_error(self, call):
+        with pytest.raises(uplab.HypothesisError):
+            call()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: ds_bound(-0.1, 0.1),
+            lambda: ds_bound(1.5, 0.0),
+            lambda: improved_bound(0.1, 1.1),
+            lambda: improved_bound(0.1, 0.1, d=0),
+            lambda: improved_bound(1e-300, 0.0, d=400),  # the supremum is past the double range
+            lambda: price_ktilde(1, math.nan, 2.0),
+            lambda: price_ktilde(1, math.inf, 2.0),
+            lambda: price_ktilde(1, -math.inf, 2.0),
+            lambda: price_ktilde(1, 2.0, math.nan),
+            lambda: price_ktilde(0, 2.0, 2.0),
+            lambda: price_ktilde(1.5, 2.0, 2.0),
+            lambda: price_ktilde(1, 1e308, 2.0),  # alpha q overflows: a non-finite result
+            lambda: support_moment_sides(*_gaussian_pair(), 1.0, "phase"),
+            lambda: support_moment_sides(_zero_signal(), _gaussian_pair()[1], 1.0, TIME),
+        ],
+    )
+    def test_each_domain_error_is_a_plain_value_error(self, call):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert not isinstance(info.value, uplab.HypothesisError)
+
+    def test_support_bound_prices_k_before_it_measures_a_side(self, monkeypatch):
+        def measured(*args):
+            raise AssertionError("a side was measured")
+
+        for name in ("norm_lq", "support_mask", "energy_centroid", "weighted_moment_norm"):
+            monkeypatch.setattr(bounds, name, measured)
+        with pytest.raises(uplab.HypothesisError):
+            support_moment_sides(*_gaussian_pair(), 0.5, TIME)
+
+    @pytest.mark.parametrize("q", [1.5, 2.0, 4.0, 1e13, 1e300, math.inf])
+    def test_the_margin_is_relative_to_d_over_q_prime(self, q):
+        qp = conjugate_exponent(q)
+        for d in (1, 2, 3):
+            with pytest.raises(uplab.HypothesisError):
+                price_k(d, d / qp * (1 + 5e-13), q)
+            assert math.isfinite(price_k(d, d / qp * (1 + 5e-12), q))

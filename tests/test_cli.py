@@ -100,6 +100,11 @@ class TestConstantsCommand:
 
         assert payload["value"] == pytest.approx(price_ktilde(1, 2.0, 4.0))
 
+    def test_general_constant_at_a_huge_q(self, capsys):
+        # alpha = 2 exceeds d/q' = 1 - 1e-13 by the factor 2, so the constant exists
+        assert main(["constants", "--which", "ktilde", "--d", "1", "--alpha", "2", "--q", "1e13"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(3.9999999999993228, rel=1e-14)
+
     def test_transform_constant(self, capsys):
         assert main(["constants", "--which", "lieb", "--d", "1", "--p", "4"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -346,6 +351,25 @@ class TestRunCommand:
         captured = capsys.readouterr()
         assert "FAIL local-energy: lhs=nan rhs=nan margin=nan (error: local-energy: cannot judge a non-finite side (lhs=inf," in captured.out
         assert captured.err == ""
+
+    @pytest.mark.parametrize(
+        "bound_params, checks, lines",
+        [
+            ({"alpha_support": 0.5000000000001}, ["support-time", "support-freq"], ["SKIP support-freq", "SKIP support-time"]),
+            ({"alpha": 0.5000000000001}, ["local-energy"], ["SKIP local-energy"]),
+            ({"alpha": 2.0, "q": 1e13}, ["local-energy"], ["PASS local-energy"]),
+        ],
+        ids=["alpha-support-on-the-margin", "alpha-on-the-margin", "huge-q"],
+    )
+    def test_a_run_at_the_hypothesis_boundary_exits_zero(self, tmp_path, capsys, bound_params, checks, lines):
+        # each alpha lies within K's margin of d/q' (skipped) or past it (passes); none fails
+        path = tmp_path / "boundary.json"
+        path.write_text(json.dumps({"name": "boundary", "bound_params": bound_params, "checks": checks}))
+        assert main(["run", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in out[:-1]] == lines
+        for line in out[:-1]:
+            assert line.startswith("PASS") or ": hypothesis violated: price_ktilde requires alpha > d/q'" in line
 
     def test_skips_are_reported_but_not_failures(self, capsys):
         rc = main(["run", "bandlimited-demo"])

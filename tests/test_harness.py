@@ -48,7 +48,8 @@ from uplab.harness import BOUND_DEFAULTS, CHECKS, SIGNAL_DEFAULTS, SIGNAL_KINDS,
 
 GRID = make_grid(256, 1 / 16)
 WIDE_SETS = {"mode": "auto", "eps_t": 0.6, "eps_omega": 0.5}
-INFEASIBLE = "infeasible parameters: need q > 1 and alpha > d/q' (alpha=1, q=1)"
+SWEEP = "hypothesis violated: sweep needs at least two kernel widths"
+INFEASIBLE = "hypothesis violated: price_ktilde requires q > 1, got 1.0"
 
 
 class TestSignalGeneration:
@@ -286,22 +287,26 @@ class TestRunScenario:
     @pytest.mark.parametrize(
         "fields, check_id, note",
         [
-            ({"sets": WIDE_SETS}, "ds-product", "hypothesis violated: eps_t + eps_omega = 1.1 >= 1"),
+            (
+                {"sets": WIDE_SETS},
+                "ds-product",
+                "hypothesis violated: ds_bound requires eps_t + eps_omega < 1, got 1.1",
+            ),
             ({"sets": WIDE_SETS}, "signal-product", "hypothesis violated: eps_t + eps_omega = 1.1 > 1"),
             (
                 {"sets": WIDE_SETS},
                 "optimized-product",
-                "hypothesis violated: smoothed-operator energies certify eps_t + eps_omega = 1.60884 >= 1",
+                "hypothesis violated: improved_bound requires eps_t + eps_omega <= 1, got 1.6088407145000734",
             ),
             (
                 {"sets": WIDE_SETS},
                 "marginal-energy",
-                "hypothesis violated: marginal masses certify eps_t + eps_omega = 1.64555 >= 1",
+                "hypothesis violated: improved_bound requires eps_t + eps_omega <= 1, got 1.6455511356824553",
             ),
             (
                 {"sets": {"mode": "auto", "eps_t": 1.0, "eps_omega": 0.1}},
                 "spread-product",
-                "hypothesis violated: a concentration set has zero measure",
+                "hypothesis violated: delta_bound requires positive measures, got 0.0 and 1.5",
             ),
             ({"bound_params": {"q": 1.0}}, "local-energy", INFEASIBLE),
             (
@@ -310,17 +315,17 @@ class TestRunScenario:
                 INFEASIBLE + "; truncation-sensitive",
             ),
             # a width too narrow for the grid raises if its L f is built
-            ({"bound_params": {"lam1_sweep": [1e-6]}}, "smoothing-time", "sweep needs at least two kernel widths"),
-            ({"bound_params": {"lam2_sweep": []}}, "smoothing-freq", "sweep needs at least two kernel widths"),
+            ({"bound_params": {"lam1_sweep": [1e-6]}}, "smoothing-time", SWEEP),
+            ({"bound_params": {"lam2_sweep": []}}, "smoothing-freq", SWEEP),
             (
                 {"bound_params": {"alpha_support": 0.4}},
                 "support-time",
-                "infeasible parameters: need alpha > 1/2 (alpha_support=0.4)",
+                "hypothesis violated: price_ktilde requires alpha > d/q', got alpha=0.4, q'=2.0, d=1",
             ),
             (
                 {"bound_params": {"alpha_support": 0.5}},
                 "support-freq",
-                "infeasible parameters: need alpha > 1/2 (alpha_support=0.5)",
+                "hypothesis violated: price_ktilde requires alpha > d/q', got alpha=0.5, q'=2.0, d=1",
             ),
         ],
         ids=[
@@ -334,6 +339,28 @@ class TestRunScenario:
         (v,) = json.loads(report_to_json(report))["verdicts"]
         sides = {"lhs": None, "rhs": None, "rel_tol": TOLERANCE_DEFAULTS[check_id], "margin": None}
         assert v == {"check": check_id, **sides, "status": "skipped", "notes": note}
+
+    @pytest.mark.parametrize(
+        "alpha, q",
+        [((1 + k * 1e-13) / bounds.conjugate_exponent(q), q)
+         for q in (1.5, 2.0, 4.0, 1e13, 1e300) for k in (-1, 0, 1, 5, 20)]
+        + [(0.0, 2.0), (-1.0, 2.0), (1.0, -2.0), (1.0, 0.5), (1.0, 1.0)],
+    )
+    def test_a_skip_at_the_hypothesis_boundary_is_exactly_where_bounds_refuses(self, alpha, q):
+        # alpha = (d/q')(1 + k 1e-13) straddles K's margin; the harness adds no rule of its own
+        s = Scenario(
+            name="boundary",
+            bound_params={"alpha": alpha, "q": q, "alpha_support": alpha},
+            checks=("local-energy", "support-time", "support-freq"),
+        )
+        for v in run_scenario(s).verdicts:
+            k_q = q if v.check_id == "local-energy" else 2.0
+            try:
+                bounds.price_k(1, alpha, k_q)
+                refused = False
+            except bounds.HypothesisError:
+                refused = True
+            assert v.status == ("skipped" if refused else "pass"), v
 
     @pytest.mark.parametrize("lhs, rhs", [(math.nan, 1.0), (1.0, math.inf), (-math.inf, 0.0)])
     def test_make_verdict_refuses_a_non_finite_side(self, lhs, rhs):
@@ -364,7 +391,7 @@ class TestRunScenario:
         s = Scenario(name="one-width", bound_params={"lam1_sweep": [4.0], "lam2_sweep": [0.25]}, checks=SMOOTHING_CHECKS)
         for v in run_scenario(s).verdicts:
             assert v.status == "skipped"
-            assert v.notes == "sweep needs at least two kernel widths"
+            assert v.notes == SWEEP
 
     def test_heavy_tails_are_flagged_on_moment_checks(self):
         s = Scenario(name="wide", signal_params={"lam": 0.002}, checks=("support-time", "ds-product"))
@@ -756,6 +783,12 @@ class TestReadmeTables:
         assert improved_note.startswith("2.650...") and improved_line.startswith("2.650")
         assert float(improved_line) == pytest.approx(2.650168425311579, rel=1e-15)
 
+
+    def test_hypothesis_table_names_each_check_once_and_its_deciding_function(self):
+        rows = _readme_table("| check | hypothesis decided by | rule |")
+        assert sorted(check_id for check_id, _, _ in rows) == sorted(CHECKS)
+        for check_id, decider, _ in rows:
+            assert decider == "harness" or callable(getattr(bounds, decider, None)), (check_id, decider)
 
     def test_signal_parameter_table_matches_the_defaults(self):
         documented = {}
