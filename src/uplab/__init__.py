@@ -100,7 +100,7 @@ from .transforms import (
     gabor_transform,
     gaussian_window,
     marginals,
-    spectrogram_marginals,
+    spectrogram_masses,
     tf_norm_lp,
     tfmatrix_from_values,
     trig_upsample2,

@@ -13,10 +13,12 @@ optimized-product       |T||Omega| >= sup_r (1-eps)^r (r/(r-1))^(2d(r-1)),
                         concentration operators L1, L2
 marginal-energy         same optimized bound, with eps certified by
                         spectrogram-marginal masses on T and Omega (witness
-                        g = f), streamed in row blocks with one Gabor pass
-                        per distinct window; |V_w f|^2 is formed as
-                        conj(v) * v, so its rounding does not depend on
-                        the array size
+                        g = f), streamed in row blocks with at most one
+                        Gabor pass per distinct window, over the window
+                        shifts that meet f; |V_w f|^2 is formed as
+                        conj(v) * v on the rows of T and the columns of
+                        Omega only, so its rounding does not depend on the
+                        array size
 local-energy            spectral energy in Omega <= K(d,alpha,q) |Omega|
                         ||f||_q^(2-e) |||t|^alpha f||_q^e, e = 2d/(alpha q')
 signal-product          |T||Omega| >= C_f (1 - eps_T - eps_Omega)^2 at the
@@ -87,7 +89,7 @@ from .core import (
 )
 from .operators import SmoothedSymbol, apply_freq_symbol, apply_time_symbol, gaussian_smoothed_indicator
 from .report import Report, make_verdict, unjudged_verdict
-from .transforms import gaussian_window, spectrogram_marginals
+from .transforms import gaussian_window, spectrogram_masses
 
 
 class ScenarioError(ValueError):
@@ -543,11 +545,15 @@ def _check_optimized_product(ctx: _RunContext) -> tuple[float, float, str]:
 
 def _check_marginal_energy(ctx: _RunContext) -> tuple[float, float, str]:
     lam1, lam2 = ctx.param("lam1"), ctx.param("lam2")
-    time_profile, freq_profile = spectrogram_marginals(ctx.f, gaussian_window(lam1, ctx.grid))
-    if lam2 != lam1:
-        _, freq_profile = spectrogram_marginals(ctx.f, gaussian_window(lam2, ctx.grid))
-    m_t = min(abs(complex(ctx.grid.dx * np.sum(time_profile[ctx.mask_t.flags]))), 1.0)
-    m_w = min(abs(complex(ctx.grid.dw * np.sum(freq_profile[ctx.mask_w.flags]))), 1.0)
+    in_t, in_w = ctx.mask_t.flags, ctx.mask_w.flags
+    window = gaussian_window(lam1, ctx.grid)
+    if lam2 == lam1:
+        mass_t, mass_w = spectrogram_masses(ctx.f, window, in_t, in_w)
+    else:
+        empty = np.zeros(ctx.grid.n, dtype=bool)
+        mass_t, _ = spectrogram_masses(ctx.f, window, in_t, empty)
+        _, mass_w = spectrogram_masses(ctx.f, gaussian_window(lam2, ctx.grid), empty, in_w)
+    m_t, m_w = min(abs(complex(mass_t)), 1.0), min(abs(complex(mass_w)), 1.0)
     lhs, rhs, _ = _certified_product(ctx, _certified_eps(m_t**2), _certified_eps(m_w**2))
     return lhs, rhs, f"witness g=f; marginal masses m_t={m_t:.6f} m_omega={m_w:.6f}"
 

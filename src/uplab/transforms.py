@@ -1,4 +1,4 @@
-"""Time-frequency transforms: Gabor, spectrogram marginals, and Wigner distributions.
+"""Time-frequency transforms: Gabor, spectrogram masses, and Wigner distributions.
 
 All transforms share the grid conventions of :mod:`uplab.core` and produce
 n-by-n matrices indexed [time, frequency] with cell weight dx * dw.  Window
@@ -10,13 +10,17 @@ exact for every signal, at the cost of wrap-around for signals with mass near
 the grid edge (a documented trade the harness flags).
 
 Every row of V_w f comes from one kernel, ``_gabor_rows``, which builds a
-block of rows in FFT order in a buffer its caller passes and transforms it.
-``gabor_transform`` runs it over all n rows.  ``spectrogram_marginals`` runs
-it over row blocks of at most ``_BLOCK_BYTES`` and keeps only the two
-marginal vectors.  The dense spectrogram conj(V_w f) * V_w f and its
-``marginals`` live in the tests as the oracle: the streamed profiles do the
-same arithmetic in the same order, so they are bit-identical to it at every
-array size and block height.
+block of rows in FFT order in a buffer its caller passes and transforms the
+rows whose integrand is not identically zero; a shift whose window meets no
+nonzero sample of f (tails that underflow to 0.0 on a wide grid) leaves a
+zero row, which is its exact transform.  ``gabor_transform`` runs it over
+all n rows.  ``spectrogram_masses`` runs it over row blocks of at most
+``_BLOCK_BYTES`` and keeps only the spectrogram's masses on a time set and a
+frequency set, computing |V_w f|^2 only on the rows and columns those sums
+read.  The dense spectrogram conj(V_w f) * V_w f and its ``marginals`` live
+in the tests as the oracle: the stream does the same arithmetic in the same
+order on every cell it keeps, so both masses are bit-identical to it at
+every array size and block height.
 
 The cross-Wigner distribution is
 
@@ -101,64 +105,115 @@ def _check_gabor_args(f: Signal, window: Signal) -> None:
         raise ValueError("window must be nonzero")
 
 
-def _gabor_rows(f: Signal, window: Signal, j0: int, out: np.ndarray) -> np.ndarray:
-    """Rows j0:j0 + len(out) of V_w f, as dx * fftshift(fft(.)) of the integrand in FFT order.
+def _runs(flags: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) of each maximal run of True in a boolean vector, in order."""
+    edges = np.flatnonzero(np.concatenate(([False], flags)) != np.concatenate((flags, [False]))).tolist()
+    return list(zip(edges[::2], edges[1::2]))
 
-    In FFT order the integrand of row j is ifftshift(f)[k] * conj(w[(k - j) mod n]);
-    the window gather is a reversed sliding view of conj(w) repeated twice.
-    ``out`` holds the integrand, then the rows: the fftshift and the dx
-    scaling are taken as one product per half row.  The FFT output is the
-    only array allocated.
+
+def _gabor_operands(f: Signal, window: Signal) -> tuple[np.ndarray, np.ndarray]:
+    """ifftshift(f) and the window gather of ``_gabor_rows``, built once per transform.
+
+    Row n - j of the gather is conj(w[(k - j) mod n]) over k: a reversed
+    sliding view of conj(w) repeated twice, so it allocates 2n samples only.
     """
-    n, half = f.grid.n, f.grid.n // 2
-    j1 = j0 + out.shape[0]
+    n = f.grid.n
     cw = np.conj(window.samples)
     shifts = np.lib.stride_tricks.sliding_window_view(np.concatenate((cw, cw)), n)
-    np.multiply(np.fft.ifftshift(f.samples)[None, :], shifts[n - j0 : n - j1 : -1], out=out)
-    spectrum = np.fft.fft(out, axis=1)
-    np.multiply(f.grid.dx, spectrum[:, half:], out=out[:, :half])
-    np.multiply(f.grid.dx, spectrum[:, :half], out=out[:, half:])
-    return out
+    return np.fft.ifftshift(f.samples), shifts
+
+
+def _gabor_rows(fz: np.ndarray, shifts: np.ndarray, dx: float, j0: int, out: np.ndarray) -> np.ndarray:
+    """Rows j0:j0 + len(out) of V_w f, as dx * fftshift(fft(.)) of the integrand in FFT order.
+
+    In FFT order the integrand of row j is fz[k] * shifts[n - j][k], with
+    (fz, shifts) from ``_gabor_operands``.  ``out`` holds the integrand,
+    then the rows: the fftshift and the dx scaling are taken as one product
+    per half row.  A row whose integrand is identically zero is already its
+    transform, so only the runs of live rows are transformed; their FFT
+    outputs are the only row-sized arrays allocated.  Returns the live-row
+    flags.
+    """
+    n, half = fz.shape[0], fz.shape[0] // 2
+    j1 = j0 + out.shape[0]
+    np.multiply(fz[None, :], shifts[n - j0 : n - j1 : -1], out=out)
+    live = out.view(np.float64).any(axis=1)
+    for a, b in _runs(live):
+        spectrum = np.fft.fft(out[a:b], axis=1)
+        np.multiply(dx, spectrum[:, half:], out=out[a:b, :half])
+        np.multiply(dx, spectrum[:, :half], out=out[a:b, half:])
+    return live
 
 
 def gabor_transform(f: Signal, window: Signal) -> TFMatrix:
     """V_w f(x_j, w_k) = dx * sum_m exp(-2*pi*i*t_m*w_k) f(t_m) conj(w(t_m - x_j)).
 
-    The window is shifted cyclically, one FFT per time shift.
+    The window is shifted cyclically, one FFT per time shift that meets f.
     """
     _check_gabor_args(f, window)
     n = f.grid.n
-    values = _gabor_rows(f, window, 0, np.empty((n, n), dtype=np.complex128))
+    values = np.empty((n, n), dtype=np.complex128)
+    _gabor_rows(*_gabor_operands(f, window), f.grid.dx, 0, values)
     values.setflags(write=False)
     return TFMatrix(f.grid, values)
 
 
-def spectrogram_marginals(f: Signal, window: Signal) -> tuple[np.ndarray, np.ndarray]:
-    """Time and frequency marginals of the spectrogram |V_w f|^2, streamed over row blocks.
+def _leading(buffer: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The first rows * cols cells of a contiguous buffer, as a rows-by-cols view."""
+    return buffer.reshape(-1)[: rows * cols].reshape(rows, cols)
 
-    Each block's |V_w f|^2 rows are formed as conj(v) * v and summed as the
-    dense spectrogram's ``marginals`` sums them (per row along frequency; row
-    by row into the frequency accumulator), so both profiles are bit-identical
-    to that dense route, the tests' oracle, for any block height while only
-    one block is held.  The row and |v|^2 buffers are reused across blocks.
+
+def spectrogram_masses(f: Signal, window: Signal, time_set, freq_set) -> tuple[complex, complex]:
+    """Masses of the spectrogram |V_w f|^2 on a time set T and a frequency set Omega.
+
+    With (time_profile, freq_profile) the ``marginals`` of the dense
+    spectrogram, returns dx * sum_{j in T} time_profile[j] and
+    dw * sum_{k in Omega} freq_profile[k]; T and Omega are boolean flags
+    over the time and frequency samples.  V_w f is streamed in row blocks of
+    at most ``_BLOCK_BYTES``: the rows of T, or all rows when Omega is not
+    empty, of which ``_gabor_rows`` transforms only the shifts that meet f.
+    |V_w f|^2 is formed as conj(v) * v on the rows of T, each summed along
+    frequency, and on the Omega columns of the live rows, added row by row
+    in ascending time.  That is the dense route's arithmetic in its order,
+    and every skipped cell would add an exact zero, so both masses are
+    bit-identical to it, the tests' oracle.  The row and |v|^2 buffers are
+    reused across blocks: the gathered Omega columns go to the |v|^2 buffer,
+    their |v|^2 over the rows they were read from, and its running sum down
+    the rows back to the |v|^2 buffer.
     """
     _check_gabor_args(f, window)
-    n = f.grid.n
+    grid = f.grid
+    n = grid.n
+    time_set, freq_set = np.asarray(time_set, dtype=bool), np.asarray(freq_set, dtype=bool)
+    if time_set.shape != (n,) or freq_set.shape != (n,):
+        raise ValueError(f"sets must flag the {n} grid samples, got shapes {time_set.shape} and {freq_set.shape}")
+    cols = np.flatnonzero(freq_set)
     step = max(1, _BLOCK_BYTES // (16 * n))
     # one allocation for both buffers: with glibc, two separate ones let the
     # heap be trimmed and faulted in again on every call (measured at n = 256)
     rows, power = np.empty((2, min(step, n), n), dtype=np.complex128)
-    row_sums = np.empty(n, dtype=np.complex128)
-    col_sum = np.zeros(n, dtype=np.complex128)
-    for j0 in range(0, n, step):
-        count = min(step, n - j0)
-        v = _gabor_rows(f, window, j0, rows[:count])
-        block = np.conj(v, out=power[:count])
-        block *= v
-        row_sums[j0 : j0 + step] = block.sum(axis=1)
-        for row in block:
-            col_sum += row
-    return f.grid.dw * row_sums, f.grid.dx * col_sum
+    row_sums = np.zeros(np.count_nonzero(time_set), dtype=np.complex128)
+    col_sum = np.zeros(cols.size, dtype=np.complex128)
+    operands = _gabor_operands(f, window)
+    done = 0  # rows of T summed so far
+    for a, b in _runs(time_set if cols.size == 0 else np.ones(n, dtype=bool)):
+        for j0 in range(a, b, step):
+            v = rows[: min(step, b - j0)]
+            live = _gabor_rows(*operands, grid.dx, j0, v)
+            for s, e in _runs(time_set[j0 : j0 + len(v)]):
+                block = np.conj(v[s:e], out=power[: e - s])
+                block *= v[s:e]
+                row_sums[done : done + e - s] = block.sum(axis=1)
+                done += e - s
+            for s, e in _runs(live):
+                # mode="clip" writes straight into out; the default mode buffers it
+                picked = np.take(v[s:e], cols, axis=1, out=_leading(power, e - s, cols.size), mode="clip")
+                block = np.conj(picked, out=_leading(v[s:e], e - s, cols.size))
+                block *= picked
+                # a running sum down the rows: col_sum + row 0 + row 1 + ..., in that order
+                block[0] += col_sum
+                col_sum[:] = np.add.accumulate(block, axis=0, out=picked)[-1]
+    return grid.dx * np.sum(grid.dw * row_sums), grid.dw * np.sum(grid.dx * col_sum)
 
 
 def tf_norm_lp(m: TFMatrix, p: float) -> float:

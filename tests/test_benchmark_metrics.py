@@ -22,7 +22,7 @@ PER_LAYER = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text()
 
 # Metrics known to name a function that is gone.  The list is exact, so the
 # test fails once a name is mended too.  transforms.spectrogram moved into
-# tests/test_transforms.py as the dense oracle of spectrogram_marginals.
+# tests/test_transforms.py as the dense oracle of spectrogram_masses.
 STALE = {"transforms.spectrogram.self_s"}
 
 

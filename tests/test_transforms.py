@@ -3,9 +3,10 @@
 Oracles: the exact cyclic energy identity for the windowed transform, the
 closed-form Wigner distribution of Gaussian bumps, orthogonality relations
 for phase-space inner products, and hand-countable cell sums.  The streamed
-spectrogram marginals are pinned bit for bit to the dense spectrogram built
-here from the Gabor transform, the Gabor transform to the explicit shift-table construction, and the Wigner
-distribution to the explicit index-table gather of its lag products.
+spectrogram masses are pinned bit for bit to the dense spectrogram's
+marginals built here from the Gabor transform, the Gabor transform to the
+explicit shift-table construction, and the Wigner distribution to the
+explicit index-table gather of its lag products.
 """
 
 import math
@@ -21,19 +22,20 @@ from uplab import (
     fourier,
     gabor_transform,
     gaussian_window,
+    generate_signal,
     inner,
     make_grid,
     marginals,
     norm_lq,
     run_scenario,
     signal_from_samples,
-    spectrogram_marginals,
+    spectrogram_masses,
     tf_norm_lp,
     tfmatrix_from_values,
     trig_upsample2,
     wigner,
 )
-from uplab import transforms
+from uplab import bounds, transforms
 
 
 def noise_signal(grid, seed, normalize=True):
@@ -136,6 +138,15 @@ class TestGabor:
         f, w = noise_signal(grid, 12), noise_signal(grid, 13)
         np.testing.assert_array_equal(gabor_transform(f, w).values, shift_table_gabor(f, w))
 
+    @pytest.mark.parametrize("kind", ["gaussian", "indicator"])
+    def test_shifts_that_miss_the_signal_give_zero_rows_exactly(self, kind):
+        # on t in [-64, 64) most window shifts meet no nonzero sample of f
+        grid = make_grid(1024, 1 / 8)
+        f, w = generate_signal(kind, {}, grid), gaussian_window(1.0, grid)
+        v = gabor_transform(f, w).values
+        assert np.count_nonzero(np.any(v, axis=1)) < grid.n // 2
+        np.testing.assert_array_equal(v, shift_table_gabor(f, w))
+
     def test_gaussian_window_object_is_accepted(self):
         grid = make_grid(256, 1 / 16)
         f = unit_gaussian(grid)
@@ -201,47 +212,123 @@ class TestSpectrogram:
         assert grid.dw * freq_profile.sum() == pytest.approx(1.0, rel=1e-10)
 
 
-class TestSpectrogramMarginals:
+def dense_masses(f, window, time_set, freq_set):
+    """The oracle: the dense spectrogram's marginals, summed over each set with the dual weights."""
+    time_profile, freq_profile = marginals(spectrogram(f, f, window))
+    return f.grid.dx * np.sum(time_profile[time_set]), f.grid.dw * np.sum(freq_profile[freq_set])
+
+
+def scattered_sets(n, seed):
+    """Non-contiguous time and frequency sets: random picks plus the two outermost samples."""
+    rng = np.random.default_rng(seed)
+    time_set, freq_set = rng.random(n) < 0.3, rng.random(n) < 0.6
+    time_set[[0, -1]] = freq_set[[0, -1]] = True
+    return time_set, freq_set
+
+
+def live_shift_count(f, window):
+    """Shifts j whose integrand f * conj(w(. - x_j)) has a nonzero sample, from explicit shift-table rows."""
+    n = f.grid.n
+    m = np.arange(n)
+    return sum(bool(np.any(f.samples * np.conj(window.samples[(m - j + n // 2) % n]))) for j in range(n))
+
+
+def fft_rows(monkeypatch):
+    """Patch numpy's fft to record the rows of every call; returns the list of row counts."""
+    calls, fft = [], np.fft.fft
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape[0])
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counting)
+    return calls
+
+
+class TestSpectrogramMasses:
     @pytest.mark.parametrize("n", [64, 256])
     @pytest.mark.parametrize("make_signal", [lambda g: noise_signal(g, 14), chirp], ids=["noise", "chirp"])
-    def test_equal_the_dense_marginals_exactly(self, n, make_signal):
+    def test_equal_the_dense_masses_exactly(self, n, make_signal):
         grid = make_grid(n, 1 / 16 if n > 64 else 1 / 8)
         f, w = make_signal(grid), gaussian_window(1.0, grid)
-        time_profile, freq_profile = spectrogram_marginals(f, w)
-        dense_time, dense_freq = marginals(spectrogram(f, f, w))
-        np.testing.assert_array_equal(time_profile, dense_time)
-        np.testing.assert_array_equal(freq_profile, dense_freq)
+        time_set, freq_set = scattered_sets(n, n)
+        np.testing.assert_array_equal(spectrogram_masses(f, w, time_set, freq_set), dense_masses(f, w, time_set, freq_set))
 
     @pytest.mark.parametrize("n", [258, 1000])
-    def test_uneven_row_blocks_equal_the_dense_marginals_exactly(self, n):
+    def test_uneven_row_blocks_equal_the_dense_masses_exactly(self, n):
         # 258 rows would leave a 4-row tail after full 254-row blocks
         assert n % (transforms._BLOCK_BYTES // (16 * n)) != 0
         grid = make_grid(n, 1 / 16)
         f, w = noise_signal(grid, 15), gaussian_window(2.0, grid)
-        time_profile, freq_profile = spectrogram_marginals(f, w)
-        dense_time, dense_freq = marginals(spectrogram(f, f, w))
-        np.testing.assert_array_equal(time_profile, dense_time)
-        np.testing.assert_array_equal(freq_profile, dense_freq)
+        time_set, freq_set = scattered_sets(n, 15)
+        np.testing.assert_array_equal(spectrogram_masses(f, w, time_set, freq_set), dense_masses(f, w, time_set, freq_set))
 
-    def test_small_row_blocks_equal_the_dense_marginals_exactly(self, monkeypatch):
+    def test_small_row_blocks_equal_the_dense_masses_exactly(self, monkeypatch):
         # 3-row blocks (48 KiB) fall below numpy's 256 KiB temporary-elision
         # threshold while the dense 1 MiB array does not; both form conj(v) * v
         n = 256
         monkeypatch.setattr(transforms, "_BLOCK_BYTES", 3 * 16 * n)
         grid = make_grid(n, 1 / 16)
         f, w = noise_signal(grid, 17), gaussian_window(1.0, grid)
-        time_profile, freq_profile = spectrogram_marginals(f, w)
-        dense_time, dense_freq = marginals(spectrogram(f, f, w))
-        np.testing.assert_array_equal(time_profile, dense_time)
-        np.testing.assert_array_equal(freq_profile, dense_freq)
+        time_set, freq_set = scattered_sets(n, 17)
+        np.testing.assert_array_equal(spectrogram_masses(f, w, time_set, freq_set), dense_masses(f, w, time_set, freq_set))
+
+    @pytest.mark.parametrize("make_signal", [unit_gaussian, lambda g: generate_signal("indicator", {}, g)], ids=["gaussian", "indicator"])
+    def test_underflowing_tails_equal_the_dense_masses_exactly(self, make_signal):
+        # on t in [-64, 64) the signal and the window are exactly 0.0 past |t| ~ 15,
+        # so most window shifts meet no sample of f and are skipped
+        grid = make_grid(1024, 1 / 8)
+        f, w = make_signal(grid), gaussian_window(1.0, grid)
+        assert live_shift_count(f, w) < grid.n // 2
+        for time_set, freq_set in (scattered_sets(grid.n, 18), (np.abs(grid.times) < 2, np.abs(grid.freqs) < 1)):
+            np.testing.assert_array_equal(
+                spectrogram_masses(f, w, time_set, freq_set), dense_masses(f, w, time_set, freq_set)
+            )
+
+    def test_one_empty_set_gives_zero_and_leaves_the_other_mass_exact(self):
+        grid = make_grid(256, 1 / 16)
+        f, w = noise_signal(grid, 19), gaussian_window(1.0, grid)
+        time_set, freq_set = scattered_sets(grid.n, 19)
+        empty = np.zeros(grid.n, dtype=bool)
+        mass_t, mass_w = dense_masses(f, w, time_set, freq_set)
+        assert spectrogram_masses(f, w, time_set, empty) == (mass_t, 0)
+        assert spectrogram_masses(f, w, empty, freq_set) == (0, mass_w)
+
+    def test_sets_must_flag_every_grid_sample(self):
+        grid = make_grid(64, 1 / 8)
+        f, w = noise_signal(grid, 22), gaussian_window(1.0, grid)
+        full = np.ones(grid.n, dtype=bool)
+        for time_set, freq_set in ((full[:-1], full), (full, np.ones((2, grid.n), dtype=bool))):
+            with pytest.raises(ValueError, match="sets must flag the 64 grid samples"):
+                spectrogram_masses(f, w, time_set, freq_set)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "random_bandlimited"])
+    def test_transforms_only_the_shifts_that_meet_the_signal(self, monkeypatch, kind):
+        grid = make_grid(1024, 1 / 8)
+        f, w = generate_signal(kind, {}, grid), gaussian_window(1.0, grid)
+        expected = live_shift_count(f, w)
+        assert expected < grid.n // 2 if kind == "gaussian" else expected == grid.n
+        rows = fft_rows(monkeypatch)
+        spectrogram_masses(f, w, *scattered_sets(grid.n, 20))
+        assert sum(rows) == expected
+
+    def test_transforms_only_the_time_set_when_the_frequency_set_is_empty(self, monkeypatch):
+        grid = make_grid(256, 1 / 16)
+        f, w = noise_signal(grid, 21), gaussian_window(1.0, grid)
+        time_set, _ = scattered_sets(grid.n, 21)
+        rows = fft_rows(monkeypatch)
+        spectrogram_masses(f, w, time_set, np.zeros(grid.n, dtype=bool))
+        assert sum(rows) == np.count_nonzero(time_set)
 
     def test_peak_memory_stays_below_a_quarter_of_one_dense_array(self):
         n = 2048
         grid = make_grid(n, 1 / math.sqrt(n))
         f, w = noise_signal(grid, 16), gaussian_window(1.0, grid)
+        # full sets read every cell: the most the stream holds at once
+        full = np.ones(n, dtype=bool)
         tracemalloc.start()
         try:
-            spectrogram_marginals(f, w)
+            spectrogram_masses(f, w, full, full)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -254,10 +341,10 @@ class TestSpectrogramMarginals:
         rows_per_window = {}
         rows = transforms._gabor_rows
 
-        def counting(f, window, j0, out):
-            key = window.samples.tobytes()
-            rows_per_window[key] = rows_per_window.get(key, 0) + out.shape[0]
-            return rows(f, window, j0, out)
+        def counting(fz, shifts, dx, j0, out):
+            # the gather's last row is conj(w) itself
+            rows_per_window.setdefault(shifts[-1].tobytes(), []).extend(range(j0, j0 + out.shape[0]))
+            return rows(fz, shifts, dx, j0, out)
 
         monkeypatch.setattr(transforms, "_gabor_rows", counting)
         scenario = Scenario(
@@ -265,8 +352,32 @@ class TestSpectrogramMarginals:
             bound_params={"lam1": 1.0, "lam2": lam2},
         )
         run_scenario(scenario)
-        # one pass over the n rows of V_w f per distinct window
-        assert list(rows_per_window.values()) == [scenario.grid_n] * windows
+        # at most one pass over the n rows of V_w f per distinct window; the
+        # frequency mass's window reads them all, a time-only window only T's
+        assert len(rows_per_window) == windows
+        for visited in rows_per_window.values():
+            assert len(visited) == len(set(visited)) <= scenario.grid_n
+        assert sorted(visited) == list(range(scenario.grid_n))
+
+    def test_marginal_energy_with_two_windows_matches_the_dense_oracle(self):
+        lam1, lam2 = 1.0, 2.0
+        scenario = Scenario(
+            name="two-windows", grid_n=256, grid_dx=1 / 16, checks=("marginal-energy",),
+            sets={"mode": "explicit", "time": [[-3.0, -0.0625], [0.0, 3.0]], "frequency": [[-3.0, -0.0625], [0.0, 3.0]]},
+            bound_params={"lam1": lam1, "lam2": lam2},
+        )
+        grid = make_grid(scenario.grid_n, scenario.grid_dx)
+        f = generate_signal(scenario.signal_kind, scenario.signal_params, grid)
+        # one sample cut out of each set at -1/16
+        in_t, in_w = ((-3.0 <= ax) & (ax < 3.0) & (ax != -0.0625) for ax in (grid.times, grid.freqs))
+        mass_t, _ = dense_masses(f, gaussian_window(lam1, grid), in_t, in_w)
+        _, mass_w = dense_masses(f, gaussian_window(lam2, grid), in_t, in_w)
+        m_t, m_w = min(abs(complex(mass_t)), 1.0), min(abs(complex(mass_w)), 1.0)
+        rhs = bounds.improved_bound(math.sqrt(1.0 - m_t**2), math.sqrt(1.0 - m_w**2)).value
+        (verdict,) = run_scenario(scenario).verdicts
+        assert verdict.status != "skipped"
+        assert verdict.rhs == rhs
+        assert verdict.notes == f"witness g=f; marginal masses m_t={m_t:.6f} m_omega={m_w:.6f}"
 
 
 class TestWigner:
