@@ -170,8 +170,8 @@ def spectrogram_masses(f: Signal, window: Signal, time_set, freq_set) -> tuple[c
     spectrogram, returns dx * sum_{j in T} time_profile[j] and
     dw * sum_{k in Omega} freq_profile[k]; T and Omega are boolean flags
     over the time and frequency samples.  V_w f is streamed in row blocks of
-    at most ``_BLOCK_BYTES``: the rows of T, or all rows when Omega is not
-    empty, of which ``_gabor_rows`` transforms only the shifts that meet f.
+    at most ``_BLOCK_BYTES``, of which ``_gabor_rows`` transforms only the
+    shifts that meet f.
     |V_w f|^2 is formed as conj(v) * v on the rows of T, each summed along
     frequency, and on the Omega columns of the live rows, added row by row
     in ascending time.  That is the dense route's arithmetic in its order,
@@ -196,23 +196,22 @@ def spectrogram_masses(f: Signal, window: Signal, time_set, freq_set) -> tuple[c
     col_sum = np.zeros(cols.size, dtype=np.complex128)
     operands = _gabor_operands(f, window)
     done = 0  # rows of T summed so far
-    for a, b in _runs(time_set if cols.size == 0 else np.ones(n, dtype=bool)):
-        for j0 in range(a, b, step):
-            v = rows[: min(step, b - j0)]
-            live = _gabor_rows(*operands, grid.dx, j0, v)
-            for s, e in _runs(time_set[j0 : j0 + len(v)]):
-                block = np.conj(v[s:e], out=power[: e - s])
-                block *= v[s:e]
-                row_sums[done : done + e - s] = block.sum(axis=1)
-                done += e - s
-            for s, e in _runs(live):
-                # mode="clip" writes straight into out; the default mode buffers it
-                picked = np.take(v[s:e], cols, axis=1, out=_leading(power, e - s, cols.size), mode="clip")
-                block = np.conj(picked, out=_leading(v[s:e], e - s, cols.size))
-                block *= picked
-                # a running sum down the rows: col_sum + row 0 + row 1 + ..., in that order
-                block[0] += col_sum
-                col_sum[:] = np.add.accumulate(block, axis=0, out=picked)[-1]
+    for j0 in range(0, n, step):
+        v = rows[: min(step, n - j0)]
+        live = _gabor_rows(*operands, grid.dx, j0, v)
+        for s, e in _runs(time_set[j0 : j0 + len(v)]):
+            block = np.conj(v[s:e], out=power[: e - s])
+            block *= v[s:e]
+            row_sums[done : done + e - s] = block.sum(axis=1)
+            done += e - s
+        for s, e in _runs(live):
+            # mode="clip" writes straight into out; the default mode buffers it
+            picked = np.take(v[s:e], cols, axis=1, out=_leading(power, e - s, cols.size), mode="clip")
+            block = np.conj(picked, out=_leading(v[s:e], e - s, cols.size))
+            block *= picked
+            # a running sum down the rows: col_sum + row 0 + row 1 + ..., in that order
+            block[0] += col_sum
+            col_sum[:] = np.add.accumulate(block, axis=0, out=picked)[-1]
     return grid.dx * np.sum(grid.dw * row_sums), grid.dw * np.sum(grid.dx * col_sum)
 
 
