@@ -264,17 +264,16 @@ def price_k(d: int, alpha: float, q: float) -> float:
     return price_ktilde(d, alpha, q) ** 2
 
 
-def price_rhs(norm_q: float, moment_q: float, omega_measure: float, d: int, alpha: float, q: float) -> float:
-    """Right side of the local energy bound:
+def price_rhs(f: Signal, center: float, omega_measure: float, alpha: float, q: float) -> float:
+    """Right side of the local energy bound, with K priced before f is measured and c = center:
 
-        K(d, alpha, q) * |Omega| * ||f||_q^(2 - 2d/(alpha q')) * |||t - c|^alpha f||_q^(2d/(alpha q'))
+        K(1, alpha, q) * |Omega| * ||f||_q^(2 - 2/(alpha q')) * |||t - c|^alpha f||_q^(2/(alpha q'))
     """
     if omega_measure < 0:
         raise ValueError(f"measure must be nonnegative, got {omega_measure!r}")
-    if norm_q < 0 or moment_q < 0:
-        raise ValueError("norms must be nonnegative")
-    k = price_k(d, alpha, q)
-    e = 2.0 * d / (alpha * conjugate_exponent(q))  # at most 2: price_k refuses alpha <= d/q'
+    k = price_k(1, alpha, q)
+    e = 2.0 / (alpha * conjugate_exponent(q))  # at most 2: price_k refuses alpha <= 1/q'
+    norm_q, moment_q = norm_lq(f, q), weighted_moment_norm(f, center, alpha, q)
     return float(k * omega_measure * norm_q ** (2.0 - e) * moment_q ** e)
 
 

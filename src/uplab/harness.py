@@ -83,7 +83,6 @@ from .core import (
     energy,
     fourier,
     make_grid,
-    norm_lq,
     read_signal_csv,
     signal_from_samples,
 )
@@ -560,9 +559,7 @@ def _check_marginal_energy(ctx: _RunContext) -> tuple[float, float, str]:
 
 def _check_local_energy(ctx: _RunContext) -> tuple[float, float, str]:
     alpha, q = ctx.param("alpha"), ctx.param("q")
-    bounds.price_k(1, alpha, q)  # decides the hypothesis before norm_lq refuses a q below 1
-    norm, moment = norm_lq(ctx.f, q), bounds.weighted_moment_norm(ctx.f, 0.0, alpha, q)
-    upper = bounds.price_rhs(norm, moment, ctx.mask_w.measure, 1, alpha, q)
+    upper = bounds.price_rhs(ctx.f, 0.0, ctx.mask_w.measure, alpha, q)
     notes = f"upper bound on spectral energy in the frequency set (alpha={alpha:g}, q={q:g})"
     return upper, _masked_energy(ctx.fhat, ctx.mask_w), notes
 

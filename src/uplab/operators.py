@@ -17,7 +17,8 @@ the frequency quadrature has spacing dw, the lag kernel is periodic with
 period n*dx; lags are therefore wrapped into [-n/2, n/2], which is the
 periodization of the continuum kernel.  This keeps purely-time symbols exactly
 diagonal, purely-frequency symbols exactly the conjugated multiplier, and
-matches the localization operator picture for contained data.
+matches the localization operator picture for contained data.  The assembly
+takes the symbol's lag spectrum; a localization operator's is a product of two.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .concentration import MaskSet
 from .core import FREQUENCY, TIME, Grid, Signal, _edge_mass, fourier, frozen_array, signal_from_samples
-from .transforms import TFMatrix, wigner
+from .transforms import TFMatrix, _wigner_lags
 
 
 class PowerIterationError(RuntimeError):
@@ -174,14 +175,14 @@ def weyl_operator(symbol: TFMatrix) -> LinearOp:
     The Nyquist row of that shift is split symmetrically, and symbols with
     more than 1e-8 of their energy in it are rejected.
     """
-    return _weyl_assembly(symbol.grid, np.fft.fft(symbol.values, axis=0))
+    return _weyl_assembly(symbol.grid, np.fft.ifft(np.fft.fft(symbol.values, axis=0), axis=1))
 
 
-def _weyl_assembly(grid: Grid, spec: np.ndarray) -> LinearOp:
-    """weyl_operator from spec = fft(a, axis=0), the symbol transformed along time."""
+def _weyl_assembly(grid: Grid, lags: np.ndarray) -> LinearOp:
+    """weyl_operator from the symbol's lag spectrum lags = ifft(fft(a, axis=0), axis=1)."""
     n, n2 = grid.n, grid.n // 2
-    total = float(np.sum(np.abs(spec) ** 2))
-    nyq = float(np.sum(np.abs(spec[n2, :]) ** 2))
+    total = float(np.sum(np.abs(lags) ** 2))
+    nyq = float(np.sum(np.abs(lags[n2, :]) ** 2))
     if total > 0 and nyq / total > 1e-8:
         raise ValueError(
             "tabulated symbol has energy at the Nyquist row "
@@ -193,7 +194,7 @@ def _weyl_assembly(grid: Grid, spec: np.ndarray) -> LinearOp:
     # the products are exact integers; reducing them mod 2n keeps the phase in [0, 2*pi)
     shift = np.exp((-1j * np.pi / n) * (np.outer(ell, ell) % (2 * n)))
     shift[n2] = np.cos(0.5 * np.pi * ell)
-    kern = np.fft.ifft(np.fft.ifft(spec, axis=1) * shift, axis=0)
+    kern = np.fft.ifft(lags * shift, axis=0)
     # lag n/2 takes the wrapped branch -n/2 on rows m < n/2; its shift by +n/4
     # there is the -n/4 shift read n/2 rows further down
     kern[:n2, n2] = kern[n2:, n2]
@@ -201,19 +202,17 @@ def _weyl_assembly(grid: Grid, spec: np.ndarray) -> LinearOp:
 
 
 def weyl_from_localization(symbol: TFMatrix, phi: Signal, psi: Signal) -> LinearOp:
-    """Weyl form of the localization operator: convolve the symbol with the
-    cross-Wigner distribution of the synthesis and analysis windows."""
+    """Weyl form of the localization operator: quantize the symbol convolved with Wig(psi, phi).
+
+    That symbol's lag spectrum is dx * (the symbol's) * fft(ifftshift(F, axes=0), axis=0), with F
+    the windows' folded Wigner lag products: the lag-axis FFTs of wigner, of a 2-D convolution
+    and of the assembly compose to two reversals that cancel: no distribution or 2-D FFT is formed."""
     if symbol.grid != phi.grid or phi.grid != psi.grid:
         raise ValueError("symbol and windows must share a grid")
-    grid = symbol.grid
-    spread = np.fft.fft2(symbol.values)
-    # the cross-Wigner matrix is a temporary, freed once transformed
-    spread *= np.fft.fft2(np.fft.ifftshift(wigner(psi, phi).values))
-    # the spread symbol's inverse 2-D FFT without its time pass, which the assembly would undo
-    spec = np.fft.ifft(spread, axis=1)
-    del spread
-    spec *= grid.dx * grid.dw
-    return _weyl_assembly(grid, spec)
+    lags = np.fft.fft(np.fft.ifftshift(_wigner_lags(psi, phi), axes=0), axis=0)
+    lags *= np.fft.ifft(np.fft.fft(symbol.values, axis=0), axis=1)
+    lags *= symbol.grid.dx
+    return _weyl_assembly(symbol.grid, lags)
 
 
 # Power iteration for operator_norm: seed of the start vector, relative step

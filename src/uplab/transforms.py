@@ -30,7 +30,8 @@ evaluated on the half-sample lattice via trigonometric 2x upsampling with the
 Nyquist bin split symmetrically (real input stays real).  The unpaired extreme
 lag is dropped so that Wig(f, g) = conj(Wig(g, f)) holds exactly; in
 particular Wig(f, f) is exactly real and its frequency marginal recovers
-|f(t_j)|^2 exactly, which the tests pin.
+|f(t_j)|^2 exactly, which the tests pin.  One builder of its lag products serves
+``wigner`` and the Weyl route of :mod:`uplab.operators`.
 """
 
 from __future__ import annotations
@@ -252,27 +253,29 @@ def trig_upsample2(values: np.ndarray) -> np.ndarray:
     return 2.0 * np.fft.ifft(out, axis=-1)
 
 
-def wigner(f: Signal, g: Signal | None = None) -> TFMatrix:
-    """Cross-Wigner distribution of (f, g); auto-Wigner of f when g is omitted."""
-    if g is None:
-        g = f
+def _wigner_lags(f: Signal, g: Signal) -> np.ndarray:
+    """Folded lag products F[j, m] = r[j, m] + r[j, m + n] of Wig(f, g) = dx * fft((-1)^m F, axis=1),
+    r[j, m2] = f2[2j + m2 - n] * conj(g2[2j - m2 + n]) on the upsamplings, 0 outside [0, 2n)."""
     if f.domain != TIME or g.domain != TIME:
         raise ValueError("Wigner distribution expects time-domain signals")
     if f.grid != g.grid:
         raise ValueError("signals must share a grid")
     n = f.grid.n
-    # r[j, m2] = f2[2j + m2 - n] * conj(g2[2j - m2 + n]), zero where either
-    # half-sample index leaves [0, 2n): strided windows over the zero-padded
-    # f2 and the reversed zero-padded conj(g2)
     pad = np.zeros(n, dtype=np.complex128)
     fp = np.concatenate((pad, trig_upsample2(f.samples), pad))
     gr = np.concatenate((pad, np.conj(trig_upsample2(g.samples)), pad))[::-1]
     windows = np.lib.stride_tricks.sliding_window_view
     r = windows(fp, 2 * n)[0 : 2 * n : 2] * windows(gr, 2 * n)[2 * n - 1 :: -2]
     r[:, 0] = 0.0  # unpaired extreme lag, dropped to keep Hermitian symmetry exact
-    folded = r[:, :n] + r[:, n:]
-    del r  # the n-by-2n product is the largest array; free it before the transform
-    folded *= np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    return r[:, :n] + r[:, n:]
+
+
+def wigner(f: Signal, g: Signal | None = None) -> TFMatrix:
+    """Cross-Wigner distribution of (f, g); auto-Wigner of f when g is omitted."""
+    if g is None:
+        g = f
+    folded = _wigner_lags(f, g)
+    folded *= np.where(np.arange(f.grid.n) % 2 == 0, 1.0, -1.0)
     vals = f.grid.dx * np.fft.fft(folded, axis=1)
     if g is f or g.samples is f.samples:
         vals = vals.real.astype(np.complex128)

@@ -43,6 +43,8 @@ def test_traced_suite_pass_matches_the_reference(tmp_path):
     # the worker times each check by wrapping its CHECKS entry in place
     for check_id in CHECKS:
         assert result["spans"][f"harness.check.{check_id}"]["calls"] > 0, check_id
+    # 3 per scenario run, 24 runs: local-energy and the two support checks each price K once
+    assert result["spans"]["bounds.price_k"]["calls"] == 72
 
 
 def test_operators_pass_matches_the_reference():

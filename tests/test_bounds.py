@@ -382,8 +382,7 @@ class TestSpectralConcentrationConstants:
         # energy inside the window is erf(sqrt(pi / 2)).
         grid = make_grid(256, 1 / 16)
         f = unit_gaussian(grid)
-        moment = weighted_moment_norm(f, 0.0, 1.0, 2.0)
-        rhs = price_rhs(norm_lq(f, 2.0), moment, 1.0, 1, 1.0, 2.0)
+        rhs = price_rhs(f, 0.0, 1.0, 1.0, 2.0)
         assert rhs == pytest.approx(math.sqrt(math.pi), rel=1e-4)
         fhat = fourier(f)
         inside = grid.dw * float(
@@ -1080,7 +1079,8 @@ class TestHypothesisErrors:
             lambda: price_ktilde(1, 1.0, math.inf),
             lambda: price_ktilde(1, 0.0, 2.0),
             lambda: price_ktilde(1, -3.0, math.inf),
-            lambda: price_rhs(1.0, 1.0, 1.0, 1, 0.5, 2.0),
+            lambda: price_rhs(_gaussian_pair()[0], 0.0, 1.0, 0.5, 2.0),
+            lambda: price_rhs(_gaussian_pair()[0], 0.0, 1.0, 1.0, 0.5),  # K refuses q < 1 before norm_lq can
             lambda: support_moment_sides(*_gaussian_pair(), 0.5, TIME),
             lambda: support_moment_sides(*_gaussian_pair(), -1.0, FREQUENCY),
         ],

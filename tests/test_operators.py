@@ -8,7 +8,9 @@ singular value decompositions, the sharp time and frequency projections
 (the mask times the samples, and the masked Fourier round trip), and the
 direct constructions the library does not use: the rank-one assembly of a
 localization operator, the conjugation of a multiplier by the dense DFT
-matrix, and the column-by-column Weyl kernel on the midpoint-lifted symbol.
+matrix, the column-by-column Weyl kernel on the midpoint-lifted symbol, and
+the Weyl quantization of the symbol convolved with the dense cross-Wigner
+matrix of the windows.
 """
 
 import math
@@ -32,9 +34,11 @@ from uplab import (
     make_grid,
     mask_from_flags,
     operator_norm,
+    operators,
     signal_from_samples,
     smoothed_concentration_ops,
     tfmatrix_from_values,
+    transforms,
     trig_upsample2,
     weyl_from_localization,
     weyl_operator,
@@ -95,6 +99,21 @@ def midpoint_weyl(grid, avals):
         sign = np.where(ell % 2 == 0, 1.0, -1.0)
         k[:, q] = sign * rows[p, ell % n]
     return grid.dx * k
+
+
+def wigner_smoothed_weyl(symbol, phi, psi):
+    """Weyl quantization of the symbol convolved with the dense cross-Wigner matrix Wig(psi, phi)."""
+    grid = symbol.grid
+    spread = np.fft.fft2(symbol.values) * np.fft.fft2(np.fft.ifftshift(wigner(psi, phi).values))
+    return weyl_operator(tfmatrix_from_values(grid, grid.dx * grid.dw * np.fft.ifft2(spread)))
+
+
+def bandlimited_window(grid, rng):
+    """Seeded unit-energy noise window: white below a quarter of the sample rate, Gaussian-tapered."""
+    spec = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
+    spec[np.abs(np.fft.fftfreq(grid.n)) > 0.25] = 0.0
+    v = np.fft.ifft(spec) * np.exp(-np.pi * grid.times**2 / 4.0)
+    return signal_from_samples(grid, v / (np.linalg.norm(v) * math.sqrt(grid.dx)))
 
 
 def time_smooth_symbol(n, rng):
@@ -366,11 +385,40 @@ class TestWeyl:
         routed = weyl_from_localization(symbol, window, window)
         assert np.max(np.abs(direct.matrix - routed.matrix)) < 1e-5
 
-    def test_smoothing_route_uses_the_cross_distribution(self):
+    def test_cross_distribution_of_a_window_with_itself_is_real(self):
         grid = make_grid(64, 1 / 8)
         window = unit_gaussian(grid)
         w = wigner(window, window)
         assert np.max(np.abs(w.values.imag)) < 1e-10
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("windows", ["gaussian", "noise"])
+    def test_smoothing_route_matches_the_dense_cross_wigner_route(self, n, windows):
+        grid = make_grid(n, 1 / math.sqrt(n))
+        rng = np.random.default_rng(700 + n)
+        symbol = tfmatrix_from_values(grid, time_smooth_symbol(n, rng))
+        if windows == "gaussian":
+            phi = psi = unit_gaussian(grid)
+        else:
+            phi, psi = bandlimited_window(grid, rng), bandlimited_window(grid, rng)
+        want = wigner_smoothed_weyl(symbol, phi, psi)
+        assert max_relative_gap(weyl_from_localization(symbol, phi, psi).matrix, want.matrix) <= 1e-13
+
+    def test_smoothing_route_forms_no_distribution_and_no_2d_transform(self, monkeypatch):
+        grid = make_grid(64, 1 / 8)
+        rng = np.random.default_rng(9)
+        symbol = tfmatrix_from_values(grid, time_smooth_symbol(64, rng))
+        phi, psi = bandlimited_window(grid, rng), bandlimited_window(grid, rng)
+        want = wigner_smoothed_weyl(symbol, phi, psi)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Weyl route formed a cross-Wigner matrix or a 2-D transform")
+
+        monkeypatch.setattr(np.fft, "fft2", refuse)
+        for module in (transforms, operators):
+            monkeypatch.setattr(module, "wigner", refuse, raising=False)
+        got = weyl_from_localization(symbol, phi, psi)
+        assert max_relative_gap(got.matrix, want.matrix) <= 1e-13
 
     def test_smoothing_route_rejects_a_spread_symbol_with_nyquist_energy(self):
         # white windows leave energy in the Nyquist row of the spread symbol,
@@ -383,16 +431,37 @@ class TestWeyl:
             weyl_from_localization(tfmatrix_from_values(grid, avals), phi, psi)
 
 
+class TestWindowChecks:
+    """Both routes of the localization operator check their windows themselves."""
+
+    @pytest.mark.parametrize("route", [localization_operator, weyl_from_localization])
+    @pytest.mark.parametrize("case", ["frequency-phi", "frequency-psi", "other-grid", "other-grid-psi"])
+    def test_route_refuses_a_frequency_window_and_a_foreign_grid(self, route, case):
+        grid, other = make_grid(32, 0.25), make_grid(32, 0.5)
+        symbol = tfmatrix_from_values(grid, np.ones((32, 32)))
+        window = unit_gaussian(grid)
+        spectrum = signal_from_samples(grid, window.samples, FREQUENCY)
+        phi, psi = {
+            "frequency-phi": (spectrum, window),
+            "frequency-psi": (window, spectrum),
+            "other-grid": (unit_gaussian(other), unit_gaussian(other)),
+            "other-grid-psi": (window, unit_gaussian(other)),
+        }[case]
+        with pytest.raises(ValueError):
+            route(symbol, phi, psi)
+
+
 class TestAssemblyMemory:
     # n-by-n complex arrays held at once, each counted whole (r in wigner is n x 2n, two):
     # localization_operator: the window products, the symbol's row DFT and its column
     #   FFT; later the products, the kernel and the gathered matrix.  Three.
     # wigner: r and its fold; r is freed before the fold is signed in place and
     #   transformed; the real part of the auto-distribution is taken beside both.  Three.
-    # weyl_from_localization: wigner's three beside the symbol's 2-D FFT; that product
-    #   takes the smoother's FFT in place, and the smoother is freed; in the assembly the
-    #   time-transformed spread symbol, the half-lag phases, the kernel and the gathered
-    #   matrix.  Four.
+    # weyl_from_localization: the windows' lag products, as wigner's r and its fold
+    #   (three); then the folded products, their row shift and its time FFT; then that
+    #   lag spectrum, the symbol's time FFT and its lag spectrum; in the assembly the
+    #   product of the lag spectra, the half-lag phases, their product and the kernel,
+    #   then the kernel and the gathered matrix beside the first two.  Four.
     # The quarter array of slack covers the length-n vectors and numpy's iteration
     # buffers (two of 8192 complex entries, 0.06 of an array at n = 512).
     @pytest.mark.parametrize(("route", "held"), [("localization", 3), ("wigner", 3), ("weyl", 4)])
