@@ -9,8 +9,13 @@ Subcommands:
 * ``constants``       — print any closed-form constant as JSON.
 * ``selftest``        — run the built-in invariant suite.
 
-Exit codes: 0 success, 1 failed verdicts or failed selftest, 2 malformed
-input or a report file that cannot be written.
+Exit codes:
+
+* 0 — success;
+* 1 — a failed verdict or a failed selftest identity;
+* 2 — any refusal: a malformed scenario or argument, a grid too large to
+  allocate, or a report file that cannot be written.  Each refusal prints
+  one ``error:`` line on stderr; ``main`` is the one place that makes it.
 """
 
 from __future__ import annotations
@@ -40,23 +45,19 @@ from .transforms import gabor_transform, gaussian_window, marginals, tf_norm_lp,
 
 
 def _cmd_run(args) -> int:
-    try:
-        # os.path.isfile is False for a name the system rejects (one past the
-        # length limit, say), where Path.is_file raises before Python 3.14
-        if os.path.isfile(args.scenario):
-            scenario = load_scenario(args.scenario)
-        elif args.scenario in bundled_scenario_names():
-            scenario = bundled_scenario(args.scenario)
-        else:
-            raise ScenarioError(
-                f"no scenario file or bundled scenario named {args.scenario!r}; "
-                f"bundled: {list(bundled_scenario_names())}"
-            )
-        # checks that raise become failed verdicts; only the setup (signal, sets) raises here
-        report = run_scenario(scenario)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # os.path.isfile is False for a name the system rejects (one past the
+    # length limit, say), where Path.is_file raises before Python 3.14
+    if os.path.isfile(args.scenario):
+        scenario = load_scenario(args.scenario)
+    elif args.scenario in bundled_scenario_names():
+        scenario = bundled_scenario(args.scenario)
+    else:
+        raise ScenarioError(
+            f"no scenario file or bundled scenario named {args.scenario!r}; "
+            f"bundled: {list(bundled_scenario_names())}"
+        )
+    # checks that raise become failed verdicts; only the setup (signal, sets) raises here
+    report = run_scenario(scenario)
     for v in report.verdicts:
         if v.status == "skipped":
             print(f"SKIP {v.check_id}: {v.notes}")
@@ -73,25 +74,17 @@ def _cmd_run(args) -> int:
         f"{report.scenario}: {summary['pass']} passed, {summary['fail']} failed, "
         f"{summary['skipped']} skipped"
     )
-    try:
-        if args.out:
-            write_report_json(report, args.out)
-            print(f"report written to {args.out}")
-        if args.csv:
-            write_verdicts_csv(report, args.csv)
-            print(f"verdict table written to {args.csv}")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.out:
+        write_report_json(report, args.out)
+        print(f"report written to {args.out}")
+    if args.csv:
+        write_verdicts_csv(report, args.csv)
+        print(f"verdict table written to {args.csv}")
     return 1 if report.failed else 0
 
 
 def _cmd_bounds(args) -> int:
-    try:
-        value = bounds_mod.improved_bound(args.eps_t, args.eps_omega, args.dim)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    value = bounds_mod.improved_bound(args.eps_t, args.eps_omega, args.dim)
     print(f"{value.value:.7f}")
     return 0
 
@@ -108,14 +101,10 @@ _CONSTANTS = {
 def _cmd_constants(args) -> int:
     names, evaluate = _CONSTANTS[args.which]
     params = {name: getattr(args, name) for name in names}
-    try:
-        missing = [f"--{name}" for name, v in params.items() if v is None]
-        if missing:
-            raise ValueError(f"constant {args.which} needs {' and '.join(missing)}")
-        value = evaluate(**params)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    missing = [f"--{name}" for name, v in params.items() if v is None]
+    if missing:
+        raise ValueError(f"constant {args.which} needs {' and '.join(missing)}")
+    value = evaluate(**params)
     clean = {k: "inf" if v == math.inf else v for k, v in params.items()}
     print(json.dumps({"name": args.which, "params": clean, "value": value}, sort_keys=True, allow_nan=False))
     return 0
@@ -179,15 +168,11 @@ def _selftest_checks(n: int, seed: int):
 
 
 def _cmd_selftest(args) -> int:
-    try:
-        if args.n < 64 or args.n % 2:
-            raise ValueError("selftest needs an even grid size of at least 64")
-        if args.seed < 0:
-            raise ValueError(f"selftest needs a nonnegative seed, got {args.seed}")
-        checks = _selftest_checks(args.n, args.seed)  # allocates the n-sample probe signal
-    except (ValueError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.n < 64 or args.n % 2:
+        raise ValueError("selftest needs an even grid size of at least 64")
+    if args.seed < 0:
+        raise ValueError(f"selftest needs a nonnegative seed, got {args.seed}")
+    checks = _selftest_checks(args.n, args.seed)  # allocates the n-sample probe signal
     failures = 0
     for name, fn in checks:
         try:
@@ -237,7 +222,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError, MemoryError) as exc:  # ScenarioError and HypothesisError are ValueErrors
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -63,8 +63,7 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-import numpy.polynomial.hermite  # numpy loads submodules on first use; load these with the library
-import numpy.random
+import numpy.random  # numpy loads submodules on first use; load this one with the library
 
 from . import bounds
 from .concentration import (
@@ -187,12 +186,13 @@ def generate_signal(kind: str, params: dict, grid: Grid) -> Signal:
         k = p["k"]
         if not 0 <= k <= 170:
             raise ScenarioError(f"hermite index must be in [0, 170], where k! stays a double, got {k}")
-        coeffs = np.zeros(k + 1)
-        coeffs[k] = 1.0
         scale = 2.0**0.25 / math.sqrt(2.0**k) / math.sqrt(math.factorial(k))
+        x2 = 2.0 * math.sqrt(2.0 * math.pi) * t
         with np.errstate(over="ignore", invalid="ignore"):  # H_k past the double range: _unit refuses it
-            poly = np.polynomial.hermite.hermval(math.sqrt(2.0 * math.pi) * t, coeffs)
-            return _unit(grid, scale * poly * np.exp(-math.pi * t**2))
+            h_prev, h = 0.0, np.ones_like(x2)
+            for m in range(k):  # H_{m+1}(x) = 2x H_m(x) - 2m H_{m-1}(x)
+                h_prev, h = h, x2 * h - (2.0 * m) * h_prev
+            return _unit(grid, scale * h * np.exp(-math.pi * t**2))
     if kind == "chirp":
         return _unit(grid, 2.0**0.25 * np.exp(-math.pi * t**2) * np.exp(1j * math.pi * p["rate"] * t**2))
     if kind == "indicator":

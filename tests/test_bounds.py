@@ -7,8 +7,10 @@ dense-grid maximization, the stationarity condition, the
 small-defect expansion 2d - 2 sqrt(d eps) of the log-supremum and the 50-digit
 mpmath Lambert W maximizer, exact Gaussian moments, hand-derived special cases of the
 measure bounds, a brute-force scan of cf_quotient over the full witness
-grid in place of the factored cf_bound search, and the row-by-row factor scan
-(`exhaustive_best_factor`) in place of the ranked and bracketed one.
+grid in place of the factored cf_bound search, the row-by-row factor scan
+(`exhaustive_best_factor`) in place of the ranked and bracketed one, and the
+grid-exact chain under the classical bound: the top singular value of the
+unitary DFT's T-by-Omega block.
 """
 
 import itertools
@@ -34,6 +36,7 @@ from uplab import (
     bounds,
     alpha_k_profile,
     cf_bound,
+    concentration_defect,
     conjugate_exponent,
     delta_bound,
     ds_bound,
@@ -292,6 +295,70 @@ class TestProductBounds:
         assert mt * mw < improved_bound(0.1, 0.1).value
         # the basic bound, by contrast, holds with room
         assert mt * mw > ds_bound(0.1, 0.1)
+
+
+def dft_block_norm(mask_t, mask_w):
+    """Top singular value of the unitary centred DFT exp(-2 pi i j k / n) / sqrt(n), rows Omega, columns T."""
+    n = mask_t.grid.n
+    j = np.flatnonzero(mask_t.flags) - n // 2
+    k = np.flatnonzero(mask_w.flags) - n // 2
+    phase = np.outer(k, j) % n  # reduced as integers, so the angle is exact to an ulp of 2 pi
+    return float(np.linalg.svd(np.exp(-2j * np.pi * phase / n) / math.sqrt(n), compute_uv=False)[0])
+
+
+# The SVD's backward error is about n 2^-52 times the block's norm, which is at most 1,
+# and the defects come from an FFT that rounds as finely; 1e-12 covers n <= 256.
+CHAIN_SLACK = 1e-12
+
+
+def assert_grid_exact_chain(f, mask_t, mask_w):
+    """(1 - e_T - e_W)^2 <= cos^2(min(asin e_T + asin e_W, pi/2)) <= sigma^2 <= |T||Omega|.
+
+    sigma is the cosine of the least angle between signals supported on T and
+    signals whose spectrum lives on Omega; f lies within asin e_T of the first
+    and asin e_W of the second, hence the middle step.  The last step bounds
+    sigma^2 by the block's squared Frobenius norm |T| |Omega| / n in cells.
+    """
+    eps_t, eps_w = concentration_defect(f, mask_t), concentration_defect(fourier(f), mask_w)
+    angle = math.cos(min(math.asin(eps_t) + math.asin(eps_w), math.pi / 2)) ** 2
+    sigma2 = dft_block_norm(mask_t, mask_w) ** 2
+    if eps_t + eps_w <= 1.0:
+        assert (1.0 - eps_t - eps_w) ** 2 <= angle + CHAIN_SLACK
+    assert angle <= sigma2 + CHAIN_SLACK
+    assert sigma2 <= mask_t.measure * mask_w.measure + CHAIN_SLACK
+    return angle, sigma2
+
+
+class TestGridExactChain:
+    @pytest.mark.parametrize("scenario", standard_suite(), ids=lambda s: s.name)
+    def test_the_standard_suite(self, scenario):
+        f = generate_signal(scenario.signal_kind, scenario.signal_params, make_grid(scenario.grid_n, scenario.grid_dx))
+        mask_t = minimal_concentration_set(f, scenario.sets["eps_t"])
+        mask_w = minimal_concentration_set(fourier(f), scenario.sets["eps_omega"])
+        assert_grid_exact_chain(f, mask_t, mask_w)
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_random_spikes(self, n):
+        # a single spike has a flat spectrum, where the middle step is an equality
+        rng = np.random.default_rng(n)
+        for dx, count, _ in itertools.product((1 / 4, 1 / 8, 1 / 16, 1 / 32), range(1, 6), range(2)):
+            grid = make_grid(n, dx)
+            values = np.zeros(n, dtype=complex)
+            values[rng.choice(n, count, replace=False)] = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+            f = signal_from_samples(grid, values, TIME)
+            for eps in (0.05, 0.1, 0.25):
+                assert_grid_exact_chain(f, minimal_concentration_set(f, eps), minimal_concentration_set(fourier(f), eps))
+
+    def test_a_single_spike_with_all_frequencies_meets_every_step(self):
+        grid = make_grid(128, 1 / 8)
+        values = np.zeros(grid.n, dtype=complex)
+        values[37] = 1.0 - 2.0j
+        f = signal_from_samples(grid, values, TIME)
+        mask_t, mask_w = minimal_concentration_set(f, 0.0), minimal_concentration_set(fourier(f), 0.0)
+        assert mask_t.measure * mask_w.measure == pytest.approx(1.0, rel=1e-15)
+        angle, sigma2 = assert_grid_exact_chain(f, mask_t, mask_w)
+        assert angle == 1.0
+        assert sigma2 == pytest.approx(1.0, abs=CHAIN_SLACK)
 
 
 def k1_closed_form(d, alpha):

@@ -335,6 +335,17 @@ class TestRunCommand:
         assert len(captured.err.splitlines()) == 1
         assert "PASS ds-product" in captured.out
 
+    def test_a_signal_that_cannot_be_allocated_is_a_usage_error(self, capsys, monkeypatch):
+        # a grid whose times fit but whose signal does not fails inside run_scenario
+        def refuse(scenario):
+            raise MemoryError("Unable to allocate 8.00 PiB for an array with shape (562949953421312,)")
+
+        monkeypatch.setattr("uplab.cli.run_scenario", refuse)
+        assert main(["run", "gaussian-basic"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: Unable to allocate 8.00 PiB for an array with shape (562949953421312,)\n"
+        assert captured.out == ""
+
     def test_integral_float_grid_size_runs(self, tmp_path, capsys):
         path = tmp_path / "float-grid.json"
         path.write_text(json.dumps({"name": "float-grid", "grid": {"n": 64.0, "dx": 0.125}, "checks": ["ds-product"]}))

@@ -93,6 +93,24 @@ class TestSignalGeneration:
         )
         assert abs(inner(h1, g0)) < 1e-10
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 7, 20, 100, 170])
+    def test_hermite_recurrence_matches_hermval(self, k):
+        # oracle: numpy's Clenshaw sum of the Hermite series with the single coefficient c_k = 1
+        t = GRID.times
+        scale = 2.0**0.25 / math.sqrt(2.0**k) / math.sqrt(math.factorial(k))
+        values = scale * np.polynomial.hermite.hermval(math.sqrt(2.0 * math.pi) * t, [0.0] * k + [1.0])
+        values = (values * np.exp(-math.pi * t**2)).astype(complex)
+        oracle = values / math.sqrt(GRID.dx * float(np.sum(np.abs(values) ** 2)))
+        got = generate_signal("hermite", {"k": k}, GRID).samples
+        if k <= 2:
+            # H_0 = 1, H_1 = 2x and H_2 = 2x * 2x - 2 round alike on both routes
+            np.testing.assert_array_equal(got, oracle)
+        else:
+            # each route rounds about twice per degree, a product and a difference,
+            # so they part by about 4k ulps of the peak
+            peak = np.max(np.abs(oracle))
+            assert np.max(np.abs(got - oracle)) <= 4 * k * np.finfo(float).eps * peak
+
     def test_hermite_values_past_the_double_range_are_refused_without_a_warning(self):
         # the grid reaches |t| = 45, where H_150(sqrt(2 pi) t) ~ (2 sqrt(2 pi) 45)^150 ~ 1e353
         grid = make_grid(8192, 1 / math.sqrt(8192))

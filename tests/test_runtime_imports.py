@@ -37,9 +37,19 @@ print(json.dumps([rc, sorted(m for m, mod in sys.modules.items() if m.startswith
     assert json.loads(out.read_text())["summary"]["all_passed"]
 
 
+def test_the_library_does_not_load_numpy_polynomial():
+    # the hermite kind runs the three-term recurrence itself
+    code = """
+import json, sys
+import uplab, uplab.cli
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("numpy.polynomial"))))
+"""
+    assert json.loads(run_python(code)) == []
+
+
 def test_a_first_run_loads_no_module():
-    # numpy loads numpy.fft, numpy.random and numpy.polynomial on first use,
-    # and np.unique loads numpy.ma; none of that may land inside a run's time
+    # numpy loads numpy.fft and numpy.random on first use, and np.unique loads
+    # numpy.ma; none of that may land inside a run's time
     code = """
 import json, sys
 from uplab import Scenario, run_scenario
