@@ -77,7 +77,6 @@ from .operators import (
     PowerIterationError,
     SmoothedSymbol,
     apply_freq_symbol,
-    apply_time_symbol,
     gaussian_smoothed_indicator,
     linear_op,
     localization_operator,

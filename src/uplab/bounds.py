@@ -198,7 +198,7 @@ def _finite(name: str, params: dict, value) -> float:
     """value(), the named quantity at params; ValueError naming both where that is not a finite double."""
     try:
         out = value()
-    except (OverflowError, ValueError):  # exp past the double range; lgamma(0) once a huge alpha rounds x to 0
+    except (OverflowError, ValueError):  # exp past the double range, or a math domain error
         out = math.nan
     if math.isfinite(out):
         return out
@@ -242,19 +242,23 @@ def price_ktilde(d: int, alpha: float, q: float) -> float:
             - math.log(d)
             - math.log(alpha - d)
         ))
-    x = d / (alpha * q)
+    # alpha q or alpha q' can overflow while alpha is finite, and only there are they taken apart;
+    # x = d/(alpha q) is then tiny and may be subnormal, so lgamma(x) = -log(x) is log(alpha q) - log(d)
+    aq, aqp = alpha * q, alpha * qp
+    x, log_aq = (d / aq, math.log(aq)) if math.isfinite(aq) else (d / alpha / q, math.log(alpha) + math.log(q))
+    log_tail = math.log(aqp / d - 1.0) if math.isfinite(aqp) else math.log(alpha) + math.log(qp / d)
     y = 1.0 / (q - 1.0) - x
     return _finite("price_ktilde", params, lambda: math.exp(
         ((q - 1.0) / q) * (
             math.log(2.0)
             + (d / 2.0) * math.log(math.pi)
             - math.lgamma(d / 2.0)
-            - math.log(alpha * q)
-            + math.lgamma(x)
+            - log_aq
+            + (math.lgamma(x) if math.isfinite(aq) else log_aq - math.log(d))
             + math.lgamma(y)
             - math.lgamma(x + y)
         )
-        + (d / (q * qp * alpha)) * math.log(alpha * qp / d - 1.0)
+        + (d / (q * qp * alpha)) * log_tail
         - (1.0 / q) * math.log(1.0 - d / (alpha * qp))
     ))
 

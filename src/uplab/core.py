@@ -124,16 +124,16 @@ def signal_from_samples(grid: Grid, values, domain: str = TIME) -> Signal:
     return Signal(grid, arr, domain)
 
 
-def centered_dft(values: np.ndarray, inverse: bool = False, axis: int = -1) -> np.ndarray:
+def centered_dft(values: np.ndarray, inverse: bool = False) -> np.ndarray:
     """Unweighted centered DFT: sum_j exp(-+2*pi*i*j'*k'/n) with centered indices.
 
-    For even n this equals fftshift(fft(ifftshift(x))) along the axis, which the
-    unit tests verify against the explicit sum.  The caller supplies the
+    For even n this equals fftshift(fft(ifftshift(x))) along the last axis, which
+    the unit tests verify against the explicit sum.  The caller supplies the
     quadrature weight (dx forward, n*dw inverse).
     """
-    shifted = np.fft.ifftshift(values, axes=axis)
-    out = np.fft.ifft(shifted, axis=axis) if inverse else np.fft.fft(shifted, axis=axis)
-    return np.fft.fftshift(out, axes=axis)
+    shifted = np.fft.ifftshift(values, axes=-1)
+    out = np.fft.ifft(shifted) if inverse else np.fft.fft(shifted)
+    return np.fft.fftshift(out, axes=-1)
 
 
 def fourier(f: Signal) -> Signal:
@@ -187,7 +187,12 @@ def inner(f: Signal, g: Signal) -> complex:
 
 
 def energy(f: Signal) -> float:
-    return float(f.spacing * np.sum(np.abs(f.samples) ** 2))
+    return _quadrature_energy(f.samples, f.spacing)
+
+
+def _quadrature_energy(values: np.ndarray, spacing: float) -> float:
+    """Squared quadrature L^2 norm, spacing * sum |values|^2, of samples on one axis."""
+    return float(spacing * np.sum(np.abs(values) ** 2))
 
 
 def boundary_energy_fraction(f: Signal) -> float:

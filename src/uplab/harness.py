@@ -78,6 +78,7 @@ from .core import (
     TIME,
     Grid,
     Signal,
+    _quadrature_energy,
     boundary_energy_fraction,
     energy,
     fourier,
@@ -85,7 +86,7 @@ from .core import (
     read_signal_csv,
     signal_from_samples,
 )
-from .operators import SmoothedSymbol, apply_freq_symbol, apply_time_symbol, gaussian_smoothed_indicator
+from .operators import SmoothedSymbol, apply_freq_symbol, gaussian_smoothed_indicator
 from .report import Report, make_verdict, unjudged_verdict
 from .transforms import gaussian_window, spectrogram_masses
 
@@ -156,7 +157,7 @@ def _signal_params(kind, params) -> dict:
 
 def _unit(grid: Grid, values: np.ndarray) -> Signal:
     values = np.asarray(values, dtype=np.complex128)
-    scale = math.sqrt(float(grid.dx) * float(np.sum(np.abs(values) ** 2)))
+    scale = math.sqrt(_quadrature_energy(values, grid.dx))
     if scale == 0.0 or not np.isfinite(scale):
         raise ScenarioError("generated signal has zero or non-finite energy")
     return signal_from_samples(grid, values / scale, TIME)
@@ -502,14 +503,6 @@ def _resolve_sets(s: Scenario, f: Signal, fhat: Signal):
     return mask_t, mask_w, concentration_defect(f, mask_t), concentration_defect(fhat, mask_w)
 
 
-def _masked_energy(sig: Signal, mask: MaskSet) -> float:
-    return float(mask.grid.spacing(mask.axis) * np.sum(np.abs(sig.samples[mask.flags]) ** 2))
-
-
-def _diff_norm(a: Signal, b: Signal) -> float:
-    return math.sqrt(float(a.spacing * np.sum(np.abs(a.samples - b.samples) ** 2)))
-
-
 def _certified_eps(value: float) -> float:
     return math.sqrt(1.0 - min(max(value, 0.0), 1.0))
 
@@ -526,18 +519,18 @@ def _certified_product(ctx: _RunContext, eps_t: float, eps_w: float) -> tuple[fl
     return mt * mw, bv.value, bv.witness["r"]
 
 
-def _projection(ctx: _RunContext, axis: str, lam: float | None) -> Signal:
-    """L f for the axis's mask smoothed at lam (L1 on TIME, L2 on FREQUENCY), as a time
-    signal; at lam=None the sharp projection, through the same symbol route."""
+def _projection(ctx: _RunContext, axis: str, lam: float | None) -> np.ndarray:
+    """The time samples of L f for the axis's mask smoothed at lam (L1 on TIME, L2 on
+    FREQUENCY); at lam=None the sharp projection, through the same symbol route."""
     mask = ctx.mask_t if axis == TIME else ctx.mask_w
     sym = SmoothedSymbol(ctx.grid, axis, mask.flags) if lam is None else gaussian_smoothed_indicator(mask, lam)
-    return apply_time_symbol(sym, ctx.f) if axis == TIME else apply_freq_symbol(sym, ctx.fhat)
+    return sym.values * ctx.f.samples if axis == TIME else apply_freq_symbol(sym, ctx.fhat).samples
 
 
 def _check_optimized_product(ctx: _RunContext) -> tuple[float, float, str]:
-    total = energy(ctx.f)
-    eps_t = _certified_eps(energy(_projection(ctx, TIME, ctx.param("lam1"))) / total)
-    eps_w = _certified_eps(energy(_projection(ctx, FREQUENCY, ctx.param("lam2"))) / total)
+    total, dx = energy(ctx.f), ctx.grid.dx
+    eps_t = _certified_eps(_quadrature_energy(_projection(ctx, TIME, ctx.param("lam1")), dx) / total)
+    eps_w = _certified_eps(_quadrature_energy(_projection(ctx, FREQUENCY, ctx.param("lam2")), dx) / total)
     lhs, rhs, r = _certified_product(ctx, eps_t, eps_w)
     return lhs, rhs, f"certified eps_t={eps_t:.6f} eps_omega={eps_w:.6f} r={r:.4f}"
 
@@ -561,7 +554,7 @@ def _check_local_energy(ctx: _RunContext) -> tuple[float, float, str]:
     alpha, q = ctx.param("alpha"), ctx.param("q")
     upper = bounds.price_rhs(ctx.f, 0.0, ctx.mask_w.measure, alpha, q)
     notes = f"upper bound on spectral energy in the frequency set (alpha={alpha:g}, q={q:g})"
-    return upper, _masked_energy(ctx.fhat, ctx.mask_w), notes
+    return upper, _quadrature_energy(ctx.fhat.samples[ctx.mask_w.flags], ctx.grid.dw), notes
 
 
 def _check_signal_product(ctx: _RunContext) -> tuple[float, float, str]:
@@ -605,7 +598,7 @@ def _check_smoothing(ctx: _RunContext, axis: str, sweep_key: str) -> tuple[float
     if len(sweep) < 2:
         raise bounds.HypothesisError("sweep needs at least two kernel widths")
     sharp = _projection(ctx, axis, None)
-    errors = [_diff_norm(_projection(ctx, axis, lam), sharp) for lam in sweep]
+    errors = [math.sqrt(_quadrature_energy(_projection(ctx, axis, lam) - sharp, ctx.grid.dx)) for lam in sweep]
     drops = [errors[i] - errors[i + 1] for i in range(len(errors) - 1)]
     trail = " -> ".join(f"{e:.3e}" for e in errors)
     return min(drops), 0.0, f"projection errors along the sweep: {trail}"

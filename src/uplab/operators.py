@@ -6,6 +6,8 @@ with respect to the weighted L^2 inner product equals the largest Euclidean
 singular value of M, so norms can be cross-checked against a full SVD.  Each
 assembly gathers its matrix once from a kernel tabulated by row and cyclic lag
 (``_lag_operator``) and freezes it in place; ``linear_op`` copies its input.
+Without a matrix, a smoothed time symbol multiplies time samples, and
+``apply_freq_symbol`` multiplies a spectrum by a frequency symbol and transforms back.
 
 The Weyl quantization evaluates the symbol at half-sample midpoints,
 
@@ -105,12 +107,6 @@ def gaussian_smoothed_indicator(mask: MaskSet, lam: float) -> SmoothedSymbol:
     conv = np.fft.ifft(np.multiply(mask.flags_fft, np.fft.fft(np.fft.ifftshift(kernel))))
     values = np.clip(h * conv.real, 0.0, 1.0)
     return SmoothedSymbol(grid, mask.axis, frozen_array(values, dtype=np.float64))
-
-
-def apply_time_symbol(sym: SmoothedSymbol, f: Signal) -> Signal:
-    if sym.axis != TIME or f.domain != TIME:
-        raise ValueError("time symbol application requires time-axis data")
-    return signal_from_samples(f.grid, sym.values * f.samples, TIME)
 
 
 def apply_freq_symbol(sym: SmoothedSymbol, fhat: Signal) -> Signal:

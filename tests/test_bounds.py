@@ -431,17 +431,16 @@ class TestSpectralConcentrationConstants:
         with pytest.raises(ValueError):
             price_ktilde(1, 0.9, math.inf)  # needs alpha > d
 
-    @pytest.mark.parametrize(
-        "name, constant, args",
-        [
-            ("price_ktilde", price_ktilde, (1, 1e308, 2.0)),  # alpha * q overflows, so lgamma(0)
-            ("price_ktilde", price_ktilde, (1, 1e308, 1.0000001)),  # 0 * log(inf) is nan
-        ],
-        ids=["ktilde-domain-error", "ktilde-nan"],
-    )
-    def test_a_value_past_the_double_range_names_its_parameters(self, name, constant, args):
-        with pytest.raises(ValueError, match=rf"^{name}\(d=1, alpha=1e\+308.*is not a finite double$"):
-            constant(*args)
+    def test_a_value_past_the_double_range_names_its_parameters(self):
+        # exp(2d) at eps = 0 passes the double maximum once d >= 355
+        message = r"^improved_bound\(eps_t=0.0, eps_omega=0.0, d=400\) is not a finite double$"
+        with pytest.raises(ValueError, match=message):
+            improved_bound(0.0, 0.0, d=400)
+
+    @pytest.mark.parametrize("q", [2.0, 1.0000001], ids=["alpha-q-overflows", "alpha-q-prime-overflows"])
+    def test_a_product_past_the_double_range_still_gives_the_constant(self, q):
+        # alpha q (or alpha q') overflows, but Ktilde is finite: it tends to 2^(1/q')
+        assert price_ktilde(1, 1e308, q) == pytest.approx(2.0 ** (1.0 / conjugate_exponent(q)), rel=1e-12)
 
     def test_gaussian_spectral_window_example(self):
         # d = 1, alpha = 1, q = 2, window [-1/2, 1/2]: the bound value is
@@ -473,6 +472,20 @@ class TestSpectralConcentrationConstants:
         # alpha exceeds d/q' ~ 1 by a fixed factor, so the hypothesis holds at
         # every q; an absolute margin on y = (alpha q' - d)/(alpha q) refused
         # them all once q reached ~1e13
+        err, scale = ktilde_40_digit_error(price_ktilde(1, alpha, q), alpha, q)
+        assert err <= 2.0**-53 * (4 * scale + 1), (err, scale)
+
+    @pytest.mark.parametrize("q", [1.0000001, 1.5, 2.0, 4.0, 1e13, math.inf])
+    @pytest.mark.parametrize("alpha", [1e300, 8.9e307, 9e307, 1e308, 1.7e308])
+    def test_huge_alpha_matches_40_digit_gamma_values(self, alpha, q):
+        # Where alpha q or alpha q' overflows, price_ktilde takes it apart.
+        # log(alpha) + log(q) is two library roundings and one sum, within the
+        # rule's 4 units of log(alpha q).  x = d/(alpha q) < 2^-1000 is then
+        # subnormal, but lgamma(x) = -log(x) - gamma x + ... equals
+        # log(alpha q) - log(d) to far below an ulp, one rounding more: 4 units
+        # again.  x is below 2^-1000 of y, so y and x + y are not moved, and the
+        # two tail terms are below 1e-300 on both sides.  So the rule of
+        # `ktilde_40_digit_error` holds unchanged, up to alpha = 1.7e308.
         err, scale = ktilde_40_digit_error(price_ktilde(1, alpha, q), alpha, q)
         assert err <= 2.0**-53 * (4 * scale + 1), (err, scale)
 
@@ -1170,7 +1183,7 @@ class TestHypothesisErrors:
             lambda: price_ktilde(1, 2.0, math.nan),
             lambda: price_ktilde(0, 2.0, 2.0),
             lambda: price_ktilde(1.5, 2.0, 2.0),
-            lambda: price_ktilde(1, 1e308, 2.0),  # alpha q overflows: a non-finite result
+            lambda: price_ktilde(2**1100, 2.0, 2.0),  # d past the double range
             lambda: support_moment_sides(*_gaussian_pair(), 1.0, "phase"),
             lambda: support_moment_sides(_zero_signal(), _gaussian_pair()[1], 1.0, TIME),
         ],

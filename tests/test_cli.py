@@ -105,6 +105,11 @@ class TestConstantsCommand:
         assert main(["constants", "--which", "ktilde", "--d", "1", "--alpha", "2", "--q", "1e13"]) == 0
         assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(3.9999999999993228, rel=1e-14)
 
+    def test_general_constant_where_alpha_q_overflows(self, capsys):
+        # alpha q = 2e308 is past the double range, but Ktilde(1, alpha, 2) tends to sqrt(2) as alpha grows
+        assert main(["constants", "--which", "ktilde", "--alpha", "1e308", "--q", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(math.sqrt(2.0), rel=1e-12)
+
     def test_transform_constant(self, capsys):
         assert main(["constants", "--which", "lieb", "--d", "1", "--p", "4"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -137,7 +142,7 @@ class TestConstantsCommand:
             ["--which", "locop", "--q", "nan"],
             ["--which", "lieb", "--p", "nan"],
             ["--which", "lieb", "--p=-inf"],
-            ["--which", "ktilde", "--alpha", "1e308", "--q", "1.0000001"],
+            ["--which", "ktilde", "--alpha", "nan", "--q", "2"],
         ],
         ids=[
             "k1-alpha-below-half",
@@ -146,7 +151,7 @@ class TestConstantsCommand:
             "locop-nan-q",
             "lieb-nan-p",
             "lieb-minus-inf-p",
-            "ktilde-nan-past-the-double-range",
+            "ktilde-nan-alpha",
         ],
     )
     def test_out_of_domain_parameters_fail_cleanly(self, args, capsys):

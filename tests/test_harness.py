@@ -41,7 +41,7 @@ from uplab import (
     write_signal_csv,
     write_verdicts_csv,
 )
-from uplab import bounds, concentration
+from uplab import bounds, concentration, harness, operators
 from uplab.cli import main
 from uplab.harness import BOUND_DEFAULTS, CHECKS, SIGNAL_DEFAULTS, SIGNAL_KINDS, TOLERANCE_DEFAULTS, _windows_to_mask
 
@@ -405,6 +405,26 @@ class TestRunScenario:
             flags = mask.flags.astype(float)
             assert sum(np.array_equal(a, flags) for a in inputs) == 1
 
+    def test_time_axis_projections_build_no_signal(self, monkeypatch):
+        # L1 f and P f are time-sample arrays that are only summed; only the
+        # frequency arm's spectrum may go through signal_from_samples
+        s = Scenario(name="no-time-signal", checks=("optimized-product", "smoothing-time"))
+        f = generate_signal(s.signal_kind, s.signal_params, GRID)
+
+        def frequency_only(grid, values, domain=TIME):
+            if domain == TIME:
+                raise AssertionError("a time-axis Signal was built")
+            return signal_from_samples(grid, values, domain)
+
+        monkeypatch.setattr(harness, "generate_signal", lambda *args: f)
+        for module in (operators, harness):
+            monkeypatch.setattr(module, "signal_from_samples", frequency_only)
+        report = run_scenario(s)
+        assert [(v.check_id, v.status) for v in report.verdicts] == [
+            ("optimized-product", "pass"),
+            ("smoothing-time", "pass"),
+        ], [v.notes for v in report.verdicts]
+
     def test_one_width_sweep_is_skipped(self):
         s = Scenario(name="one-width", bound_params={"lam1_sweep": [4.0], "lam2_sweep": [0.25]}, checks=SMOOTHING_CHECKS)
         for v in run_scenario(s).verdicts:
@@ -766,17 +786,23 @@ def _readme_entry(type_name: str, default: str) -> tuple:
 
 
 _BOUND_TABLE_HEADER = (
-    "| scenario | \\|T\\|·\\|Ω\\| | ds-product | optimized-product | ÷ DS | marginal-energy | ÷ DS "
+    "| scenario | \\|T\\|·\\|Ω\\| | ds-product | angle bound | optimized-product | ÷ DS | marginal-energy | ÷ DS "
     "| signal-product | ÷ DS | separate-time | separate-freq |"
 )
 
 
-def _bound_table_row(report) -> list:
-    """One README row: |T||Omega|, each product check's rhs and its ratio to the
-    ds-product rhs, and the separate bounds, at 4 significant digits."""
+def _angle_bound(eps_t: float, eps_omega: float) -> float:
+    """cos^2(min(arcsin eps_T + arcsin eps_Omega, pi/2)): the Landau-Pollak lower bound on |T||Omega|."""
+    return math.cos(min(math.asin(eps_t) + math.asin(eps_omega), math.pi / 2)) ** 2
+
+
+def _bound_table_row(report, angle: float) -> list:
+    """One README row: |T||Omega|, the ds-product rhs and the angle bound at the same
+    defects, each product check's rhs and its ratio to the ds-product rhs, and the
+    separate bounds, at 4 significant digits."""
     by_id = {v.check_id: v for v in report.verdicts}
     ds = by_id["ds-product"].rhs
-    row = [report.scenario, f"{by_id['ds-product'].lhs:.4g}", f"{ds:.4g}"]
+    row = [report.scenario, f"{by_id['ds-product'].lhs:.4g}", f"{ds:.4g}", f"{angle:.4g}"]
     for check_id in ("optimized-product", "marginal-energy", "signal-product"):
         v = by_id[check_id]
         row += ["skipped"] * 2 if v.status == "skipped" else [f"{v.rhs:.4g}", f"{v.rhs / ds:.4g}"]
@@ -785,7 +811,16 @@ def _bound_table_row(report) -> list:
 
 class TestReadmeTables:
     def test_bound_comparison_table_matches_the_standard_suite(self):
-        assert _readme_table(_BOUND_TABLE_HEADER) == [_bound_table_row(run_scenario(s)) for s in standard_suite()]
+        # the angle bound takes ds-product's defects, the requested ones of the auto sets
+        rows, beats_angle = [], set()
+        for s in standard_suite():
+            report, angle = run_scenario(s), _angle_bound(s.sets["eps_t"], s.sets["eps_omega"])
+            rows.append(_bound_table_row(report, angle))
+            certified = [v for v in report.verdicts if v.check_id in ("optimized-product", "marginal-energy")]
+            beats_angle.update(s.name for v in certified if v.status != "skipped" and v.rhs > angle)
+        assert _readme_table(_BOUND_TABLE_HEADER) == rows
+        # the scenarios that the README's sentence on the angle bound names
+        assert beats_angle == {"gaussian-eps005", "chirp-eps005", "chirp-eps010"}
 
     def test_library_example_prints_what_its_comments_say(self):
         lines = _README.read_text(encoding="utf-8").splitlines()
@@ -803,10 +838,13 @@ class TestReadmeTables:
 
 
     def test_hypothesis_table_names_each_check_once_and_its_deciding_function(self):
-        rows = _readme_table("| check | hypothesis decided by | rule |")
-        assert sorted(check_id for check_id, _, _ in rows) == sorted(CHECKS)
-        for check_id, decider, _ in rows:
+        rows = _readme_table("| check | hypothesis decided by | rule | on the grid | why |")
+        assert sorted(row[0] for row in rows) == sorted(CHECKS)
+        for check_id, decider, _, on_grid, why in rows:
             assert decider == "harness" or callable(getattr(bounds, decider, None)), (check_id, decider)
+            assert on_grid in ("exact on the grid", "discretises a continuum theorem") and why, check_id
+        # the one check that is a theorem on the grid itself, by TestGridExactChain
+        assert [row[0] for row in rows if row[3] == "exact on the grid"] == ["ds-product"]
 
     def test_signal_parameter_table_matches_the_defaults(self):
         documented = {}

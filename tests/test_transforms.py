@@ -17,7 +17,6 @@ import pytest
 
 from uplab import (
     Scenario,
-    centered_dft,
     energy,
     fourier,
     gabor_transform,
@@ -61,7 +60,8 @@ def shift_table_gabor(f, window):
     n = f.grid.n
     m = np.arange(n)
     table = (m[None, :] - m[:, None] + n // 2) % n
-    return f.grid.dx * centered_dft(f.samples[None, :] * np.conj(window.samples[table]), axis=1)
+    rows = np.fft.ifftshift(f.samples[None, :] * np.conj(window.samples[table]), axes=1)
+    return f.grid.dx * np.fft.fftshift(np.fft.fft(rows, axis=1), axes=1)
 
 
 def spectrogram(f, g, window):
