@@ -33,9 +33,11 @@ FREQUENCY = "frequency"
 _DOMAINS = (TIME, FREQUENCY)
 
 # working-set cap of one block in the row-blocked passes
-# (transforms.spectrogram_masses, and in bounds the log-distance groups of
-# _FactorScan.ranks and the row blocks of _FactorScan.log_moments, which
-# serves both _FactorScan.bracket and _FactorScan.ranks)
+# (transforms.spectrogram_masses, the Wigner fold of transforms._wigner_lags,
+# the half-lag phases of operators._weyl_assembly, and in bounds the
+# log-distance groups of _FactorScan.ranks and the row blocks of
+# _FactorScan.log_moments, which serves both _FactorScan.bracket and
+# _FactorScan.ranks)
 _BLOCK_BYTES = 1 << 20
 
 

@@ -5,7 +5,10 @@ sample vectors, g = M f.  With uniform quadrature weights the operator norm
 with respect to the weighted L^2 inner product equals the largest Euclidean
 singular value of M, so norms can be cross-checked against a full SVD.  Each
 assembly gathers its matrix once from a kernel tabulated by row and cyclic lag
-(``_lag_operator``) and freezes it in place; ``linear_op`` copies its input.
+(``_lag_operator``) and freezes it in place; ``linear_op`` copies its input and
+refuses non-finite entries.  Every assembly holds at most two n-by-n arrays, the
+kernel and the gathered matrix: its FFTs are taken in place, and its row-block
+buffers (the Wigner fold's, the half-lag phases') are sized by ``_BLOCK_BYTES``.
 Without a matrix, a smoothed time symbol multiplies time samples, and
 ``apply_freq_symbol`` multiplies a spectrum by a frequency symbol and transforms back.
 
@@ -25,12 +28,13 @@ takes the symbol's lag spectrum; a localization operator's is a product of two.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .concentration import MaskSet
-from .core import FREQUENCY, TIME, Grid, Signal, _edge_mass, fourier, frozen_array, signal_from_samples
+from .core import FREQUENCY, TIME, _BLOCK_BYTES, Grid, Signal, _edge_mass, fourier, frozen_array, signal_from_samples
 from .transforms import TFMatrix, _wigner_lags
 
 
@@ -50,6 +54,8 @@ def linear_op(grid: Grid, matrix) -> LinearOp:
     arr = frozen_array(matrix)
     if arr.shape != (grid.n, grid.n):
         raise ValueError(f"expected shape {(grid.n, grid.n)}, got {arr.shape}")
+    if not np.all(np.isfinite(arr.view(np.float64))):
+        raise ValueError("operator matrix must be finite")
     return LinearOp(grid, arr)
 
 
@@ -157,9 +163,12 @@ def localization_operator(symbol: TFMatrix, phi: Signal, psi: Signal) -> LinearO
     cphi = np.conj(np.roll(phi.samples, -n2))
     shifts = np.lib.stride_tricks.sliding_window_view(np.concatenate((cphi, cphi))[::-1], n)
     conv = shifts[n - 1 :: -1] * np.roll(psi.samples, -n2)[:, None]
-    conv = np.fft.fft(conv, axis=0)
-    conv *= np.fft.fft(np.fft.ifft(symbol.values, axis=1), axis=0)
-    return _lag_operator(grid, np.fft.ifft(conv, axis=0), n * grid.dx * grid.dx * grid.dw)
+    np.fft.fft(conv, axis=0, out=conv)
+    spectrum = np.fft.ifft(symbol.values, axis=1)
+    conv *= np.fft.fft(spectrum, axis=0, out=spectrum)
+    del spectrum  # freed before the matrix is gathered: conv and the matrix are the two n-by-n arrays
+    np.fft.ifft(conv, axis=0, out=conv)
+    return _lag_operator(grid, conv, n * grid.dx * grid.dx * grid.dw)
 
 
 def weyl_operator(symbol: TFMatrix) -> LinearOp:
@@ -171,26 +180,45 @@ def weyl_operator(symbol: TFMatrix) -> LinearOp:
     The Nyquist row of that shift is split symmetrically, and symbols with
     more than 1e-8 of their energy in it are rejected.
     """
-    return _weyl_assembly(symbol.grid, np.fft.ifft(np.fft.fft(symbol.values, axis=0), axis=1))
+    return _weyl_assembly(symbol.grid, _symbol_lags(symbol.values))
+
+
+def _symbol_lags(values: np.ndarray) -> np.ndarray:
+    """A tabulated symbol's lag spectrum ifft(fft(a, axis=0), axis=1), both FFTs taken in one array."""
+    lags = np.fft.fft(values, axis=0)
+    return np.fft.ifft(lags, axis=1, out=lags)
 
 
 def _weyl_assembly(grid: Grid, lags: np.ndarray) -> LinearOp:
-    """weyl_operator from the symbol's lag spectrum lags = ifft(fft(a, axis=0), axis=1)."""
+    """weyl_operator from the symbol's lag spectrum lags = ifft(fft(a, axis=0), axis=1).
+
+    lags is turned into the kernel in place: the half-lag phases multiply it in row
+    blocks of at most ``_BLOCK_BYTES``, looked up in a table of the 2n distinct values
+    exp(-i*pi*k/n), and its time FFT is taken in place.  lags and the gathered matrix
+    are the only n-by-n arrays held.
+    """
     n, n2 = grid.n, grid.n // 2
-    total = float(np.sum(np.abs(lags) ** 2))
-    nyq = float(np.sum(np.abs(lags[n2, :]) ** 2))
+    # sums of |lags|^2 with no n-by-n temporary
+    total = np.vdot(lags, lags).real
+    nyq = np.vdot(lags[n2], lags[n2]).real
     if total > 0 and nyq / total > 1e-8:
         raise ValueError(
             "tabulated symbol has energy at the Nyquist row "
             f"(fraction {nyq / total:.2e}); the half-lag shift is ill-defined"
         )
     # signed index of each time frequency and each lag, with +n/2 at index n/2
-    ell = np.fft.fftfreq(n, 1.0 / n)
-    ell[n2] = n2
-    # the products are exact integers; reducing them mod 2n keeps the phase in [0, 2*pi)
-    shift = np.exp((-1j * np.pi / n) * (np.outer(ell, ell) % (2 * n)))
-    shift[n2] = np.cos(0.5 * np.pi * ell)
-    kern = np.fft.ifft(lags * shift, axis=0)
+    ell = np.arange(n)
+    ell[n2 + 1 :] -= n
+    # the phase of (ell, ell') is exp(-i*pi*ell*ell'/n); ell*ell' mod 2n indexes it in [0, 2*pi)
+    phases = np.exp((-1j * np.pi / n) * np.arange(2 * n, dtype=np.float64))
+    step = max(1, _BLOCK_BYTES // (16 * n))
+    for j0 in range(0, n, step):
+        shift = phases[np.outer(ell[j0 : j0 + step], ell) % (2 * n)]
+        if j0 <= n2 < j0 + step:
+            shift[n2 - j0] = np.cos(0.5 * np.pi * ell)
+        lags[j0 : j0 + step] *= shift
+    del shift  # freed before the matrix is gathered
+    kern = np.fft.ifft(lags, axis=0, out=lags)
     # lag n/2 takes the wrapped branch -n/2 on rows m < n/2; its shift by +n/4
     # there is the -n/4 shift read n/2 rows further down
     kern[:n2, n2] = kern[n2:, n2]
@@ -205,8 +233,9 @@ def weyl_from_localization(symbol: TFMatrix, phi: Signal, psi: Signal) -> Linear
     and of the assembly compose to two reversals that cancel: no distribution or 2-D FFT is formed."""
     if symbol.grid != phi.grid or phi.grid != psi.grid:
         raise ValueError("symbol and windows must share a grid")
-    lags = np.fft.fft(np.fft.ifftshift(_wigner_lags(psi, phi), axes=0), axis=0)
-    lags *= np.fft.ifft(np.fft.fft(symbol.values, axis=0), axis=1)
+    lags = _wigner_lags(psi, phi, symbol.grid.n // 2)  # rows in ifftshift order
+    np.fft.fft(lags, axis=0, out=lags)
+    lags *= _symbol_lags(symbol.values)
     lags *= symbol.grid.dx
     return _weyl_assembly(symbol.grid, lags)
 
@@ -222,11 +251,13 @@ def operator_norm(op: LinearOp) -> float:
     """Largest singular value by power iteration on M^H M from a seeded start.
 
     Stops when two consecutive estimates agree to _NORM_RTOL; raises
-    PowerIterationError with the iteration count otherwise.  The stopping rule
-    bounds the step between estimates, not the error: each estimate is
-    ||M v|| for a unit v, so it never exceeds the top singular value, but when
-    the top two singular values nearly coincide the iteration creeps upward
-    slowly and can stop well short of it, by more than _NORM_RTOL.
+    PowerIterationError with the iteration count otherwise, and at once when an
+    estimate is not finite (entries whose products overflow, or a matrix built
+    without ``linear_op``'s check).  The stopping rule bounds the step between
+    estimates, not the error: each estimate is ||M v|| for a unit v, so it never
+    exceeds the top singular value, but when the top two singular values nearly
+    coincide the iteration creeps upward slowly and can stop well short of it,
+    by more than _NORM_RTOL.
     Dense only: intended for n <= 1024.
     """
     if op.grid.n > 1024:
@@ -237,23 +268,30 @@ def operator_norm(op: LinearOp) -> float:
     v /= np.linalg.norm(v)
     sigma_prev = -1.0
     stable = 0
-    for _ in range(_NORM_MAX_ITER):
-        u = m @ v
-        sigma = float(np.linalg.norm(u))
-        if sigma == 0.0:
-            return 0.0
-        v = np.conj(np.conj(u) @ m)  # M^H u without an n-by-n conjugate copy
-        nv = float(np.linalg.norm(v))
-        if nv == 0.0:
-            return sigma
-        v /= nv
-        if abs(sigma - sigma_prev) <= _NORM_RTOL * max(sigma, 1e-300):
-            stable += 1
-            if stable >= 2:
+    # an overflowing product stops the loop below with one error, not with numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, _NORM_MAX_ITER + 1):
+            u = m @ v
+            sigma = float(np.linalg.norm(u))
+            if sigma == 0.0:
+                return 0.0
+            v = np.conj(np.conj(u) @ m)  # M^H u without an n-by-n conjugate copy
+            nv = float(np.linalg.norm(v))
+            if not (math.isfinite(sigma) and math.isfinite(nv)):
+                raise PowerIterationError(
+                    f"operator norm estimate is not finite at iteration {k} "
+                    f"(||M v|| = {sigma:.6e}, ||M^H M v|| = {nv:.6e})"
+                )
+            if nv == 0.0:
                 return sigma
-        else:
-            stable = 0
-        sigma_prev = sigma
+            v /= nv
+            if abs(sigma - sigma_prev) <= _NORM_RTOL * max(sigma, 1e-300):
+                stable += 1
+                if stable >= 2:
+                    return sigma
+            else:
+                stable = 0
+            sigma_prev = sigma
     raise PowerIterationError(
         f"operator norm iteration did not converge within {_NORM_MAX_ITER} iterations "
         f"(last estimate {sigma_prev:.6e})"

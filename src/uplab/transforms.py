@@ -31,7 +31,9 @@ Nyquist bin split symmetrically (real input stays real).  The unpaired extreme
 lag is dropped so that Wig(f, g) = conj(Wig(g, f)) holds exactly; in
 particular Wig(f, f) is exactly real and its frequency marginal recovers
 |f(t_j)|^2 exactly, which the tests pin.  One builder of its lag products serves
-``wigner`` and the Weyl route of :mod:`uplab.operators`.
+``wigner`` and the Weyl route of :mod:`uplab.operators`: it folds them in row
+blocks straight into the one n-by-n array it returns, in the row order its caller
+asks for, and ``wigner`` transforms that array in place.
 """
 
 from __future__ import annotations
@@ -68,6 +70,8 @@ def tfmatrix_from_values(grid: Grid, values) -> TFMatrix:
     arr = frozen_array(values)
     if arr.shape != (grid.n, grid.n):
         raise ValueError(f"expected shape {(grid.n, grid.n)}, got {arr.shape}")
+    if not np.all(np.isfinite(arr.view(np.float64))):
+        raise ValueError("time-frequency values must be finite")
     return TFMatrix(grid, arr)
 
 
@@ -253,9 +257,14 @@ def trig_upsample2(values: np.ndarray) -> np.ndarray:
     return 2.0 * np.fft.ifft(out, axis=-1)
 
 
-def _wigner_lags(f: Signal, g: Signal) -> np.ndarray:
+def _wigner_lags(f: Signal, g: Signal, shift: int) -> np.ndarray:
     """Folded lag products F[j, m] = r[j, m] + r[j, m + n] of Wig(f, g) = dx * fft((-1)^m F, axis=1),
-    r[j, m2] = f2[2j + m2 - n] * conj(g2[2j - m2 + n]) on the upsamplings, 0 outside [0, 2n)."""
+    r[j, m2] = f2[2j + m2 - n] * conj(g2[2j - m2 + n]) on the upsamplings, 0 outside [0, 2n).
+
+    Row j of F is written to row (j + shift) mod n of the result, 0 <= shift < n, so a
+    caller that needs ifftshift(F, axes=0) passes shift = n/2 and makes no copy.  The
+    n-by-2n r is formed in row blocks of at most ``_BLOCK_BYTES`` and folded straight
+    into the result, which is the only n-by-n array allocated."""
     if f.domain != TIME or g.domain != TIME:
         raise ValueError("Wigner distribution expects time-domain signals")
     if f.grid != g.grid:
@@ -265,19 +274,30 @@ def _wigner_lags(f: Signal, g: Signal) -> np.ndarray:
     fp = np.concatenate((pad, trig_upsample2(f.samples), pad))
     gr = np.concatenate((pad, np.conj(trig_upsample2(g.samples)), pad))[::-1]
     windows = np.lib.stride_tricks.sliding_window_view
-    r = windows(fp, 2 * n)[0 : 2 * n : 2] * windows(gr, 2 * n)[2 * n - 1 :: -2]
-    r[:, 0] = 0.0  # unpaired extreme lag, dropped to keep Hermitian symmetry exact
-    return r[:, :n] + r[:, n:]
+    fw, gw = windows(fp, 2 * n)[0 : 2 * n : 2], windows(gr, 2 * n)[2 * n - 1 :: -2]
+    step = max(1, _BLOCK_BYTES // (32 * n))
+    r = np.empty((min(step, n), 2 * n), dtype=np.complex128)
+    folded = np.empty((n, n), dtype=np.complex128)
+    # blocks stop where the destination rows wrap, so each lands in one contiguous slice
+    for start, stop in ((0, n - shift), (n - shift, n)):
+        for j0 in range(start, stop, step):
+            j1 = min(j0 + step, stop)
+            block = np.multiply(fw[j0:j1], gw[j0:j1], out=r[: j1 - j0])
+            block[:, 0] = 0.0  # unpaired extreme lag, dropped to keep Hermitian symmetry exact
+            d0 = (j0 + shift) % n
+            np.add(block[:, :n], block[:, n:], out=folded[d0 : d0 + j1 - j0])
+    return folded
 
 
 def wigner(f: Signal, g: Signal | None = None) -> TFMatrix:
     """Cross-Wigner distribution of (f, g); auto-Wigner of f when g is omitted."""
     if g is None:
         g = f
-    folded = _wigner_lags(f, g)
-    folded *= np.where(np.arange(f.grid.n) % 2 == 0, 1.0, -1.0)
-    vals = f.grid.dx * np.fft.fft(folded, axis=1)
+    vals = _wigner_lags(f, g, 0)
+    vals *= np.where(np.arange(f.grid.n) % 2 == 0, 1.0, -1.0)
+    np.fft.fft(vals, axis=1, out=vals)
+    np.multiply(f.grid.dx, vals, out=vals)
     if g is f or g.samples is f.samples:
-        vals = vals.real.astype(np.complex128)
+        vals.imag = 0.0
     vals.setflags(write=False)
     return TFMatrix(f.grid, vals)

@@ -23,6 +23,7 @@ from scipy.special import erf
 from uplab import (
     FREQUENCY,
     TIME,
+    PowerIterationError,
     apply_freq_symbol,
     fourier,
     gabor_transform,
@@ -330,12 +331,23 @@ class TestLocalization:
 
 
 class TestWeyl:
-    @pytest.mark.parametrize("n", [32, 64, 128, 256])
+    # 206: fftfreq(206, 1/206) is not integral, so the half-lag phases must not be read from it
+    @pytest.mark.parametrize("n", [32, 64, 128, 206, 256])
     def test_matches_midpoint_column_assembly(self, n):
         grid = make_grid(n, 4.0 / math.sqrt(n))
         avals = time_smooth_symbol(n, np.random.default_rng(600 + n))
         op = weyl_operator(tfmatrix_from_values(grid, avals))
         assert max_relative_gap(op.matrix, midpoint_weyl(grid, avals)) <= 1e-13
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_phase_blocks_of_any_height_give_the_same_bits(self, monkeypatch, rows):
+        # with 3 rows the Nyquist row is the last of the block [30, 33)
+        n = 64
+        grid = make_grid(n, 1 / 8)
+        symbol = tfmatrix_from_values(grid, time_smooth_symbol(n, np.random.default_rng(12)))
+        want = weyl_operator(symbol).matrix
+        monkeypatch.setattr(operators, "_BLOCK_BYTES", rows * 16 * n)
+        assert np.array_equal(weyl_operator(symbol).matrix, want)
 
     def test_time_only_symbol_is_pointwise_multiplication(self):
         grid = make_grid(64, 1 / 8)
@@ -365,6 +377,15 @@ class TestWeyl:
         op = weyl_operator(tfmatrix_from_values(grid, np.zeros((64, 64))))
         assert np.max(np.abs(op.matrix)) == 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_symbol_refused_before_quantization(self, bad):
+        # a NaN symbol used to pass the Nyquist test (nan > 1e-8 is false) and quantize to all NaN
+        grid = make_grid(32, 0.25)
+        values = np.ones((32, 32), dtype=complex)
+        values[5, 7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            weyl_operator(tfmatrix_from_values(grid, values))
+
     def test_symbol_with_alternating_sign_rows_rejected(self):
         # A pure +1/-1 alternation along time sits entirely in the row the
         # half-lag shift cannot represent.
@@ -390,7 +411,8 @@ class TestWeyl:
         w = wigner(window, window)
         assert np.max(np.abs(w.values.imag)) < 1e-10
 
-    @pytest.mark.parametrize("n", [64, 256])
+    # at n = 640 neither the fold's row blocks (51 rows) nor the phases' (102 rows) divide n/2
+    @pytest.mark.parametrize("n", [64, 256, 640])
     @pytest.mark.parametrize("windows", ["gaussian", "noise"])
     def test_smoothing_route_matches_the_dense_cross_wigner_route(self, n, windows):
         grid = make_grid(n, 1 / math.sqrt(n))
@@ -451,19 +473,23 @@ class TestWindowChecks:
 
 
 class TestAssemblyMemory:
-    # n-by-n complex arrays held at once, each counted whole (r in wigner is n x 2n, two):
-    # localization_operator: the window products, the symbol's row DFT and its column
-    #   FFT; later the products, the kernel and the gathered matrix.  Three.
-    # wigner: r and its fold; r is freed before the fold is signed in place and
-    #   transformed; the real part of the auto-distribution is taken beside both.  Three.
-    # weyl_from_localization: the windows' lag products, as wigner's r and its fold
-    #   (three); then the folded products, their row shift and its time FFT; then that
-    #   lag spectrum, the symbol's time FFT and its lag spectrum; in the assembly the
-    #   product of the lag spectra, the half-lag phases, their product and the kernel,
-    #   then the kernel and the gathered matrix beside the first two.  Four.
-    # The quarter array of slack covers the length-n vectors and numpy's iteration
-    # buffers (two of 8192 complex entries, 0.06 of an array at n = 512).
-    @pytest.mark.parametrize(("route", "held"), [("localization", 3), ("wigner", 3), ("weyl", 4)])
+    # n-by-n complex arrays held at once, each counted whole; FFTs are taken in place:
+    # localization_operator: the window products and their time FFT; beside them the
+    #   symbol's row DFT and its column FFT, freed once it multiplies them; then their
+    #   inverse FFT, the kernel, beside the gathered matrix.  Two.
+    # wigner: the folded lag products, signed, transformed and scaled in place; the
+    #   auto-distribution's real part is taken in place.  One.
+    # weyl_from_localization: the windows' folded lag products, in ifftshift row order, and
+    #   their time FFT; beside them the symbol's lag spectrum, freed once it multiplies them;
+    #   in the assembly the half-lag phases multiply them in place, then their inverse time
+    #   FFT, the kernel, sits beside the gathered matrix.  Two.
+    # weyl_operator: the symbol's lag spectrum, then the same assembly.  Two.
+    # The quarter array of slack covers the row blocks of at most 1 MiB (wigner's n-by-2n
+    # products, the assembly's phases with their index table: 0.375 of an array at n = 512,
+    # held beside the one array only), the length-n vectors and numpy's iteration buffers.
+    @pytest.mark.parametrize(
+        ("route", "held"), [("localization", 2), ("wigner", 2), ("weyl", 2), ("weyl-operator", 2)]
+    )
     def test_peak_counts_only_the_arrays_held_at_once(self, route, held):
         n = 512
         grid = make_grid(n, 1 / math.sqrt(n))
@@ -474,6 +500,7 @@ class TestAssemblyMemory:
             "localization": lambda: localization_operator(symbol, window, window),
             "wigner": lambda: wigner(window),
             "weyl": lambda: weyl_from_localization(symbol, window, window),
+            "weyl-operator": lambda: weyl_operator(symbol),
         }[route]
         build()  # FFT plans and caches are made on the first call
         tracemalloc.start()
@@ -512,6 +539,25 @@ class TestOperatorNorm:
     def test_zero_operator(self):
         grid = make_grid(8, 0.5)
         assert operator_norm(linear_op(grid, np.zeros((8, 8)))) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_matrix_rejected(self, bad):
+        grid = make_grid(8, 0.5)
+        matrix = np.eye(8, dtype=complex)
+        matrix[2, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            linear_op(grid, matrix)
+
+    @pytest.mark.parametrize("case", ["overflow", "nan"])
+    def test_non_finite_estimate_stops_the_iteration_at_once(self, case):
+        # it used to run all 10 000 iterations and report a nan estimate as non-convergence
+        grid = make_grid(8, 0.5)
+        if case == "overflow":  # finite entries whose products overflow
+            op = linear_op(grid, np.full((8, 8), 1e300))
+        else:  # a matrix that did not pass through linear_op's check
+            op = operators.LinearOp(grid, np.full((8, 8), complex(np.nan, 0.0)))
+        with pytest.raises(PowerIterationError, match="not finite at iteration 1 "):
+            operator_norm(op)
 
     def test_large_grids_rejected(self):
         grid = make_grid(2048, 1 / 64)

@@ -377,6 +377,18 @@ class TestWigner:
         assert np.array_equal(wigner(f, g).values, index_table_wigner(f, g))
         assert np.array_equal(wigner(f).values, index_table_wigner(f, f))
 
+    @pytest.mark.parametrize("rows", [1, 3, 64])
+    def test_lag_products_at_any_block_height_and_row_order(self, monkeypatch, rows):
+        # the n-by-2n products are folded in row blocks, cut where the destination
+        # rows wrap: every height gives the gather's bits, and shift n/2 is ifftshift
+        n = 64
+        grid = make_grid(n, 0.5)
+        f, g = noise_signal(grid, 40), noise_signal(grid, 41)
+        monkeypatch.setattr(transforms, "_BLOCK_BYTES", rows * 32 * n)
+        assert np.array_equal(wigner(f, g).values, index_table_wigner(f, g))
+        natural = transforms._wigner_lags(f, g, 0)
+        assert np.array_equal(transforms._wigner_lags(f, g, n // 2), np.fft.ifftshift(natural, axes=0))
+
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
     def test_gaussian_closed_form(self, lam):
         # For f = (2 lam)^(1/4) exp(-pi lam t^2) the distribution is
