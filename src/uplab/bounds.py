@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concentration import _moment_lq, energy_centroid, support_mask, weighted_moment_norm
+from .concentration import _moment_lq, _support, energy_centroid, support_mask, weighted_moment_norm
 from .core import _BLOCK_BYTES, FREQUENCY, TIME, Signal, _quadrature_lq, norm_lq
 
 INF = float("inf")
@@ -435,15 +435,15 @@ class _FactorScan:
     """The (center, q, alpha) rows of one factor's scan, in scan order, on the support of g.
 
     Built once per factor: |g| gives the norms (by `_quadrature_lq`, as
-    `norm_lq` takes them) and the support, and log|g|, the rows' (q, alpha, e)
+    `norm_lq` takes them) and the support (by `concentration._support`, as
+    `weighted_moment_norm` takes it), and log|g|, the rows' (q, alpha, e)
     columns and their rank offsets (e - 2) log ||g||_q - log K are taken once.
     """
 
     def __init__(self, g: Signal, centers: list, table: list):
         mags = np.abs(g.samples)
         self.norms = {q: _quadrature_lq(mags, g.spacing, q) for q in {2.0, *(row[0] for row in table)}}
-        nonzero = mags > 0
-        self.axis, self.mags = (g.axis, mags) if nonzero.all() else (g.axis[nonzero], mags[nonzero])
+        self.axis, self.mags = _support(g.axis, mags)
         self.level, self.log_h, self.centers = np.log(self.mags), math.log(g.spacing), np.asarray(centers, dtype=float)
         self.qs = sorted({row[0] for row in table})
         q, _, e, k = columns = np.array(table).T

@@ -56,12 +56,18 @@ def concentration_defect(f: Signal, u: MaskSet) -> float:
     """Relative L^2 mass of f outside u, clamped into [0, 1]."""
     if u.grid != f.grid or u.axis != f.domain:
         raise ValueError("mask must live on the signal's grid and axis")
+    e, total = _energy_profile(f, "concentration defect")
+    outside = float(e[~u.flags].sum())
+    return float(min(1.0, np.sqrt(max(0.0, outside / total))))
+
+
+def _energy_profile(f: Signal, quantity: str) -> tuple[np.ndarray, float]:
+    """(|f|^2, its sum) for the named quantity of f, which is undefined for the zero signal."""
     e = np.abs(f.samples) ** 2
     total = float(e.sum())
     if total == 0.0:
-        raise ValueError("concentration defect of the zero signal is undefined")
-    outside = float(e[~u.flags].sum())
-    return float(min(1.0, np.sqrt(max(0.0, outside / total))))
+        raise ValueError(f"{quantity} of the zero signal is undefined")
+    return e, total
 
 
 def minimal_concentration_set(f: Signal, epsilon: float) -> MaskSet:
@@ -75,10 +81,7 @@ def minimal_concentration_set(f: Signal, epsilon: float) -> MaskSet:
     epsilon = float(epsilon)
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon!r}")
-    e = np.abs(f.samples) ** 2
-    total = float(e.sum())
-    if total == 0.0:
-        raise ValueError("concentration set of the zero signal is undefined")
+    e, total = _energy_profile(f, "concentration set")
     order = np.argsort(-e, kind="stable")
     flags = np.zeros(f.grid.n, dtype=bool)
     flags[order[: _admitted_count(e, order, total, epsilon * epsilon * total)]] = True
@@ -98,10 +101,7 @@ def _admitted_count(e: np.ndarray, order: np.ndarray, total: float, budget: floa
 
 def energy_centroid(f: Signal) -> float:
     """Energy-weighted mean of the axis variable."""
-    e = np.abs(f.samples) ** 2
-    total = float(e.sum())
-    if total == 0.0:
-        raise ValueError("centroid of the zero signal is undefined")
+    e, total = _energy_profile(f, "centroid")
     return float(np.sum(f.axis * e) / total)
 
 
@@ -115,17 +115,16 @@ def weighted_moment_norm(f: Signal, center: float, alpha: float, q: float) -> fl
     alpha = float(alpha)
     if not alpha > 0:
         raise ValueError(f"moment exponent must be positive, got {alpha!r}")
-    axis, mags = _support(f)
+    axis, mags = _support(f.axis, np.abs(f.samples))
     return _moment_lq(np.abs(axis - float(center)), mags, f.spacing, alpha, q)
 
 
-def _support(f: Signal) -> tuple[np.ndarray, np.ndarray]:
-    """Axis values and magnitudes at the samples with |f| > 0."""
-    mags = np.abs(f.samples)
+def _support(axis: np.ndarray, mags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The axis values and magnitudes at the samples with magnitude |f| > 0: a moment's summands."""
     nonzero = mags > 0
     if nonzero.all():
-        return f.axis, mags
-    return f.axis[nonzero], mags[nonzero]
+        return axis, mags
+    return axis[nonzero], mags[nonzero]
 
 
 def _moment_lq(dist: np.ndarray, mags: np.ndarray, spacing: float, alpha: float, q: float) -> float:

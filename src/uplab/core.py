@@ -118,12 +118,17 @@ class Signal:
 
 def signal_from_samples(grid: Grid, values, domain: str = TIME) -> Signal:
     _check_domain(domain)
+    return Signal(grid, _finite_array(values, (grid.n,), "samples"), domain)
+
+
+def _finite_array(values, shape: tuple, what: str) -> np.ndarray:
+    """A caller's array, copied by ``frozen_array`` and refused unless of that shape and finite."""
     arr = frozen_array(values)
-    if arr.ndim != 1 or arr.shape[0] != grid.n:
-        raise ValueError(f"expected {grid.n} samples, got shape {arr.shape}")
+    if arr.shape != shape:
+        raise ValueError(f"expected {what} of shape {shape}, got shape {arr.shape}")
     if not np.all(np.isfinite(arr.view(np.float64))):
-        raise ValueError("samples must be finite")
-    return Signal(grid, arr, domain)
+        raise ValueError(f"{what} must be finite")
+    return arr
 
 
 def centered_dft(values: np.ndarray, inverse: bool = False) -> np.ndarray:

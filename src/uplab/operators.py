@@ -10,7 +10,7 @@ refuses non-finite entries.  Every assembly holds at most two n-by-n arrays, the
 kernel and the gathered matrix: its FFTs are taken in place, and its row-block
 buffers (the Wigner fold's, the half-lag phases') are sized by ``_BLOCK_BYTES``.
 Without a matrix, a smoothed time symbol multiplies time samples, and
-``apply_freq_symbol`` multiplies a spectrum by a frequency symbol and transforms back.
+``apply_freq_symbol`` multiplies a spectrum by a frequency symbol on the same grid and transforms back.
 
 The Weyl quantization evaluates the symbol at half-sample midpoints,
 
@@ -24,6 +24,8 @@ periodization of the continuum kernel.  This keeps purely-time symbols exactly
 diagonal, purely-frequency symbols exactly the conjugated multiplier, and
 matches the localization operator picture for contained data.  The assembly
 takes the symbol's lag spectrum; a localization operator's is a product of two.
+A symbol with more than 1e-8 of its lag energy in the Nyquist row is refused at
+any scale: sums of |lags|^2 that overflow are taken again on rescaled rows.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concentration import MaskSet
-from .core import FREQUENCY, TIME, _BLOCK_BYTES, Grid, Signal, _edge_mass, fourier, frozen_array, signal_from_samples
+from .core import FREQUENCY, TIME, _BLOCK_BYTES, Grid, Signal, _edge_mass, _finite_array, fourier, signal_from_samples
 from .transforms import TFMatrix, _wigner_lags
 
 
@@ -51,12 +53,7 @@ class LinearOp:
 
 
 def linear_op(grid: Grid, matrix) -> LinearOp:
-    arr = frozen_array(matrix)
-    if arr.shape != (grid.n, grid.n):
-        raise ValueError(f"expected shape {(grid.n, grid.n)}, got {arr.shape}")
-    if not np.all(np.isfinite(arr.view(np.float64))):
-        raise ValueError("operator matrix must be finite")
-    return LinearOp(grid, arr)
+    return LinearOp(grid, _finite_array(matrix, (grid.n, grid.n), "operator matrix"))
 
 
 def _lag_operator(grid: Grid, kern: np.ndarray, scale: float) -> LinearOp:
@@ -112,15 +109,17 @@ def gaussian_smoothed_indicator(mask: MaskSet, lam: float) -> SmoothedSymbol:
     # and numpy's SIMD complex product rounds a * b and b * a differently
     conv = np.fft.ifft(np.multiply(mask.flags_fft, np.fft.fft(np.fft.ifftshift(kernel))))
     values = np.clip(h * conv.real, 0.0, 1.0)
-    return SmoothedSymbol(grid, mask.axis, frozen_array(values, dtype=np.float64))
+    values.setflags(write=False)
+    return SmoothedSymbol(grid, mask.axis, values)
 
 
 def apply_freq_symbol(sym: SmoothedSymbol, fhat: Signal) -> Signal:
     """Fourier multiplier on the spectrum fhat of f: multiply by the smoothed values, invert to time."""
     if sym.axis != FREQUENCY or fhat.domain != FREQUENCY:
         raise ValueError("frequency symbol application requires a spectrum and a frequency symbol")
-    shaped = signal_from_samples(fhat.grid, sym.values * fhat.samples, FREQUENCY)
-    return fourier(shaped)
+    if sym.grid != fhat.grid:
+        raise ValueError("symbol and spectrum must share a grid")
+    return fourier(signal_from_samples(fhat.grid, sym.values * fhat.samples, FREQUENCY))
 
 
 def smoothed_concentration_ops(
@@ -195,12 +194,18 @@ def _weyl_assembly(grid: Grid, lags: np.ndarray) -> LinearOp:
     lags is turned into the kernel in place: the half-lag phases multiply it in row
     blocks of at most ``_BLOCK_BYTES``, looked up in a table of the 2n distinct values
     exp(-i*pi*k/n), and its time FFT is taken in place.  lags and the gathered matrix
-    are the only n-by-n arrays held.
+    are the only n-by-n arrays held (the Nyquist test's rescaled sums hold one row).
     """
     n, n2 = grid.n, grid.n // 2
     # sums of |lags|^2 with no n-by-n temporary
     total = np.vdot(lags, lags).real
     nyq = np.vdot(lags[n2], lags[n2]).real
+    if not math.isfinite(total):  # overflowed: the same sums, a row at a time, of lags over their largest modulus
+        peak = np.max([np.abs(row).max() for row in lags])
+        if not math.isfinite(peak):
+            raise ValueError("tabulated symbol's lag spectrum is not finite")
+        rows = [np.vdot(row / peak, row / peak).real for row in lags]
+        total, nyq = sum(rows), rows[n2]
     if total > 0 and nyq / total > 1e-8:
         raise ValueError(
             "tabulated symbol has energy at the Nyquist row "

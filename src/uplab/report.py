@@ -100,8 +100,9 @@ def write_report_json(report: Report, path) -> None:
 
 
 def write_verdicts_csv(report: Report, path) -> None:
+    """verdict_to_dict's rows in report_to_json's order, under its keys (read off an unjudged verdict)."""
+    columns = verdict_to_dict(unjudged_verdict("", "skipped", "", math.nan))
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["check", "lhs", "rhs", "rel_tol", "margin", "status", "notes"])
-        for v in sorted(report.verdicts, key=lambda v: v.check_id):
-            writer.writerow([v.check_id, _num(v.lhs), _num(v.rhs), v.rel_tol, _num(v.margin), v.status, v.notes])
+        writer = csv.DictWriter(fh, list(columns))
+        writer.writeheader()
+        writer.writerows(verdict_to_dict(v) for v in sorted(report.verdicts, key=lambda v: v.check_id))

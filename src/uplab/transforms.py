@@ -47,9 +47,9 @@ from .core import (
     _BLOCK_BYTES,
     Grid,
     Signal,
+    _finite_array,
     _quadrature_lq,
     boundary_energy_fraction,
-    frozen_array,
     signal_from_samples,
 )
 
@@ -67,12 +67,7 @@ class TFMatrix:
 
 
 def tfmatrix_from_values(grid: Grid, values) -> TFMatrix:
-    arr = frozen_array(values)
-    if arr.shape != (grid.n, grid.n):
-        raise ValueError(f"expected shape {(grid.n, grid.n)}, got {arr.shape}")
-    if not np.all(np.isfinite(arr.view(np.float64))):
-        raise ValueError("time-frequency values must be finite")
-    return TFMatrix(grid, arr)
+    return TFMatrix(grid, _finite_array(values, (grid.n, grid.n), "time-frequency values"))
 
 
 def gaussian_window(lam: float, grid: Grid) -> Signal:

@@ -100,7 +100,7 @@ def _signal_factor(g, center, q, alpha):
 def exhaustive_best_factor(g, centers, table):
     """First maximiser of bounds._factor over (center, q, alpha), every row evaluated exactly, and ||g||_2."""
     norms = {q: norm_lq(g, q) for q in {row[0] for row in table}}
-    axis, mags = _support(g)
+    axis, mags = _support(g.axis, np.abs(g.samples))
     best, arg = None, None
     for c in centers:
         dist = np.abs(axis - float(c))
@@ -998,7 +998,7 @@ class TestRankedFactorScan:
             g, centers, table = scan_inputs(g)
             norms = {q: norm_lq(g, q) for q in {row[0] for row in table}}
             ranks = bounds._FactorScan(g, centers, table).ranks(np.arange(len(centers) * len(table)))
-            axis, mags = _support(g)
+            axis, mags = _support(g.axis, np.abs(g.samples))
             rows = [(c, row) for c in centers for row in table]
             assert len(rows) == ranks.size
             for rank, (c, (q, a, e, k)) in zip(ranks, rows):
@@ -1035,7 +1035,7 @@ class TestRankedFactorScan:
         ranks = bounds._FactorScan(g, centers, table).ranks(np.arange(len(centers) * len(table)))
         top = int(np.argmax(ranks))
         c, (q, a, _, _) = centers[top // len(table)], table[top % len(table)]
-        axis, mags = _support(g)
+        axis, mags = _support(g.axis, np.abs(g.samples))
         assert np.isfinite(ranks[top])
         assert _moment_lq(np.abs(axis - c), mags, g.spacing, a, q) == 0.0
         expected = exhaustive_best_factor(g, centers, table)

@@ -109,8 +109,14 @@ class TestDefect:
     def test_zero_signal_rejected(self):
         grid = make_grid(8, 0.5)
         z = signal_from_samples(grid, np.zeros(8))
-        with pytest.raises(ValueError):
-            concentration_defect(z, window_mask(grid, TIME, 0.0, 1.0))
+        measures = {
+            "concentration defect": lambda: concentration_defect(z, window_mask(grid, TIME, 0.0, 1.0)),
+            "concentration set": lambda: minimal_concentration_set(z, 0.1),
+            "centroid": lambda: energy_centroid(z),
+        }
+        for quantity, measure in measures.items():
+            with pytest.raises(ValueError, match=f"^{quantity} of the zero signal is undefined$"):
+                measure()
 
     def test_axis_mismatch_rejected(self):
         grid = make_grid(8, 0.5)

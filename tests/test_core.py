@@ -6,6 +6,7 @@ on the centered axes, independent of the FFT path under test.
 """
 
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -150,6 +151,18 @@ class TestImmutability:
         given[...] = 0
         np.testing.assert_array_equal(stored, np.ones(shape, dtype=dtype))
         assert not stored.flags.writeable
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf), "shape"])
+    @pytest.mark.parametrize("name", ["signal_from_samples", "tfmatrix_from_values", "linear_op"])
+    def test_constructors_refuse_non_finite_and_misshaped_arrays(self, name, bad):
+        shape, _, stored_array = _CONSTRUCTORS[name]
+        if bad == "shape":
+            given, match = np.ones(shape[:-1] + (7,)), rf"expected .*{re.escape(str(shape))}"
+        else:
+            given, match = np.ones(shape, dtype=complex), "must be finite"
+            given[(1,) * len(shape)] = bad
+        with pytest.raises(ValueError, match=match):
+            stored_array(make_grid(8, 0.5), given)
 
 
 class TestFourier:

@@ -256,6 +256,14 @@ class TestSmoothedIndicators:
         np.testing.assert_allclose(l1.matrix @ f.samples, sym1.values * f.samples, atol=1e-12)
         np.testing.assert_allclose(l2.matrix @ f.samples, apply_freq_symbol(sym2, fourier(f)).samples, atol=1e-12)
 
+    def test_frequency_symbol_refuses_a_spectrum_on_another_grid(self):
+        # it used to return the product of values sampled at other frequencies
+        grid, other = make_grid(64, 1 / 8), make_grid(64, 1 / 4)
+        sym = gaussian_smoothed_indicator(window_mask(grid, FREQUENCY, -1.0, 1.0), 0.5)
+        fhat = fourier(noise_signal(other, np.random.default_rng(2)))
+        with pytest.raises(ValueError, match="share a grid"):
+            apply_freq_symbol(sym, fhat)
+
     @pytest.mark.parametrize("n", [32, 64, 128])
     def test_frequency_smoother_matches_dense_dft_conjugation(self, n):
         grid = make_grid(n, 8.0 / n)
@@ -392,6 +400,29 @@ class TestWeyl:
         grid = make_grid(64, 1 / 8)
         values = np.outer((-1.0) ** np.arange(64), np.ones(64))
         with pytest.raises(ValueError):
+            weyl_operator(tfmatrix_from_values(grid, values))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e200])
+    def test_nyquist_row_refused_at_any_scale(self, scale):
+        # at 1e200 the sum of |lags|^2 overflows; the fraction used to be nan and the symbol passed
+        grid = make_grid(64, 1 / 8)
+        values = np.outer((-1.0) ** np.arange(64), np.ones(64)) * scale
+        with pytest.raises(ValueError, match="Nyquist row"):
+            weyl_operator(tfmatrix_from_values(grid, values))
+
+    def test_a_symbol_whose_energy_overflows_is_quantized_like_its_unit_copy(self):
+        grid = make_grid(64, 1 / 8)
+        x, om = np.meshgrid(grid.times, grid.freqs, indexing="ij")
+        values = np.exp(-np.pi * (x**2 + om**2))
+        unit = weyl_operator(tfmatrix_from_values(grid, values)).matrix
+        huge = weyl_operator(tfmatrix_from_values(grid, 1e200 * values)).matrix
+        np.testing.assert_allclose(huge, 1e200 * unit, rtol=1e-12, atol=1e-12 * 1e200 * np.max(np.abs(unit)))
+
+    def test_a_lag_spectrum_past_the_double_range_is_refused(self):
+        # finite symbol entries whose time FFT overflows; numpy's own warnings are silenced here
+        grid = make_grid(64, 1 / 8)
+        values = np.outer((-1.0) ** np.arange(64), np.ones(64)) * 1e307
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="not finite"):
             weyl_operator(tfmatrix_from_values(grid, values))
 
     def test_quantized_symbol_matches_window_smoothed_route(self):
