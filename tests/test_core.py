@@ -133,7 +133,8 @@ _CONSTRUCTORS = {
 
 class TestImmutability:
     """Results are read-only, and the constructors that take a caller's
-    array copy it, as the module docstring promises."""
+    array copy it, as the module docstring promises, and refuse it unless it
+    is finite and of the grid's shape."""
 
     @pytest.mark.parametrize("name", list(_RESULTS))
     def test_results_are_read_only(self, name):
