@@ -615,7 +615,11 @@ CHECKS = {
 
 
 def run_scenario(s: Scenario) -> Report:
-    """Evaluate every requested check once and judge its sides; skips and errors become verdicts too."""
+    """Evaluate every requested check once and judge its sides; skips and errors become verdicts too.
+
+    The verdicts are sorted by check id here, the one place that orders them: the JSON
+    and CSV writers and the command line keep the report's order.
+    """
     grid = make_grid(s.grid_n, s.grid_dx)
     f = generate_signal(s.signal_kind, s.signal_params, grid)
     fhat = fourier(f)

@@ -9,6 +9,8 @@ assembly gathers its matrix once from a kernel tabulated by row and cyclic lag
 refuses non-finite entries.  Every assembly holds at most two n-by-n arrays, the
 kernel and the gathered matrix: its FFTs are taken in place, and its row-block
 buffers (the Wigner fold's, the half-lag phases') are sized by ``_BLOCK_BYTES``.
+``operator_norm`` holds two as well, the caller's matrix and its Gram matrix, which
+it builds from column blocks of the same size.
 Without a matrix, a smoothed time symbol multiplies time samples, and
 ``apply_freq_symbol`` multiplies a spectrum by a frequency symbol on the same grid and transforms back.
 
@@ -183,9 +185,14 @@ def weyl_operator(symbol: TFMatrix) -> LinearOp:
 
 
 def _symbol_lags(values: np.ndarray) -> np.ndarray:
-    """A tabulated symbol's lag spectrum ifft(fft(a, axis=0), axis=1), both FFTs taken in one array."""
-    lags = np.fft.fft(values, axis=0)
-    return np.fft.ifft(lags, axis=1, out=lags)
+    """A tabulated symbol's lag spectrum ifft(fft(a, axis=0), axis=1), both FFTs taken in one array.
+
+    Finite entries whose sums pass the double range give a non-finite spectrum, which
+    ``_weyl_assembly`` refuses with one ValueError; numpy's own warnings are silenced here.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        lags = np.fft.fft(values, axis=0)
+        return np.fft.ifft(lags, axis=1, out=lags)
 
 
 def _weyl_assembly(grid: Grid, lags: np.ndarray) -> LinearOp:
@@ -240,8 +247,9 @@ def weyl_from_localization(symbol: TFMatrix, phi: Signal, psi: Signal) -> Linear
         raise ValueError("symbol and windows must share a grid")
     lags = _wigner_lags(psi, phi, symbol.grid.n // 2)  # rows in ifftshift order
     np.fft.fft(lags, axis=0, out=lags)
-    lags *= _symbol_lags(symbol.values)
-    lags *= symbol.grid.dx
+    with np.errstate(over="ignore", invalid="ignore"):  # a product past the double range is refused below
+        lags *= _symbol_lags(symbol.values)
+        lags *= symbol.grid.dx
     return _weyl_assembly(symbol.grid, lags)
 
 
@@ -253,43 +261,54 @@ _NORM_MAX_ITER = 10000
 
 
 def operator_norm(op: LinearOp) -> float:
-    """Largest singular value by power iteration on M^H M from a seeded start.
+    """Largest singular value by power iteration on the Gram matrix H = M^H M from a seeded start.
+
+    ``_gram`` builds H once; each step then reads one n-by-n array: w = H v, the
+    estimate sqrt(Re v^H w) = ||M v|| for the unit v, and v <- w / ||w||.  Beside M
+    it holds H, one n-by-n array (16 MiB at n = 1024), and while H is built one
+    column block of M of at most ``_BLOCK_BYTES``.
 
     Stops when two consecutive estimates agree to _NORM_RTOL; raises
     PowerIterationError with the iteration count otherwise, and at once when an
     estimate is not finite (entries whose products overflow, or a matrix built
-    without ``linear_op``'s check).  The stopping rule bounds the step between
-    estimates, not the error: each estimate is ||M v|| for a unit v, so it never
-    exceeds the top singular value, but when the top two singular values nearly
+    without ``linear_op``'s check) or when a nonzero matrix's squares underflow
+    to a zero estimate.  The stopping rule bounds the step between estimates,
+    not the error: each estimate is ||M v|| for a unit v, so it never exceeds
+    the top singular value, but when the top two singular values nearly
     coincide the iteration creeps upward slowly and can stop well short of it,
     by more than _NORM_RTOL.
     Dense only: intended for n <= 1024.
     """
-    if op.grid.n > 1024:
-        raise ValueError(f"dense operator norm limited to n <= 1024, got n={op.grid.n}")
+    n = op.grid.n
+    if n > 1024:
+        raise ValueError(f"dense operator norm limited to n <= 1024, got n={n}")
     m = op.matrix
     rng = np.random.default_rng(_NORM_SEED)
-    v = rng.standard_normal(op.grid.n) + 1j * rng.standard_normal(op.grid.n)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
     sigma_prev = -1.0
     stable = 0
     # an overflowing product stops the loop below with one error, not with numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
+        gram = _gram(m)
         for k in range(1, _NORM_MAX_ITER + 1):
-            u = m @ v
-            sigma = float(np.linalg.norm(u))
-            if sigma == 0.0:
-                return 0.0
-            v = np.conj(np.conj(u) @ m)  # M^H u without an n-by-n conjugate copy
-            nv = float(np.linalg.norm(v))
-            if not (math.isfinite(sigma) and math.isfinite(nv)):
+            w = gram @ v
+            square = float(np.vdot(v, w).real)
+            nw = math.sqrt(np.vdot(w, w).real)
+            if not (math.isfinite(square) and math.isfinite(nw)):
                 raise PowerIterationError(
                     f"operator norm estimate is not finite at iteration {k} "
-                    f"(||M v|| = {sigma:.6e}, ||M^H M v|| = {nv:.6e})"
+                    f"(||M v||^2 = {square:.6e}, ||M^H M v|| = {nw:.6e})"
                 )
-            if nv == 0.0:
+            sigma = math.sqrt(max(square, 0.0))
+            if sigma == 0.0:
+                if m.any():
+                    raise PowerIterationError("operator norm estimate underflows to 0 for a nonzero matrix")
+                return 0.0
+            if nw == 0.0:
                 return sigma
-            v /= nv
+            w /= nw
+            v = w
             if abs(sigma - sigma_prev) <= _NORM_RTOL * max(sigma, 1e-300):
                 stable += 1
                 if stable >= 2:
@@ -301,3 +320,23 @@ def operator_norm(op: LinearOp) -> float:
         f"operator norm iteration did not converge within {_NORM_MAX_ITER} iterations "
         f"(last estimate {sigma_prev:.6e})"
     )
+
+
+def _gram(m: np.ndarray) -> np.ndarray:
+    """M^H M: its upper block triangle from one product per conjugated column block of M
+    (at most ``_BLOCK_BYTES``, and at most half of M, so that the triangle is never the
+    whole product), then mirrored below as its conjugate transpose."""
+    n = m.shape[0]
+    gram = np.empty((n, n), dtype=np.complex128)
+    step = max(1, min(_BLOCK_BYTES // (16 * n), n // 2))
+    for j0 in range(0, n, step):
+        # copied, then conjugated in place: a ufunc reading the strided columns would
+        # hold its buffers beside the block
+        block = np.array(m[:, j0 : j0 + step])
+        np.conj(block, out=block)
+        np.matmul(block.T, m[:, j0:], out=gram[j0 : j0 + step, j0:])
+        del block  # freed before the next block is copied
+    for j0 in range(0, n - step, step):
+        j1 = j0 + step
+        np.conj(gram[j0:j1, j1:].T, out=gram[j1:, j0:j1])
+    return gram

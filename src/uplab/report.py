@@ -57,7 +57,8 @@ def verdict_to_dict(v: Verdict) -> dict:
 
 @dataclass(frozen=True)
 class Report:
-    """All verdicts for one scenario run, with grid metadata; the summary is counted from the verdicts."""
+    """All verdicts for one scenario run (run_scenario sorts them by check id), with grid metadata;
+    the summary is counted from the verdicts."""
 
     scenario: str
     grid: dict
@@ -79,7 +80,7 @@ class Report:
 
 
 def report_to_json(report: Report, include_timestamp: bool = True) -> str:
-    """Canonical JSON: sorted keys, verdicts sorted by check id.
+    """Canonical JSON: sorted keys, verdicts in the report's order (run_scenario's: by check id).
 
     With include_timestamp=False the output is byte-identical across repeat
     runs of the same scenario, which the determinism tests rely on.
@@ -87,7 +88,7 @@ def report_to_json(report: Report, include_timestamp: bool = True) -> str:
     payload = {
         "scenario": report.scenario,
         "grid": report.grid,
-        "verdicts": [verdict_to_dict(v) for v in sorted(report.verdicts, key=lambda v: v.check_id)],
+        "verdicts": [verdict_to_dict(v) for v in report.verdicts],
         "summary": report.summary,
     }
     if include_timestamp:
@@ -105,4 +106,4 @@ def write_verdicts_csv(report: Report, path) -> None:
     with Path(path).open("w", newline="") as fh:
         writer = csv.DictWriter(fh, list(columns))
         writer.writeheader()
-        writer.writerows(verdict_to_dict(v) for v in sorted(report.verdicts, key=lambda v: v.check_id))
+        writer.writerows(verdict_to_dict(v) for v in report.verdicts)

@@ -199,6 +199,44 @@ class TestMinimalSet:
                 got = minimal_concentration_set(f, eps).flags
                 np.testing.assert_array_equal(got, greedy_loop_flags(f, eps), err_msg=f"case {case}, eps {eps}")
 
+    @pytest.mark.parametrize("profile", ["gaussian-spectrum", "heavy-tail", "ties", "sparse", "flat"])
+    def test_partial_sort_flags_match_the_admission_loop(self, profile):
+        # profiles whose sets take from a few cells to most of the axis, so that the
+        # partitioned prefix is taken, grown, and given up for the full sort
+        n = 4096
+        grid = make_grid(n, 1 / 64)
+        rng = np.random.default_rng(12)
+        if profile == "gaussian-spectrum":
+            f = fourier(unit_gaussian(grid))
+        elif profile == "heavy-tail":
+            f = signal_from_samples(grid, rng.standard_normal(n) ** 3 * np.exp(rng.standard_normal(n) * 3))
+        elif profile == "ties":
+            f = signal_from_samples(grid, rng.integers(0, 4, n) * (1 + (np.abs(grid.times) < 4)))
+        elif profile == "sparse":
+            f = signal_from_samples(grid, np.where(rng.random(n) < 0.01, rng.standard_normal(n), 0.0))
+        else:
+            f = noise_signal(grid, 13)
+        for eps in (0.0, 1e-12, 1e-6, 0.01, 0.1, 0.5, 0.9, 1.0):
+            got = minimal_concentration_set(f, eps).flags
+            np.testing.assert_array_equal(got, greedy_loop_flags(f, eps), err_msg=f"eps {eps}")
+
+    def test_a_small_set_sorts_only_its_candidates(self, monkeypatch):
+        # a Gaussian spectrum at n = 65536 keeps 373 cells: no sort may see a quarter of the axis
+        n = 65536
+        fhat = fourier(unit_gaussian(make_grid(n, 1 / math.sqrt(n))))
+        want = greedy_loop_flags(fhat, 0.1)
+        sizes = []
+        argsort = np.argsort
+
+        def recording(a, *args, **kwargs):
+            sizes.append(np.size(a))
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", recording)
+        got = minimal_concentration_set(fhat, 0.1).flags
+        np.testing.assert_array_equal(got, want)
+        assert sizes and max(sizes) < n / 4
+
     def test_zero_epsilon_on_full_support_admits_every_cell(self):
         grid = make_grid(16, 0.5)
         f = noise_signal(grid, 6)

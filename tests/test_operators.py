@@ -10,7 +10,8 @@ direct constructions the library does not use: the rank-one assembly of a
 localization operator, the conjugation of a multiplier by the dense DFT
 matrix, the column-by-column Weyl kernel on the midpoint-lifted symbol, and
 the Weyl quantization of the symbol convolved with the dense cross-Wigner
-matrix of the windows.
+matrix of the windows; and for operator_norm, the power iteration it used to run, two
+matrix-vector products per step, from the same seeded start.
 """
 
 import math
@@ -127,6 +128,49 @@ def time_smooth_symbol(n, rng):
 
 def max_relative_gap(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def two_product_norm(matrix):
+    """Power iteration on M^H M as two products per step, u = M v and v = M^H u, from
+    operator_norm's seeded start and under its stopping rule: ||M v|| for the last unit v."""
+    n = matrix.shape[0]
+    rng = np.random.default_rng(operators._NORM_SEED)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    adjoint = matrix.conj().T
+    sigma_prev, stable = -1.0, 0
+    for _ in range(operators._NORM_MAX_ITER):
+        u = matrix @ v
+        sigma = float(np.linalg.norm(u))
+        v = adjoint @ u
+        v /= np.linalg.norm(v)
+        if abs(sigma - sigma_prev) <= operators._NORM_RTOL * sigma:
+            stable += 1
+            if stable >= 2:
+                return sigma
+        else:
+            stable = 0
+        sigma_prev = sigma
+    raise AssertionError("the two-product iteration did not converge")
+
+
+def close_top_pair(rng):
+    """32 x 32 matrix with singular values 2, 1.98 and 30 more from 1 down to 0.02."""
+    q1, _ = np.linalg.qr(rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32)))
+    q2, _ = np.linalg.qr(rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32)))
+    sigma = np.concatenate([[2.0, 1.98], np.linspace(1.0, 0.02, 30)])
+    return (q1 * sigma) @ q2.conj().T
+
+
+def smooth_localization(n, seed):
+    """Localization operator of a seeded smooth symbol with two seeded noise windows."""
+    grid = make_grid(n, 1 / math.sqrt(n))
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    dist = np.minimum(np.arange(n), n - np.arange(n)) ** 2
+    avals = np.fft.ifft2(np.fft.fft2(raw) * np.exp(-0.1 * np.add.outer(dist, dist)))
+    phi, psi = noise_signal(grid, rng), noise_signal(grid, rng)
+    return localization_operator(tfmatrix_from_values(grid, avals), phi, psi)
 
 
 def sharp_concentration_ops(mask_t, mask_w):
@@ -419,11 +463,22 @@ class TestWeyl:
         np.testing.assert_allclose(huge, 1e200 * unit, rtol=1e-12, atol=1e-12 * 1e200 * np.max(np.abs(unit)))
 
     def test_a_lag_spectrum_past_the_double_range_is_refused(self):
-        # finite symbol entries whose time FFT overflows; numpy's own warnings are silenced here
+        # finite symbol entries whose time FFT overflows: one ValueError, and no numpy
+        # warning first, which this suite's filterwarnings = error would raise instead
         grid = make_grid(64, 1 / 8)
         values = np.outer((-1.0) ** np.arange(64), np.ones(64)) * 1e307
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="not finite"):
+        with pytest.raises(ValueError, match="not finite"):
             weyl_operator(tfmatrix_from_values(grid, values))
+
+    def test_a_lag_product_past_the_double_range_is_refused(self):
+        # finite symbol and window lag spectra whose product overflows: it used to warn
+        # "overflow encountered in multiply" before the refusal
+        grid = make_grid(64, 1 / 8)
+        window = signal_from_samples(grid, 1e10 * unit_gaussian(grid).samples)
+        x, om = np.meshgrid(grid.times, grid.freqs, indexing="ij")
+        symbol = tfmatrix_from_values(grid, 1e290 * np.exp(-np.pi * (x**2 + om**2)))
+        with pytest.raises(ValueError, match="not finite"):
+            weyl_from_localization(symbol, window, window)
 
     def test_quantized_symbol_matches_window_smoothed_route(self):
         # Convolving the symbol with the cross distribution of the windows and
@@ -544,6 +599,52 @@ class TestAssemblyMemory:
 
 
 class TestOperatorNorm:
+    # The Gram route and the two-product oracle run the same iteration from the same start,
+    # so they differ by rounding and by where the stopping rule fires.  Rounding: each
+    # estimate is within rho = n^2 eps of exact arithmetic's (gamma_n |M|^H |M|, and
+    # || |M| || <= sqrt(n) sigma_1).  Stopping: an estimate sqrt(v^H H v) is a Rayleigh
+    # quotient, whose error falls by r = (sigma_2 / sigma_1)^4 a step, so after two steps
+    # of at most _NORM_RTOL the estimate still climbs by at most _NORM_RTOL * r / (1 - r).
+    # Both estimates lie in [sigma_1 (1 - that - rho), sigma_1 (1 + rho)].  The same bound
+    # holds between two Gram matrices that round differently (other block widths).
+    @staticmethod
+    def gap_bound(op):
+        n = op.grid.n
+        s = np.linalg.svd(op.matrix, compute_uv=False)
+        r = (s[1] / s[0]) ** 4
+        return (operators._NORM_RTOL * r / (1 - r) + 2 * n * n * np.finfo(float).eps) * s[0]
+
+    def assert_agrees_with_the_two_product_iteration(self, op):
+        assert abs(operator_norm(op) - two_product_norm(op.matrix)) <= self.gap_bound(op)
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_gram_route_agrees_on_localization_operators(self, n):
+        self.assert_agrees_with_the_two_product_iteration(smooth_localization(n, 800 + n))
+
+    def test_peak_holds_the_gram_matrix_and_one_block(self):
+        # Beside the caller's M: the Gram matrix H, one n-by-n array; one conjugated column
+        # block of M of at most _BLOCK_BYTES, freed before the next (the mirror's ufunc
+        # buffers, 256 KiB, come after it); and at most eight length-n complex vectors at
+        # once (the start's two real normals and their complex combination, then v,
+        # w = H v and the temporaries of their norms).
+        n = 512
+        op = smooth_localization(n, 900)
+        operator_norm(op)
+        tracemalloc.start()
+        try:
+            operator_norm(op)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n * n + operators._BLOCK_BYTES + 8 * 16 * n
+
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_gram_blocks_of_any_width_give_the_norm(self, monkeypatch, columns):
+        # 3 columns leave a narrower last block; at n = 32 the default block is 16 columns
+        op = smooth_localization(32, 901)
+        monkeypatch.setattr(operators, "_BLOCK_BYTES", columns * 16 * 32)
+        assert abs(operator_norm(op) - two_product_norm(op.matrix)) <= self.gap_bound(op)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_agrees_with_dense_svd(self, seed):
         grid = make_grid(32, 0.25)
@@ -552,20 +653,18 @@ class TestOperatorNorm:
         op = linear_op(grid, matrix)
         top = np.linalg.svd(matrix, compute_uv=False)[0]
         assert abs(operator_norm(op) - top) < 1e-8
+        self.assert_agrees_with_the_two_product_iteration(op)
 
     def test_close_top_pair_stays_below_the_top_value(self):
         # sigma_2 / sigma_1 = 0.99: the estimate creeps up slowly and stops
         # about 2e-9 short of sigma_1, above rtol, but never overshoots it.
         grid = make_grid(32, 0.25)
-        rng = np.random.default_rng(8)
-        q1, _ = np.linalg.qr(rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32)))
-        q2, _ = np.linalg.qr(rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32)))
-        sigma = np.concatenate([[2.0, 1.98], np.linspace(1.0, 0.02, 30)])
-        matrix = (q1 * sigma) @ q2.conj().T
+        matrix = close_top_pair(np.random.default_rng(8))
         top = np.linalg.svd(matrix, compute_uv=False)[0]
         norm = operator_norm(linear_op(grid, matrix))
         assert norm <= top * (1 + 1e-12)
         assert norm >= top * (1 - 1e-7)
+        self.assert_agrees_with_the_two_product_iteration(linear_op(grid, matrix))
 
     def test_zero_operator(self):
         grid = make_grid(8, 0.5)
@@ -589,6 +688,12 @@ class TestOperatorNorm:
             op = operators.LinearOp(grid, np.full((8, 8), complex(np.nan, 0.0)))
         with pytest.raises(PowerIterationError, match="not finite at iteration 1 "):
             operator_norm(op)
+
+    def test_a_nonzero_matrix_whose_squares_underflow_is_refused(self):
+        # M^H M underflows to zero at entries of 1e-170; it must not read as the zero operator
+        grid = make_grid(8, 0.5)
+        with pytest.raises(PowerIterationError, match="underflows"):
+            operator_norm(linear_op(grid, np.full((8, 8), 1e-170)))
 
     def test_large_grids_rejected(self):
         grid = make_grid(2048, 1 / 64)
