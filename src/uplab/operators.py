@@ -33,6 +33,7 @@ any scale: sums of |lags|^2 that overflow are taken again on rescaled rows.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -260,6 +261,23 @@ _NORM_RTOL = 1e-10
 _NORM_MAX_ITER = 10000
 
 
+def _vector_norm(w: np.ndarray) -> float:
+    """||w||_2; when the sum of squares leaves the normal range, taken on w scaled by a power of two.
+
+    The scaling is exact, so a vector scaled by 2^k gets exactly 2^k times the norm
+    of the vector whose squares stay normal, and those keep the plain sum's bits.
+    """
+    square = np.vdot(w, w).real
+    if sys.float_info.min <= square < math.inf:
+        return math.sqrt(square)
+    largest = float(np.abs(w).max())
+    if not 0.0 < largest < math.inf:
+        return math.sqrt(square)
+    exponent = math.frexp(largest)[1]
+    scaled = np.ldexp(w.view(np.float64), -exponent).view(np.complex128)
+    return math.ldexp(math.sqrt(np.vdot(scaled, scaled).real), exponent)
+
+
 def operator_norm(op: LinearOp) -> float:
     """Largest singular value by power iteration on the Gram matrix H = M^H M from a seeded start.
 
@@ -272,11 +290,13 @@ def operator_norm(op: LinearOp) -> float:
     PowerIterationError with the iteration count otherwise, and at once when an
     estimate is not finite (entries whose products overflow, or a matrix built
     without ``linear_op``'s check) or when a nonzero matrix's squares underflow
-    to a zero estimate.  The stopping rule bounds the step between estimates,
-    not the error: each estimate is ||M v|| for a unit v, so it never exceeds
-    the top singular value, but when the top two singular values nearly
-    coincide the iteration creeps upward slowly and can stop well short of it,
-    by more than _NORM_RTOL.
+    below the normal range, where the Gram matrix has lost its precision.
+    ``_vector_norm`` takes ||w|| also where its squares leave the normal range,
+    so M scaled by 2^k gets exactly 2^k times M's estimate.  The stopping rule
+    bounds the step between estimates, not the error: each estimate is ||M v||
+    for a unit v, so it never exceeds the top singular value, but when the top
+    two singular values nearly coincide the iteration creeps upward slowly and
+    can stop well short of it, by more than _NORM_RTOL.
     Dense only: intended for n <= 1024.
     """
     n = op.grid.n
@@ -294,19 +314,19 @@ def operator_norm(op: LinearOp) -> float:
         for k in range(1, _NORM_MAX_ITER + 1):
             w = gram @ v
             square = float(np.vdot(v, w).real)
-            nw = math.sqrt(np.vdot(w, w).real)
+            nw = _vector_norm(w)
             if not (math.isfinite(square) and math.isfinite(nw)):
                 raise PowerIterationError(
                     f"operator norm estimate is not finite at iteration {k} "
                     f"(||M v||^2 = {square:.6e}, ||M^H M v|| = {nw:.6e})"
                 )
-            sigma = math.sqrt(max(square, 0.0))
-            if sigma == 0.0:
+            if square < sys.float_info.min:
                 if m.any():
-                    raise PowerIterationError("operator norm estimate underflows to 0 for a nonzero matrix")
+                    raise PowerIterationError(
+                        f"operator norm estimate underflows for a nonzero matrix (||M v||^2 = {square:.6e})"
+                    )
                 return 0.0
-            if nw == 0.0:
-                return sigma
+            sigma = math.sqrt(square)
             w /= nw
             v = w
             if abs(sigma - sigma_prev) <= _NORM_RTOL * max(sigma, 1e-300):

@@ -14,13 +14,18 @@ block of rows in FFT order in a buffer its caller passes and transforms the
 rows whose integrand is not identically zero; a shift whose window meets no
 nonzero sample of f (tails that underflow to 0.0 on a wide grid) leaves a
 zero row, which is its exact transform.  ``gabor_transform`` runs it over
-all n rows.  ``spectrogram_masses`` runs it over row blocks of at most
-``_BLOCK_BYTES`` and keeps only the spectrogram's masses on a time set and a
-frequency set, computing |V_w f|^2 only on the rows and columns those sums
-read.  The dense spectrogram conj(V_w f) * V_w f and its ``marginals`` live
-in the tests as the oracle: the stream does the same arithmetic in the same
-order on every cell it keeps, so both masses are bit-identical to it at
-every array size and block height.
+all n rows.  ``spectrogram_masses`` runs it only over the shifts that the
+cyclic hulls of the supports of f and w allow, in chunks of rows on one
+thread, or on two when the process may use two CPUs and the stream fills
+more than one block of ``_BLOCK_BYTES``.  It keeps only the spectrogram's
+masses on a time set and a frequency set, computing |V_w f|^2 only on the
+rows and columns those sums read: each row of T is summed into its own slot,
+and the frequency columns are added down the rows one chunk at a time in
+ascending time, the only step the two threads take in turn.  The dense
+spectrogram conj(V_w f) * V_w f and its ``marginals`` live in the tests as
+the oracle: the stream does the same arithmetic in the same order on every
+cell it keeps, so both masses are bit-identical to it at every array size,
+block height and thread count.
 
 The cross-Wigner distribution is
 
@@ -38,6 +43,8 @@ asks for, and ``wigner`` transforms that array in place.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,26 +130,57 @@ def _gabor_operands(f: Signal, window: Signal) -> tuple[np.ndarray, np.ndarray]:
     return np.fft.ifftshift(f.samples), shifts
 
 
-def _gabor_rows(fz: np.ndarray, shifts: np.ndarray, dx: float, j0: int, out: np.ndarray) -> np.ndarray:
+def _gabor_rows(
+    fz: np.ndarray, shifts: np.ndarray, dx: float, j0: int, out: np.ndarray, spectrum: np.ndarray | None
+) -> np.ndarray:
     """Rows j0:j0 + len(out) of V_w f, as dx * fftshift(fft(.)) of the integrand in FFT order.
 
     In FFT order the integrand of row j is fz[k] * shifts[n - j][k], with
     (fz, shifts) from ``_gabor_operands``.  ``out`` holds the integrand,
     then the rows: the fftshift and the dx scaling are taken as one product
     per half row.  A row whose integrand is identically zero is already its
-    transform, so only the runs of live rows are transformed; their FFT
-    outputs are the only row-sized arrays allocated.  Returns the live-row
-    flags.
+    transform, so only the runs of live rows are transformed, each into the
+    same rows of ``spectrum``, a buffer shaped like ``out`` (or into a new
+    array when it is None).  Returns the (start, stop) runs of live rows.
     """
     n, half = fz.shape[0], fz.shape[0] // 2
     j1 = j0 + out.shape[0]
     np.multiply(fz[None, :], shifts[n - j0 : n - j1 : -1], out=out)
-    live = out.view(np.float64).any(axis=1)
-    for a, b in _runs(live):
-        spectrum = np.fft.fft(out[a:b], axis=1)
-        np.multiply(dx, spectrum[:, half:], out=out[a:b, :half])
-        np.multiply(dx, spectrum[:, :half], out=out[a:b, half:])
+    live = _runs(out.view(np.float64).any(axis=1))
+    for a, b in live:
+        transformed = np.fft.fft(out[a:b], axis=1, out=None if spectrum is None else spectrum[a:b])
+        np.multiply(dx, transformed[:, half:], out=out[a:b, :half])
+        np.multiply(dx, transformed[:, :half], out=out[a:b, half:])
     return live
+
+
+def _cyclic_hull(samples: np.ndarray) -> tuple[int, int]:
+    """(start, length) of the shortest cyclic run of indices that holds every nonzero sample; (0, 0) if none."""
+    nonzero = np.flatnonzero(samples)
+    if nonzero.size == 0:
+        return 0, 0
+    # the gap from each nonzero index to the next, cyclically; the hull is the circle less the largest
+    gaps = np.diff(nonzero, append=nonzero[0] + samples.size)
+    i = int(np.argmax(gaps))
+    return int(nonzero[(i + 1) % nonzero.size]), samples.size + 1 - int(gaps[i])
+
+
+def _candidate_runs(f: Signal, window: Signal) -> list[tuple[int, int]]:
+    """Ascending (start, stop) runs of the shifts whose window can meet f: a superset of the live rows.
+
+    Row j of ``_gabor_rows`` pairs f[p] with conj(w[q]) where j = p - q - n/2 (mod n).
+    With f and w nonzero only on the cyclic hulls [a, a + lf) and [b, b + lw), a
+    live j lies on the cyclic run of lf + lw - 1 shifts from a - b - lw + 1 - n/2.
+    """
+    n = f.grid.n
+    (a, lf), (b, lw) = _cyclic_hull(f.samples), _cyclic_hull(window.samples)
+    if lf == 0:
+        return []
+    if lf + lw - 1 >= n:
+        return [(0, n)]
+    start = (a - b - lw + 1 - n // 2) % n
+    stop = start + lf + lw - 1
+    return [(start, stop)] if stop <= n else [(0, stop - n), (start, n)]
 
 
 def gabor_transform(f: Signal, window: Signal) -> TFMatrix:
@@ -153,7 +191,7 @@ def gabor_transform(f: Signal, window: Signal) -> TFMatrix:
     _check_gabor_args(f, window)
     n = f.grid.n
     values = np.empty((n, n), dtype=np.complex128)
-    _gabor_rows(*_gabor_operands(f, window), f.grid.dx, 0, values)
+    _gabor_rows(*_gabor_operands(f, window), f.grid.dx, 0, values, None)
     values.setflags(write=False)
     return TFMatrix(f.grid, values)
 
@@ -163,23 +201,36 @@ def _leading(buffer: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return buffer.reshape(-1)[: rows * cols].reshape(rows, cols)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def spectrogram_masses(f: Signal, window: Signal, time_set, freq_set) -> tuple[complex, complex]:
     """Masses of the spectrogram |V_w f|^2 on a time set T and a frequency set Omega.
 
     With (time_profile, freq_profile) the ``marginals`` of the dense
     spectrogram, returns dx * sum_{j in T} time_profile[j] and
     dw * sum_{k in Omega} freq_profile[k]; T and Omega are boolean flags
-    over the time and frequency samples.  V_w f is streamed in row blocks of
-    at most ``_BLOCK_BYTES``, of which ``_gabor_rows`` transforms only the
-    shifts that meet f.
+    over the time and frequency samples.  Only the shifts on the cyclic run
+    that the hulls of the supports of f and w allow are streamed, in chunks
+    of rows, and of those ``_gabor_rows`` transforms only the rows that meet f.
     |V_w f|^2 is formed as conj(v) * v on the rows of T, each summed along
-    frequency, and on the Omega columns of the live rows, added row by row
-    in ascending time.  That is the dense route's arithmetic in its order,
-    and every skipped cell would add an exact zero, so both masses are
-    bit-identical to it, the tests' oracle.  The row and |v|^2 buffers are
-    reused across blocks: the gathered Omega columns go to the |v|^2 buffer,
-    their |v|^2 over the rows they were read from, and its running sum down
-    the rows back to the |v|^2 buffer.
+    frequency into its own slot, and on the Omega columns of the live rows,
+    added row by row in ascending time.  That is the dense route's arithmetic
+    in its order, and every skipped cell would add an exact zero, so both
+    masses are bit-identical to it, the tests' oracle.
+
+    When the process may use more than one CPU and the candidate shifts fill
+    more than one block of ``_BLOCK_BYTES`` rows, a second thread takes every
+    other chunk, and each thread's chunks are half a block high.  Each thread
+    reuses its own row and |v|^2 buffers: an FFT writes to the |v|^2 buffer,
+    the gathered Omega columns go there too, and their |v|^2 to the row
+    buffer.  Only the running sum down the Omega columns is ordered: it takes
+    one chunk at a time, in ascending time, under a condition.  An exception
+    in either thread stops both, and the helper is joined before it is raised.
     """
     _check_gabor_args(f, window)
     grid = f.grid
@@ -188,30 +239,71 @@ def spectrogram_masses(f: Signal, window: Signal, time_set, freq_set) -> tuple[c
     if time_set.shape != (n,) or freq_set.shape != (n,):
         raise ValueError(f"sets must flag the {n} grid samples, got shapes {time_set.shape} and {freq_set.shape}")
     cols = np.flatnonzero(freq_set)
-    step = max(1, _BLOCK_BYTES // (16 * n))
-    # one allocation for both buffers: with glibc, two separate ones let the
-    # heap be trimmed and faulted in again on every call (measured at n = 256)
-    rows, power = np.empty((2, min(step, n), n), dtype=np.complex128)
-    row_sums = np.zeros(np.count_nonzero(time_set), dtype=np.complex128)
+    slots = np.concatenate(([0], np.cumsum(time_set)))  # the sum of row j of T goes to row_sums[slots[j]]
+    row_sums = np.zeros(slots[-1], dtype=np.complex128)
     col_sum = np.zeros(cols.size, dtype=np.complex128)
     operands = _gabor_operands(f, window)
-    done = 0  # rows of T summed so far
-    for j0 in range(0, n, step):
-        v = rows[: min(step, n - j0)]
-        live = _gabor_rows(*operands, grid.dx, j0, v)
-        for s, e in _runs(time_set[j0 : j0 + len(v)]):
-            block = np.conj(v[s:e], out=power[: e - s])
-            block *= v[s:e]
-            row_sums[done : done + e - s] = block.sum(axis=1)
-            done += e - s
-        for s, e in _runs(live):
-            # mode="clip" writes straight into out; the default mode buffers it
-            picked = np.take(v[s:e], cols, axis=1, out=_leading(power, e - s, cols.size), mode="clip")
-            block = np.conj(picked, out=_leading(v[s:e], e - s, cols.size))
+    runs = _candidate_runs(f, window)
+    step = max(1, _BLOCK_BYTES // (16 * n))
+    threads = 2 if step > 1 and sum(e - s for s, e in runs) > step and _usable_cpus() > 1 else 1
+    height = step // threads
+    chunks = [(j0, min(j0 + height, e)) for s, e in runs for j0 in range(s, e, height)]
+    # one allocation for all buffers: with glibc, separate ones let the heap be
+    # trimmed and faulted in again on every call (measured at n = 256)
+    buffers = np.empty((threads, 2, min(height, n), n), dtype=np.complex128)
+    turn = threading.Condition()
+    summed = 0  # chunks added to col_sum, in order; -1 once a thread has failed
+    errors = []
+
+    def stream(k: int) -> None:
+        nonlocal summed
+        rows, power = buffers[k]
+        for i in range(k, len(chunks), threads):
+            j0, j1 = chunks[i]
+            v = rows[: j1 - j0]
+            live = _gabor_rows(*operands, grid.dx, j0, v, power[: j1 - j0])
+            for s, e in _runs(time_set[j0:j1]):
+                block = np.conj(v[s:e], out=power[: e - s])
+                block *= v[s:e]
+                row_sums[slots[j0 + s] : slots[j0 + e]] = block.sum(axis=1)
+            count = sum(e - s for s, e in live)
+            picked, at = _leading(power, count, cols.size), 0
+            for s, e in live:
+                # mode="clip" writes straight into out; the default mode buffers it
+                np.take(v[s:e], cols, axis=1, out=picked[at : at + e - s], mode="clip")
+                at += e - s
+            block = np.conj(picked, out=_leading(rows, count, cols.size))
             block *= picked
-            # a running sum down the rows: col_sum + row 0 + row 1 + ..., in that order
-            block[0] += col_sum
-            col_sum[:] = np.add.accumulate(block, axis=0, out=picked)[-1]
+            with turn:
+                turn.wait_for(lambda: summed in (i, -1))
+                if summed < 0:
+                    return
+                if count:
+                    # a running sum down the rows: col_sum + row 0 + row 1 + ..., in that order
+                    block[0] += col_sum
+                    col_sum[:] = np.add.accumulate(block, axis=0, out=picked)[-1]
+                summed = i + 1
+                turn.notify_all()
+
+    def guarded(k: int) -> None:
+        nonlocal summed
+        try:
+            stream(k)
+        except BaseException as exc:
+            errors.append(exc)
+            with turn:
+                summed = -1
+                turn.notify_all()
+
+    if threads == 1:
+        stream(0)
+    else:
+        helper = threading.Thread(target=guarded, args=(1,))
+        helper.start()
+        guarded(0)
+        helper.join()
+        if errors:
+            raise errors[0]
     return grid.dx * np.sum(grid.dw * row_sums), grid.dw * np.sum(grid.dx * col_sum)
 
 

@@ -655,6 +655,16 @@ class TestOperatorNorm:
         assert abs(operator_norm(op) - top) < 1e-8
         self.assert_agrees_with_the_two_product_iteration(op)
 
+    @pytest.mark.parametrize("exponent", [-332, 256])
+    def test_a_power_of_two_scale_scales_the_norm_exactly(self, exponent):
+        # at 2^-332 the squares of ||M^H M v|| underflow, at 2^256 they overflow; the
+        # estimate used to stop at step 1, 34.7 % below sigma_1, or to raise, respectively
+        grid = make_grid(32, 0.25)
+        rng = np.random.default_rng(0)
+        matrix = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+        scale = 2.0**exponent
+        assert operator_norm(linear_op(grid, matrix * scale)) == operator_norm(linear_op(grid, matrix)) * scale
+
     def test_close_top_pair_stays_below_the_top_value(self):
         # sigma_2 / sigma_1 = 0.99: the estimate creeps up slowly and stops
         # about 2e-9 short of sigma_1, above rtol, but never overshoots it.

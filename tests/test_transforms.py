@@ -10,6 +10,7 @@ explicit index-table gather of its lag products.
 """
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -226,11 +227,15 @@ def scattered_sets(n, seed):
     return time_set, freq_set
 
 
-def live_shift_count(f, window):
+def live_shifts(f, window):
     """Shifts j whose integrand f * conj(w(. - x_j)) has a nonzero sample, from explicit shift-table rows."""
     n = f.grid.n
     m = np.arange(n)
-    return sum(bool(np.any(f.samples * np.conj(window.samples[(m - j + n // 2) % n]))) for j in range(n))
+    return [j for j in range(n) if np.any(f.samples * np.conj(window.samples[(m - j + n // 2) % n]))]
+
+
+def live_shift_count(f, window):
+    return len(live_shifts(f, window))
 
 
 def fft_rows(monkeypatch):
@@ -333,11 +338,11 @@ class TestSpectrogramMasses:
         rows_per_window = {}
         rows = transforms._gabor_rows
 
-        def counting(fz, shifts, dx, j0, out):
+        def counting(fz, shifts, dx, j0, out, spectrum):
             # the gather's last row is conj(w) itself
             key = shifts[-1].tobytes()
             rows_per_window[key] = rows_per_window.get(key, 0) + out.shape[0]
-            return rows(fz, shifts, dx, j0, out)
+            return rows(fz, shifts, dx, j0, out, spectrum)
 
         monkeypatch.setattr(transforms, "_gabor_rows", counting)
         scenario = Scenario(
@@ -367,6 +372,121 @@ class TestSpectrogramMasses:
         assert verdict.status != "skipped"
         assert verdict.rhs == rhs
         assert verdict.notes == f"witness g=f; marginal masses m_t={m_t:.6f} m_omega={m_w:.6f}"
+
+
+def bumps(grid, *centres):
+    """Unit Gaussian bumps at the given centres, each also placed one period away,
+    so a bump by the edge wraps around it; samples between bumps underflow to 0.0."""
+    period = grid.n * grid.dx
+    t = grid.times
+    return signal_from_samples(
+        grid, sum(np.exp(-np.pi * (t - c - k * period) ** 2) for c in centres for k in (-1, 0, 1))
+    )
+
+
+def signal_cases(grid):
+    return {
+        "edge": bumps(grid, 0.47 * grid.n * grid.dx),
+        "two-bumps": bumps(grid, -0.3 * grid.n * grid.dx, 0.3 * grid.n * grid.dx),
+        "gaussian": unit_gaussian(grid),
+        "noise": noise_signal(grid, 23),
+    }
+
+
+def chunk_threads(monkeypatch):
+    """Patch _gabor_rows to record the thread of every chunk; returns the list of (j0, thread ident)."""
+    calls, rows = [], transforms._gabor_rows
+
+    def recording(fz, shifts, dx, j0, out, spectrum):
+        calls.append((j0, threading.get_ident()))
+        return rows(fz, shifts, dx, j0, out, spectrum)
+
+    monkeypatch.setattr(transforms, "_gabor_rows", recording)
+    return calls
+
+
+class TestThreadedStream:
+    # 1024 samples on t in [-64, 64): supports end where the bumps underflow, |t - c| ~ 15
+    grid = make_grid(1024, 1 / 8)
+
+    @pytest.mark.parametrize("kind", ["edge", "two-bumps", "gaussian", "noise"])
+    def test_hull_candidates_hold_every_live_shift(self, kind):
+        f, w = signal_cases(self.grid)[kind], gaussian_window(1.0, self.grid)
+        candidates = [j for start, stop in transforms._candidate_runs(f, w) for j in range(start, stop)]
+        assert candidates == sorted(set(candidates))
+        live = live_shifts(f, w)
+        assert set(live) <= set(candidates)
+        if kind == "edge":  # the live shifts wrap around the grid edge
+            assert 0 in live and self.grid.n - 1 in live and len(live) < self.grid.n // 2
+        if kind == "two-bumps":  # the hull holds dead shifts between the bumps
+            assert len(live) < len(candidates) < self.grid.n
+
+    def test_the_hull_of_a_single_sample_and_of_no_sample(self):
+        samples = np.zeros(16)
+        assert transforms._cyclic_hull(samples) == (0, 0)
+        samples[5] = 1.0
+        assert transforms._cyclic_hull(samples) == (5, 1)
+        samples[[0, 15]] = 1.0  # 15, 0 and 5: the hull wraps round the edge
+        assert transforms._cyclic_hull(samples) == (15, 7)
+
+    @pytest.mark.parametrize("kind", ["edge", "two-bumps", "gaussian", "noise"])
+    @pytest.mark.parametrize("height", [1, 3, 8])
+    def test_alternating_chunks_equal_the_dense_masses_exactly(self, monkeypatch, kind, height):
+        # blocks of 2 * height rows: each of the two threads takes chunks of height rows in turn
+        monkeypatch.setattr(transforms, "_BLOCK_BYTES", 2 * height * 16 * self.grid.n)
+        monkeypatch.setattr(transforms, "_usable_cpus", lambda: 2)
+        f, w = signal_cases(self.grid)[kind], gaussian_window(1.0, self.grid)
+        calls = chunk_threads(monkeypatch)
+        for time_set, freq_set in (scattered_sets(self.grid.n, 24), (np.abs(self.grid.times) > 50, np.abs(self.grid.freqs) < 1)):
+            calls.clear()
+            np.testing.assert_array_equal(
+                spectrogram_masses(f, w, time_set, freq_set), dense_masses(f, w, time_set, freq_set)
+            )
+            chunks = sorted(calls)
+            assert len(chunks) > 2
+            # consecutive chunks in time belong to different threads
+            assert all(a[1] != b[1] for a, b in zip(chunks, chunks[1:]) if b[0] == a[0] + height)
+            assert threading.get_ident() in {ident for _, ident in calls}
+
+    def test_one_cpu_streams_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(transforms, "_BLOCK_BYTES", 4 * 16 * self.grid.n)
+        monkeypatch.setattr(transforms, "_usable_cpus", lambda: 1)
+        f, w = signal_cases(self.grid)["edge"], gaussian_window(1.0, self.grid)
+        time_set, freq_set = scattered_sets(self.grid.n, 25)
+        calls = chunk_threads(monkeypatch)
+        np.testing.assert_array_equal(spectrogram_masses(f, w, time_set, freq_set), dense_masses(f, w, time_set, freq_set))
+        assert len(calls) > 2 and {ident for _, ident in calls} == {threading.get_ident()}
+
+    def test_a_stream_of_one_block_stays_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(transforms, "_usable_cpus", lambda: 2)
+        grid = make_grid(256, 1 / 16)
+        f, w = noise_signal(grid, 26), gaussian_window(1.0, grid)
+        calls = chunk_threads(monkeypatch)
+        spectrogram_masses(f, w, *scattered_sets(grid.n, 26))
+        assert calls == [(0, threading.get_ident())]
+
+    def test_a_failing_helper_chunk_is_raised_and_leaves_no_thread(self, monkeypatch):
+        monkeypatch.setattr(transforms, "_BLOCK_BYTES", 8 * 16 * 256)
+        monkeypatch.setattr(transforms, "_usable_cpus", lambda: 2)
+        rows, caller = transforms._gabor_rows, threading.get_ident()
+
+        def failing(fz, shifts, dx, j0, out, spectrum):
+            if threading.get_ident() != caller:
+                raise RuntimeError(f"chunk at row {j0} failed")
+            return rows(fz, shifts, dx, j0, out, spectrum)
+
+        monkeypatch.setattr(transforms, "_gabor_rows", failing)
+        grid = make_grid(256, 1 / 16)
+        f, w = noise_signal(grid, 27), gaussian_window(1.0, grid)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="chunk at row 4 failed"):
+            spectrogram_masses(f, w, *scattered_sets(grid.n, 27))
+        assert threading.active_count() == before
+        scenario = Scenario(name="failing", grid_n=256, grid_dx=1 / 16, checks=("marginal-energy",))
+        (verdict,) = run_scenario(scenario).verdicts
+        assert verdict.status == "fail"
+        assert verdict.notes == "error: chunk at row 4 failed"
+        assert threading.active_count() == before
 
 
 class TestWigner:
