@@ -37,7 +37,8 @@ smoothing-freq          ||L2 f - Q f||_2 strictly decreases along the
                         lam2 sweep (Q = sharp frequency projection)
 ======================  ======================================================
 
-Each entry of CHECKS maps a run context to (lhs, rhs, notes) for lhs >= rhs;
+Each check's facts sit in one CheckRecord of CHECK_TABLE, and CHECKS maps its
+id to the record's evaluator: a run context to (lhs, rhs, notes) for lhs >= rhs;
 `bounds` computes the sides, each once per run, and is the one place that
 decides a theorem's hypothesis: a bound whose hypothesis fails raises
 `bounds.HypothesisError`, and the checks test none of them themselves.  Two
@@ -56,6 +57,7 @@ import json
 import math
 import numbers
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from functools import cached_property, partial
@@ -237,20 +239,6 @@ def generate_signal(kind: str, params: dict, grid: Grid) -> Signal:
 # scenarios
 # ---------------------------------------------------------------------------
 
-DEFAULT_CHECKS = (
-    "ds-product",
-    "optimized-product",
-    "marginal-energy",
-    "local-energy",
-    "signal-product",
-    "separate-time",
-    "separate-freq",
-    "spread-product",
-    "support-time",
-    "support-freq",
-)
-SMOOTHING_CHECKS = ("smoothing-time", "smoothing-freq")
-
 BOUND_DEFAULTS = {
     "alpha": 1.0,
     "q": 2.0,
@@ -261,19 +249,10 @@ BOUND_DEFAULTS = {
     "lam2_sweep": (1.0, 0.25, 0.0625, 0.015625),
 }
 
-# relative tolerance of each check
-TOLERANCE_DEFAULTS = dict.fromkeys(DEFAULT_CHECKS, 1e-6) | dict.fromkeys(SMOOTHING_CHECKS, 1e-10)
-
 _GRID_DEFAULTS = {"n": 256, "dx": 1.0 / 16.0}
 # the keys of both sets modes; the explicit windows have no default, their entries give the type
 _SET_TYPES = {"mode": "auto", "eps_t": 0.1, "eps_omega": 0.1, "time": ((-1.0, 1.0),), "frequency": ((-1.0, 1.0),)}
 _SET_KEYS = {"auto": {"mode", "eps_t", "eps_omega"}, "explicit": {"mode", "time", "frequency"}}
-
-# checks whose right side involves grid-truncated weighted moments
-_MOMENT_CHECKS = frozenset(
-    {"local-energy", "signal-product", "separate-time", "separate-freq",
-     "spread-product", "support-time", "support-freq"}
-)
 
 
 @dataclass(frozen=True)
@@ -291,7 +270,7 @@ class Scenario:
     signal_params: dict = field(default_factory=dict)
     sets: dict = field(default_factory=lambda: {"mode": "auto", "eps_t": 0.1, "eps_omega": 0.1})
     bound_params: dict = field(default_factory=dict)
-    checks: tuple = DEFAULT_CHECKS
+    checks: tuple = field(default_factory=lambda: DEFAULT_CHECKS)
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -598,20 +577,38 @@ def _check_smoothing(ctx: _RunContext, axis: str, sweep_key: str) -> tuple[float
     return min(drops), 0.0, f"projection errors along the sweep: {trail}"
 
 
-CHECKS = {
-    "ds-product": _check_ds_product,
-    "optimized-product": _check_optimized_product,
-    "marginal-energy": _check_marginal_energy,
-    "local-energy": _check_local_energy,
-    "signal-product": _check_signal_product,
-    "separate-time": lambda ctx: _check_separate(ctx, TIME),
-    "separate-freq": lambda ctx: _check_separate(ctx, FREQUENCY),
-    "spread-product": _check_spread_product,
-    "support-time": lambda ctx: _check_support(ctx, TIME),
-    "support-freq": lambda ctx: _check_support(ctx, FREQUENCY),
-    "smoothing-time": lambda ctx: _check_smoothing(ctx, TIME, "lam1_sweep"),
-    "smoothing-freq": lambda ctx: _check_smoothing(ctx, FREQUENCY, "lam2_sweep"),
+@dataclass(frozen=True)
+class CheckRecord:
+    """A check's facts, written nowhere else: its evaluator, whether it runs by
+    default (if not, it is a smoothing check), the relative tolerance it is judged
+    at, and whether its right side takes moments the grid truncates, so that a
+    signal with energy at the grid's edges flags its verdict truncation-sensitive."""
+
+    evaluate: Callable
+    default: bool
+    rel_tol: float
+    truncation_sensitive: bool
+
+
+CHECK_TABLE = {
+    "ds-product": CheckRecord(_check_ds_product, True, 1e-6, False),
+    "optimized-product": CheckRecord(_check_optimized_product, True, 1e-6, False),
+    "marginal-energy": CheckRecord(_check_marginal_energy, True, 1e-6, False),
+    "local-energy": CheckRecord(_check_local_energy, True, 1e-6, True),
+    "signal-product": CheckRecord(_check_signal_product, True, 1e-6, True),
+    "separate-time": CheckRecord(lambda ctx: _check_separate(ctx, TIME), True, 1e-6, True),
+    "separate-freq": CheckRecord(lambda ctx: _check_separate(ctx, FREQUENCY), True, 1e-6, True),
+    "spread-product": CheckRecord(_check_spread_product, True, 1e-6, True),
+    "support-time": CheckRecord(lambda ctx: _check_support(ctx, TIME), True, 1e-6, True),
+    "support-freq": CheckRecord(lambda ctx: _check_support(ctx, FREQUENCY), True, 1e-6, True),
+    "smoothing-time": CheckRecord(lambda ctx: _check_smoothing(ctx, TIME, "lam1_sweep"), False, 1e-10, False),
+    "smoothing-freq": CheckRecord(lambda ctx: _check_smoothing(ctx, FREQUENCY, "lam2_sweep"), False, 1e-10, False),
 }
+# run_scenario calls each evaluator through CHECKS, so a caller may wrap its entries in place
+CHECKS = {check_id: record.evaluate for check_id, record in CHECK_TABLE.items()}
+DEFAULT_CHECKS = tuple(check_id for check_id, record in CHECK_TABLE.items() if record.default)
+SMOOTHING_CHECKS = tuple(check_id for check_id, record in CHECK_TABLE.items() if not record.default)
+TOLERANCE_DEFAULTS = {check_id: record.rel_tol for check_id, record in CHECK_TABLE.items()}
 
 
 def run_scenario(s: Scenario) -> Report:
@@ -624,7 +621,9 @@ def run_scenario(s: Scenario) -> Report:
     f = generate_signal(s.signal_kind, s.signal_params, grid)
     fhat = fourier(f)
     ctx = _RunContext(s, grid, f, fhat, *_resolve_sets(s, f, fhat))
-    heavy = boundary_energy_fraction(f) > 1e-6 or boundary_energy_fraction(fhat) > 1e-6
+    heavy = any(CHECK_TABLE[check_id].truncation_sensitive for check_id in s.checks) and (
+        boundary_energy_fraction(f) > 1e-6 or boundary_energy_fraction(fhat) > 1e-6
+    )
     verdicts = []
     for check_id in dict.fromkeys(s.checks):
         rel_tol = s.tolerance(check_id)
@@ -635,7 +634,7 @@ def run_scenario(s: Scenario) -> Report:
             v = unjudged_verdict(check_id, "skipped", f"hypothesis violated: {exc}", rel_tol)
         except Exception as exc:  # noqa: BLE001 - every failure must land in the report
             v = unjudged_verdict(check_id, "fail", f"error: {exc}", rel_tol)
-        if heavy and check_id in _MOMENT_CHECKS:
+        if heavy and CHECK_TABLE[check_id].truncation_sensitive:
             note = "truncation-sensitive" if not v.notes else v.notes + "; truncation-sensitive"
             v = replace(v, notes=note)
         verdicts.append(v)

@@ -43,7 +43,15 @@ from uplab import (
 )
 from uplab import bounds, concentration, harness, operators
 from uplab.cli import main
-from uplab.harness import BOUND_DEFAULTS, CHECKS, SIGNAL_DEFAULTS, SIGNAL_KINDS, TOLERANCE_DEFAULTS, _windows_to_mask
+from uplab.harness import (
+    BOUND_DEFAULTS,
+    CHECK_TABLE,
+    CHECKS,
+    SIGNAL_DEFAULTS,
+    SIGNAL_KINDS,
+    TOLERANCE_DEFAULTS,
+    _windows_to_mask,
+)
 
 
 GRID = make_grid(256, 1 / 16)
@@ -218,6 +226,40 @@ class TestScenarioSchema:
         with pytest.raises(ScenarioError):
             load_scenario(tmp_path / "nope.json")
 
+    def test_the_check_table_derives_the_default_lists_and_tolerances_in_order(self):
+        # scenario_to_dict writes the default order into every saved scenario
+        defaults = (
+            "ds-product",
+            "optimized-product",
+            "marginal-energy",
+            "local-energy",
+            "signal-product",
+            "separate-time",
+            "separate-freq",
+            "spread-product",
+            "support-time",
+            "support-freq",
+        )
+        assert DEFAULT_CHECKS == defaults
+        assert SMOOTHING_CHECKS == ("smoothing-time", "smoothing-freq")
+        assert list(TOLERANCE_DEFAULTS.items()) == [
+            *((check_id, 1e-6) for check_id in defaults),
+            ("smoothing-time", 1e-10),
+            ("smoothing-freq", 1e-10),
+        ]
+        assert list(CHECKS) == [*defaults, "smoothing-time", "smoothing-freq"]
+        assert all(CHECKS[check_id] is record.evaluate for check_id, record in CHECK_TABLE.items())
+        assert [c for c, record in CHECK_TABLE.items() if record.truncation_sensitive] == [
+            "local-energy",
+            "signal-product",
+            "separate-time",
+            "separate-freq",
+            "spread-product",
+            "support-time",
+            "support-freq",
+        ]
+        assert scenario_to_dict(Scenario(name="defaults"))["checks"] == list(defaults)
+
     def test_tolerance_accessor(self):
         s = Scenario(name="x", tolerances={"ds-product": 1e-8})
         assert s.tolerance("ds-product") == 1e-8
@@ -237,6 +279,12 @@ class TestScenarioSchema:
             assert s.name == name
         with pytest.raises(ScenarioError):
             bundled_scenario("missing-scenario")
+
+
+@pytest.fixture(scope="module")
+def edge_heavy_report():
+    """Every check on a Gaussian so wide that the grid cuts off its tails."""
+    return run_scenario(Scenario(name="wide", signal_params={"lam": 0.002}, checks=tuple(CHECKS)))
 
 
 class TestRunScenario:
@@ -431,12 +479,22 @@ class TestRunScenario:
             assert v.status == "skipped"
             assert v.notes == SWEEP
 
-    def test_heavy_tails_are_flagged_on_moment_checks(self):
-        s = Scenario(name="wide", signal_params={"lam": 0.002}, checks=("support-time", "ds-product"))
-        report = run_scenario(s)
-        by_id = {v.check_id: v for v in report.verdicts}
-        assert "truncation-sensitive" in by_id["support-time"].notes
-        assert "truncation-sensitive" not in by_id["ds-product"].notes
+    @pytest.mark.parametrize("check_id", list(CHECKS))
+    def test_heavy_tails_are_flagged_on_moment_checks(self, edge_heavy_report, check_id):
+        (notes,) = [v.notes for v in edge_heavy_report.verdicts if v.check_id == check_id]
+        assert ("truncation-sensitive" in notes) == CHECK_TABLE[check_id].truncation_sensitive, notes
+
+    @pytest.mark.parametrize("checks, calls", [(("ds-product",), 0), (SMOOTHING_CHECKS, 0), (DEFAULT_CHECKS, 2)])
+    def test_edge_energy_is_measured_only_for_a_truncation_sensitive_check(self, monkeypatch, checks, calls):
+        measured = []
+
+        def counted(f):
+            measured.append(f.domain)
+            return boundary_energy_fraction(f)
+
+        monkeypatch.setattr(harness, "boundary_energy_fraction", counted)
+        run_scenario(Scenario(name="edges", checks=checks))
+        assert len(measured) == calls
 
     def test_empty_check_list_gives_an_empty_report(self):
         report = run_scenario(Scenario(name="empty", checks=()))
@@ -839,7 +897,10 @@ class TestReadmeTables:
 
     def test_hypothesis_table_names_each_check_once_and_its_deciding_function(self):
         rows = _readme_table("| check | hypothesis decided by | rule | on the grid | why |")
-        assert sorted(row[0] for row in rows) == sorted(CHECKS)
+        assert [row[0] for row in rows] == list(CHECK_TABLE)
+        # the "why" of exactly the truncation-sensitive records names the grid's truncation
+        truncating = [row[0] for row in rows if "the grid truncates" in row[4]]
+        assert truncating == [c for c, record in CHECK_TABLE.items() if record.truncation_sensitive]
         for check_id, decider, _, on_grid, why in rows:
             assert decider == "harness" or callable(getattr(bounds, decider, None)), (check_id, decider)
             assert on_grid in ("exact on the grid", "discretises a continuum theorem") and why, check_id
